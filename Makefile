@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-faults test-runtime test-site bench bench-smoke bench-micro bench-compare bench-refresh soak soak-smoke site-smoke site-scale-smoke site-chaos-smoke health-smoke examples reproduce clean
+.PHONY: install test test-faults test-runtime test-site bench bench-smoke bench-micro bench-compare bench-refresh bench-selftest soak soak-smoke site-smoke site-scale-smoke site-chaos-smoke health-smoke examples reproduce clean
 
 install:
 	python setup.py develop
@@ -34,6 +34,12 @@ bench-micro:
 # drops more than 25% below the committed BENCH_<name>.json baselines.
 bench-compare:
 	python -m repro bench-compare --name all --scale smoke
+
+# Self-tests of the repository benchmark (bench/): span arithmetic, the
+# boundary matrix per workload, metric names against BENCHMARK.json.  A
+# wrapped layer boundary that is renamed or no longer reached fails here.
+bench-selftest:
+	python3 -m pytest bench/tests -q
 
 # Intentional-change override for the perf gate: regenerate the committed
 # baselines.  Run on a quiet machine, eyeball the diff, commit it with the

@@ -67,7 +67,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.core import TagwatchConfig
 from repro.core.analysis import breakeven_percent, predicted_gain
@@ -103,6 +103,23 @@ from repro.reader.llrp import rospec_to_xml
 from repro.util.tables import format_table
 
 _log = get_logger("repro.cli")
+
+T = TypeVar("T")
+
+
+class UsageError(Exception):
+    """A flag value rejected after parsing; :func:`main` reports it through
+    ``parser.error`` (a one-line message, exit status 2)."""
+
+
+def _checked(build: Callable[..., T], *args, **kwargs) -> T:
+    """Build a fault plan or run config from flag values, turning the
+    ``ValueError`` of its validation into a :class:`UsageError`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
 
 #: Figure registry: id -> (description, smoke runner, paper-scale runner).
 #: Runners take ``workers`` and forward it where the driver can fan out
@@ -318,7 +335,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan
 
     if args.sweep:
-        rates = tuple(float(x) for x in args.sweep.split(","))
+        rates = _checked(lambda: tuple(float(x) for x in args.sweep.split(",")))
+        for rate in rates:
+            _checked(
+                FaultPlan,
+                report_loss=rate,
+                disconnect_at_s=tuple(args.disconnect_at),
+            )
         result = fault_sweep.run(
             loss_rates=rates,
             n_tags=args.tags,
@@ -339,9 +362,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_dict(json.load(handle))
+            plan = _checked(FaultPlan.from_dict, json.load(handle))
     else:
-        plan = FaultPlan(
+        plan = _checked(
+            FaultPlan,
             report_loss=args.loss,
             burst_enter=args.burst_enter,
             burst_exit=args.burst_exit,
@@ -483,7 +507,8 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
     from repro.experiments import site_soak
     from repro.obs.health import FlightRecorder, list_bundles, validate_bundle
 
-    config = site_soak.SiteSoakConfig(
+    config = _checked(
+        site_soak.SiteSoakConfig,
         n_readers=_pick(args.readers, 6),
         n_tags=_pick(args.tags, 96),
         n_mobile=args.mobile,
@@ -495,6 +520,7 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         n_channels=_pick(args.channels, 8),
         n_outages=args.outages,
     )
+    _checked(site_soak.build_fault_plan, config)
     differential_ok: Optional[bool] = None
     with tempfile.TemporaryDirectory(prefix="repro-site-chaos-") as tmp:
         recorder = FlightRecorder() if args.bundle_dir else None
@@ -680,7 +706,7 @@ def cmd_health(args: argparse.Namespace) -> int:
     )
 
     plan = (
-        FaultPlan(report_loss=args.loss, blackouts=tuple(args.blackout))
+        _checked(FaultPlan, report_loss=args.loss, blackouts=tuple(args.blackout))
         if args.blackout or args.loss
         else None
     )
@@ -1247,7 +1273,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``--metrics-out``.  The ``faults`` command pre-dates the ambient
     registry and keeps its own, richer ``--metrics-out`` export.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     trace_out = getattr(args, "trace_out", "")
     metrics_out = (
         getattr(args, "metrics_out", "") if args.command != "faults" else ""
@@ -1262,7 +1289,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         engine = getattr(args, "engine", None)
         if engine:
             stack.enter_context(_use_engine(engine))
-        code = COMMANDS[args.command](args)
+        try:
+            code = COMMANDS[args.command](args)
+        except UsageError as exc:
+            parser.error(f"{args.command}: {exc}")
     if tracer is not None:
         if args.trace_format == "jsonl":
             write_jsonl(trace_out, tracer)
@@ -1275,5 +1305,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def run() -> None:
+    """Process entry point: :func:`main`, exiting quietly when the reader
+    of standard output goes away (``python -m repro predict | head -1``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit as Python itself does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -13,6 +13,7 @@
 
 from repro.core.bitmask import (
     CandidateRow,
+    CandidateTable,
     IndexedBitmaskTable,
     indicator_bitmap,
     pack_bitmap,
@@ -55,7 +56,6 @@ from repro.core.setcover import (
     CoverSelection,
     exact_cover,
     greedy_cover,
-    greedy_cover_reference,
     naive_selection,
     select_bitmasks,
 )
@@ -63,6 +63,7 @@ from repro.core.tagwatch import CycleResult, Tagwatch
 
 __all__ = [
     "CandidateRow",
+    "CandidateTable",
     "CostModel",
     "CoverSelection",
     "CycleResult",
@@ -88,7 +89,6 @@ __all__ = [
     "breakeven_percent",
     "exact_cover",
     "greedy_cover",
-    "greedy_cover_reference",
     "indicator_bitmap",
     "irr_drop",
     "load_assessor",

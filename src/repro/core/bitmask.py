@@ -1,4 +1,4 @@
-"""Candidate bitmask enumeration and the indexed coverage table (Fig 10).
+"""Candidate bitmask enumeration and the columnar candidate table (Fig 10).
 
 The search space of Section 5.2 is all ``S(mask, pointer, length)`` triples
 whose mask equals some target tag's EPC bits at (pointer, length) — at most
@@ -18,51 +18,61 @@ without changing what the greedy can pick:
 random EPCs, two targets share an l-bit window at a given pointer with
 probability 2^-l, so windows much longer than ~2 log2(n') almost never
 yield multi-target masks; the full-EPC fallbacks cover everything else.
+
+Each plan's candidates form one :class:`CandidateTable`, stored column by
+column: the coverage of every row packed into a ``uint64`` word matrix of
+shape (rows, ceil(n / 64)) — bit i of word w is tag 64 w + i — beside mask,
+pointer and length columns.  The table is built with one ``packbits`` over
+the windows of every mask length and merged with one vectorised dedup in
+which the first occurrence wins; :class:`CandidateRow` objects are only
+created when a row is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.gen2.epc import EPC
 from repro.gen2.select import BitMask
 
+#: Longest enumerable window: its value must fit a uint64 window cache
+#: entry and a Python-int ``BitMask`` check alike.
+MAX_WINDOW_BITS = 63
+
 
 # ----------------------------------------------------------------------
 # Packed bitsets
 # ----------------------------------------------------------------------
-# Coverage bitmaps are one bool per tag for numpy-facing callers, but the
-# set-cover inner loop only ever intersects them and counts bits.  For that
-# it uses a *packed* form: the bool array packed 64 bits per machine word,
-# little-endian (bit i of word w is tag 64*w + i), carried as one Python
-# integer.  A single ``x & y`` then intersects 64 tags per word in C, and
-# ``int.bit_count`` is a hardware popcount over the words — at the ~1k-tag
-# populations the large-scale experiments sweep this is an order of
-# magnitude faster than ``(a & b).sum()`` on bool arrays, with none of
-# numpy's per-call overhead.
+# Coverage bitmaps are one bool per tag for numpy-facing callers; the set
+# cover only intersects them and counts bits, so it works on the packed
+# form: 64 tags per little-endian uint64 word, bit i of word w being tag
+# 64 w + i.  ``np.bitwise_count`` then popcounts a whole candidate table in
+# one call.  The exact solver carries the same bits as one Python integer.
+
+
+def pack_rows(coverage: np.ndarray) -> np.ndarray:
+    """Pack a (rows, n) bool matrix into (rows, ceil(n / 64)) uint64 words,
+    column-major: row-wise popcount sums then add whole word columns."""
+    rows, n = coverage.shape
+    packed = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : (n + 7) // 8] = np.packbits(coverage, axis=1, bitorder="little")
+    return np.asfortranarray(packed.view("<u8"))
 
 
 def pack_bitmap(mask: np.ndarray) -> int:
-    """Pack a bool coverage array into the uint64-word packed form."""
-    if mask.size == 0:
-        return 0
-    packed_bytes = np.packbits(mask.astype(bool), bitorder="little")
-    return int.from_bytes(packed_bytes.tobytes(), "little")
+    """Pack a bool coverage array into one Python integer (bit i = tag i)."""
+    return int.from_bytes(pack_rows(mask.astype(bool)[None]).tobytes(), "little")
 
 
 def unpack_bitmap(packed: int, population_size: int) -> np.ndarray:
     """Inverse of :func:`pack_bitmap` (for tests and debugging)."""
-    if population_size == 0:
-        return np.zeros(0, dtype=bool)
-    n_bytes = (population_size + 7) // 8
-    raw = np.frombuffer(
-        packed.to_bytes(n_bytes, "little"), dtype=np.uint8
-    )
-    return np.unpackbits(raw, bitorder="little")[:population_size].astype(bool)
+    raw = packed.to_bytes((population_size + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits[:population_size].astype(bool)
 
 
 def pack_indices(population_size: int, indices: Sequence[int]) -> int:
@@ -83,18 +93,87 @@ class CandidateRow:
     bitmask: BitMask
     coverage: np.ndarray  # bool array over the current population
 
-    @cached_property
-    def packed(self) -> int:
-        """The coverage in packed uint64-word form (computed once)."""
-        return pack_bitmap(self.coverage)
-
-    @cached_property
+    @property
     def covered_count(self) -> int:
-        return self.packed.bit_count()
+        return int(np.count_nonzero(self.coverage))
 
     def covered_indices(self) -> Tuple[int, ...]:
         """Indices of the covered tags, ascending."""
         return tuple(int(i) for i in np.flatnonzero(self.coverage))
+
+
+class CandidateTable(Sequence[CandidateRow]):
+    """One plan's candidate rows, column by column.
+
+    ``words`` holds the packed coverage of every row; ``masks`` (an object
+    array of Python ints: a full-EPC mask may exceed 64 bits), ``pointers``
+    and ``lengths`` spell each row's bitmask.  Indexing builds a
+    :class:`CandidateRow`; slicing returns a table.
+    """
+
+    def __init__(
+        self,
+        words: np.ndarray,
+        masks: np.ndarray,
+        pointers: np.ndarray,
+        lengths: np.ndarray,
+        population_size: int,
+    ) -> None:
+        self.words = np.asfortranarray(words)  # as pack_rows lays it out
+        self.masks = masks
+        self.pointers = pointers
+        self.lengths = lengths
+        self.population_size = population_size
+
+    @classmethod
+    def of(
+        cls, rows: Sequence[CandidateRow], population_size: int
+    ) -> "CandidateTable":
+        """``rows`` itself if it is a table, else its rows turned into words."""
+        if isinstance(rows, CandidateTable):
+            return rows
+        coverage = np.zeros((len(rows), population_size), dtype=bool)
+        for i, row in enumerate(rows):
+            coverage[i] = row.coverage
+        bitmasks = [row.bitmask for row in rows]
+        return cls(
+            pack_rows(coverage),
+            np.array([b.mask for b in bitmasks], dtype=object),
+            np.array([b.pointer for b in bitmasks], dtype=np.intp),
+            np.array([b.length for b in bitmasks], dtype=np.intp),
+            population_size,
+        )
+
+    @cached_property
+    def covered_counts(self) -> np.ndarray:
+        """|V_i| per row."""
+        return np.bitwise_count(self.words).sum(axis=1, dtype=np.intp)
+
+    def bitmask(self, index: int) -> BitMask:
+        """The bitmask of row ``index``, without building its coverage."""
+        return BitMask(
+            self.masks[index], int(self.pointers[index]), int(self.lengths[index])
+        )
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, index: Union[int, slice]):  # type: ignore[override]
+        if isinstance(index, slice):
+            return CandidateTable(
+                self.words[index],
+                self.masks[index],
+                self.pointers[index],
+                self.lengths[index],
+                self.population_size,
+            )
+        bitmask = self.bitmask(index)
+        raw = np.frombuffer(self.words[index].tobytes(), dtype=np.uint8)
+        bits = np.unpackbits(raw, bitorder="little")
+        return CandidateRow(bitmask, bits[: self.population_size].astype(bool))
+
+    def __iter__(self) -> Iterator[CandidateRow]:
+        return (self[i] for i in range(len(self)))
 
 
 def _bit_matrix(epcs: Sequence[EPC]) -> np.ndarray:
@@ -109,6 +188,31 @@ def _bit_matrix(epcs: Sequence[EPC]) -> np.ndarray:
         for e in epcs
     ]
     return np.vstack(rows)
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per row: a splitmix64 finalizer per word, salted by
+    the word's column, summed across the row."""
+    z = words + np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> 31)).sum(axis=1)
+
+
+def _first_occurrences(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    # Stable-sort on the row hashes, so equal rows keep their index order;
+    # should two distinct rows share a hash, sort on the words instead.
+    keys = _row_hashes(words)
+    order = np.argsort(keys, kind="stable")
+    tie = keys[order[1:]] == keys[order[:-1]]
+    pairs = np.flatnonzero(tie)
+    if (words[order[pairs]] != words[order[pairs + 1]]).any():
+        order = np.lexsort(words.T)
+        tie = (words[order[1:]] == words[order[:-1]]).all(axis=1)
+    return np.sort(order[np.concatenate(([True], ~tie))])
 
 
 class IndexedBitmaskTable:
@@ -126,13 +230,16 @@ class IndexedBitmaskTable:
         max_mask_length: int = 24,
         include_dominated: bool = False,
     ) -> None:
-        if max_mask_length < 1:
-            raise ValueError("max_mask_length must be >= 1")
+        if not 1 <= max_mask_length <= MAX_WINDOW_BITS:
+            raise ValueError(
+                f"max_mask_length must be in [1, {MAX_WINDOW_BITS}], "
+                f"got {max_mask_length}"
+            )
         self.epcs = list(epcs)
         self.max_mask_length = max_mask_length
         self.include_dominated = include_dominated
         self._bits = _bit_matrix(self.epcs)
-        # Sliding-window integer values per mask length, computed lazily.
+        # Sliding-window values per mask length, computed lazily.
         self._window_cache: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -150,106 +257,79 @@ class IndexedBitmaskTable:
         return True
 
     def _window_values(self, length: int) -> np.ndarray:
-        """(n, L - length + 1) integers of all length-bit windows."""
+        """(L - length + 1, n) values of all length-bit windows, one row per
+        pointer, in the narrowest unsigned dtype that holds them."""
         cached = self._window_cache.get(length)
         if cached is not None:
             return cached
-        powers = (1 << np.arange(length - 1, -1, -1)).astype(np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(
-            self._bits, length, axis=1
-        )
-        values = windows.astype(np.int64) @ powers
+        dtype = np.min_scalar_type((1 << length) - 1)
+        bits = self._bits.T  # (L, n)
+        if length == 1:
+            values = np.ascontiguousarray(bits, dtype=dtype)
+        else:
+            # Each window is its one-shorter prefix shifted left, plus the
+            # window's last bit.
+            shorter = self._window_values(length - 1)[:-1].astype(dtype)
+            values = (shorter << 1) | bits[length - 1 :]
         self._window_cache[length] = values
         return values
 
     # ------------------------------------------------------------------
-    def candidate_rows(
-        self, target_indices: Sequence[int]
-    ) -> List[CandidateRow]:
-        """Candidate table rows for this target set (merged, pruned)."""
+    def candidate_rows(self, target_indices: Sequence[int]) -> CandidateTable:
+        """Candidate table rows for this target set (merged, pruned).
+
+        Order: one full-EPC row per target, then windows by length, pointer
+        and value, ascending; the first row of each coverage is kept.
+        """
         n = self.population_size
-        targets = sorted(set(int(i) for i in target_indices))
-        if any(i < 0 or i >= n for i in targets):
+        targets = np.array(sorted(set(map(int, target_indices))), dtype=np.intp)
+        if targets.size and (targets[0] < 0 or targets[-1] >= n):
             raise IndexError("target index outside the population")
-        if not targets:
-            return []
+        epc_length = self.epcs[0].length if self.epcs else 0
+        max_len = min(self.max_mask_length, epc_length) if targets.size else 0
 
-        rows: List[CandidateRow] = []
-        seen: Dict[bytes, int] = {}
-
-        def add_row(
-            bitmask: BitMask,
-            coverage: np.ndarray,
-            packed: Optional[int] = None,
-        ) -> None:
-            key = coverage.tobytes()
-            if key in seen:
-                return
-            seen[key] = len(rows)
-            row = CandidateRow(bitmask, coverage)
-            if packed is not None:
-                # Seed the cached_property: the caller batch-packed every
-                # candidate coverage in one numpy call (same bytes as
-                # pack_bitmap would produce row by row).
-                row.__dict__["packed"] = packed
-            rows.append(row)
-
-        # Full-EPC masks: one per target, always present (the naive
-        # baseline's rows, and the greedy's safe fallback).
-        epc_length = self.epcs[0].length
-        for t in targets:
-            coverage = np.zeros(n, dtype=bool)
-            coverage[t] = True
-            add_row(BitMask.full_epc(self.epcs[t]), coverage, 1 << t)
-
-        max_len = min(self.max_mask_length, epc_length)
-        target_arr = np.asarray(targets)
+        found = []  # (length, window values, pointers, mask values)
         for length in range(1, max_len + 1):
             values = self._window_values(length)
-            target_values = values[target_arr]  # (n_targets, n_pointers)
+            ordered = np.sort(values[:, targets], axis=1)  # (pointers, targets)
+            repeat = ordered[:, 1:] == ordered[:, :-1]
             if self.include_dominated:
-                for pointer in range(values.shape[1]):
-                    column = values[:, pointer]
-                    for value in np.unique(target_values[:, pointer]):
-                        add_row(
-                            BitMask(int(value), int(pointer), length),
-                            column == value,
-                        )
-                continue
-            if len(targets) < 2:
-                continue  # no window can cover two targets
-            # Values shared by >= 2 targets, fully vectorised: sort each
-            # column, mark equal neighbours, and read the (pointer, value)
-            # pairs out column-major so the emission order — pointers
-            # ascending, values ascending within a pointer — is exactly the
-            # per-column ``np.unique(...)[counts >= 2]`` walk this replaces
-            # (the planning hot path behind the paper's <4 ms overhead).
-            sorted_vals = np.sort(target_values, axis=0)
-            dup = sorted_vals[:-1] == sorted_vals[1:]
-            if not dup.any():
-                continue
-            dup_t = dup.T
-            cols = np.nonzero(dup_t)[0]
-            vals = sorted_vals[1:].T[dup_t]
-            if len(vals) > 1:
-                # A value occurring k >= 3 times yields k-1 adjacent pairs;
-                # keep one representative per (pointer, value).
-                keep = np.empty(len(vals), dtype=bool)
-                keep[0] = True
-                keep[1:] = (cols[1:] != cols[:-1]) | (vals[1:] != vals[:-1])
-                cols = cols[keep]
-                vals = vals[keep]
-            cov = values[:, cols] == vals[None, :]  # (n, n_pairs)
-            packed_bytes = np.packbits(cov, axis=0, bitorder="little")
-            col_list = cols.tolist()
-            val_list = vals.tolist()
-            for j, (pointer, value) in enumerate(zip(col_list, val_list)):
-                add_row(
-                    BitMask(value, pointer, length),
-                    np.ascontiguousarray(cov[:, j]),
-                    int.from_bytes(packed_bytes[:, j].tobytes(), "little"),
-                )
-        return rows
+                keep = np.ones(ordered.shape, dtype=bool)  # every distinct value
+                keep[:, 1:] = ~repeat
+            else:
+                # The first of each run of two or more equal values: the
+                # windows shared by at least two targets.
+                keep = repeat.copy()
+                keep[:, 1:] &= ~repeat[:, :-1]
+            pointer, column = np.nonzero(keep)  # pointer-major, values ascending
+            if not pointer.size and not self.include_dominated:
+                break  # no longer window can be shared by two targets
+            found.append((length, values, pointer, ordered[pointer, column]))
+
+        # Full-EPC masks first: one per target, always present (the naive
+        # baseline's rows, and the greedy's safe fallback).
+        block_rows = [targets.size] + [p.size for _, _, p, _ in found]
+        coverage = np.zeros((sum(block_rows), n), dtype=bool)
+        coverage[np.arange(targets.size), targets] = True
+        start = targets.size
+        for _, values, pointer, vals in found:
+            stop = start + pointer.size
+            np.equal(values[pointer], vals[:, None], out=coverage[start:stop])
+            start = stop
+        masks = np.concatenate(
+            [np.array([self.epcs[t].value for t in targets.tolist()], dtype=object)]
+            + [vals.astype(object) for _, _, _, vals in found]
+        )
+        pointers = np.concatenate(
+            [np.zeros(targets.size, dtype=np.intp)] + [p for _, _, p, _ in found]
+        )
+        lengths = np.repeat([epc_length] + [l for l, _, _, _ in found], block_rows)
+
+        words = pack_rows(coverage)
+        kept = _first_occurrences(words) if len(words) else np.zeros(0, np.intp)
+        return CandidateTable(
+            words[kept], masks[kept], pointers[kept], lengths[kept], n
+        )
 
     # ------------------------------------------------------------------
     def coverage_of(self, bitmask: BitMask) -> np.ndarray:

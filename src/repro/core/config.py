@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import FrozenSet, Iterable, Optional, Tuple, Union
 
+from repro.core.bitmask import MAX_WINDOW_BITS
 from repro.core.cost import CostModel, PAPER_R420
 from repro.core.gmm import GmmParams
 from repro.gen2.epc import EPC
@@ -78,6 +79,11 @@ class TagwatchConfig:
             raise ValueError("Phase II duration must be positive")
         if not 0.0 < self.fallback_fraction <= 1.0:
             raise ValueError("fallback fraction must be in (0, 1]")
+        if not 1 <= self.max_mask_length <= MAX_WINDOW_BITS:
+            raise ValueError(
+                f"max_mask_length must be in [1, {MAX_WINDOW_BITS}], "
+                f"got {self.max_mask_length}"
+            )
         if self.vote_rule not in ("any", "majority"):
             raise ValueError(f"unknown vote rule {self.vote_rule!r}")
         if self.selection_method not in ("greedy", "naive"):

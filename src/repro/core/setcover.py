@@ -12,15 +12,11 @@ the naive plan (one full-EPC bitmask per target); if the greedy plan is not
 cheaper, the naive plan is returned — the paper's "adopt the worst option"
 rule, which also bounds the approximation.
 
-The production solver works on *packed* coverage bitsets (see
-``core.bitmask``) and evaluates candidates lazily off a max-heap: the gain
-``|V_i & V|`` is submodular in V (it only shrinks as targets get covered),
-so a ratio computed in an earlier iteration upper-bounds the current one,
-and a candidate whose stale bound already trails the running best can be
-skipped without rescanning it.  The result — picks, tie sets, RNG draws,
-trace events — is identical to the straightforward rescan-everything
-implementation, which is kept as :func:`greedy_cover_reference` for
-differential testing.
+The solver works on one columnar candidate table per plan (see
+``core.bitmask``): coverage packed 64 tags per ``uint64`` word.  Each
+iteration is a vectorised full rescan — one popcount of ``words & V`` over
+the whole matrix — so the search is the reference algorithm itself, with
+no incremental bookkeeping to keep in step with it.
 
 An exact exponential solver is provided for small instances; the tests use
 it to bound the greedy's optimality gap.
@@ -28,28 +24,24 @@ it to bound the greedy's optimality gap.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.bitmask import (
     CandidateRow,
+    CandidateTable,
     indicator_bitmap,
     pack_indices,
+    pack_rows,
 )
 from repro.core.cost import CostModel
 from repro.gen2.epc import EPC
 from repro.gen2.select import BitMask
 from repro.obs.tracer import get_tracer
 from repro.util.rng import SeedLike, make_rng
-
-#: Tolerances of the tie test ``np.isclose(ratios, best)`` in the reference
-#: solver; the lazy solver reproduces the same test scalar-wise.
-_TIE_RTOL = 1e-5
-_TIE_ATOL = 1e-8
 
 
 @dataclass
@@ -93,147 +85,34 @@ def greedy_cover(
 ) -> CoverSelection:
     """The paper's greedy relative-gain search (Steps 1-4 of Section 5.3).
 
-    Packed lazy-greedy: bit-for-bit the same selection as
-    :func:`greedy_cover_reference`, but candidates sit in a max-heap keyed
-    by their last-computed ratio and are only re-evaluated while a stale
-    bound could still reach the tie set (submodularity makes every stale
-    ratio an upper bound).
+    Every iteration rescans the whole table: one popcount over the packed
+    word matrix gives every gain, ties are ``np.isclose(ratios, best)``
+    and one ``gen.choice`` draw picks among them.
 
     Raises ``ValueError`` if some target is not covered by any candidate
     (cannot happen when the table includes full-EPC rows).
     """
     gen = make_rng(rng)
-    targets_packed = pack_indices(population_size, target_indices)
-    n_targets = targets_packed.bit_count()
+    targets = pack_rows(indicator_bitmap(population_size, target_indices)[None])[0]
+    n_targets = int(np.bitwise_count(targets).sum())
     if n_targets == 0:
         return CoverSelection([], [], 0.0, 0, 0, method="greedy")
 
-    packed = [row.packed for row in candidates]
-    prices = [
-        float(cost_model.inventory_cost(row.covered_count))
-        for row in candidates
-    ]
+    table = CandidateTable.of(candidates, population_size)
+    words = table.words
+    counts = table.covered_counts
+    # One price per distinct covered count, not per row.
+    price_of = np.zeros(int(counts.max(initial=0)) + 1)
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        price_of[c] = cost_model.inventory_cost(c)
+    prices = price_of[counts]
     chosen: List[int] = []
-    union = 0
-    v = targets_packed
-
-    tracer = get_tracer()
-    traced = tracer.enabled
-
-    # Heap of (-ratio, index, iteration-the-ratio-was-computed-in).  Every
-    # candidate has exactly one live entry; a popped stale entry is
-    # recomputed against the current V and re-pushed, so entries from
-    # iteration ``it`` are exact within iteration ``it``.
-    gains = [(p & v).bit_count() for p in packed]
-    ratios = [g / price for g, price in zip(gains, prices)]
-    heap = [(-r, i, 0) for i, r in enumerate(ratios)]
-    heapq.heapify(heap)
-    iteration = 0
-
-    while v:
-        best: Optional[float] = None
-        exact_ids: List[int] = []
-        resting: List[tuple] = []
-        while heap:
-            neg_ratio, idx, stamp = heap[0]
-            bound = -neg_ratio
-            if best is not None and bound < best - (
-                _TIE_ATOL + _TIE_RTOL * best
-            ) * (1.0 + 1e-9):
-                # Every remaining entry bounds its exact ratio from above
-                # and already misses the tie margin (with head-room for the
-                # rounding of the threshold itself): the tie set is final.
-                break
-            heapq.heappop(heap)
-            if stamp == iteration:
-                resting.append((neg_ratio, idx, stamp))
-                exact_ids.append(idx)
-                if best is None or bound > best:
-                    best = bound
-            else:
-                gain = (packed[idx] & v).bit_count()
-                ratio = gain / prices[idx]
-                gains[idx] = gain
-                ratios[idx] = ratio
-                heapq.heappush(heap, (-ratio, idx, iteration))
-        for entry in resting:
-            heapq.heappush(heap, entry)
-        if best is None or best == 0.0:
-            # All gains are zero: the reference path's ``gains.any()`` test.
-            raise ValueError("targets remain that no candidate covers")
-        # Resolve draws by random selection, as the paper specifies.  The
-        # scalar test reproduces np.isclose(ratios, best) on the full array:
-        # candidates never re-evaluated this iteration sit strictly below
-        # the margin, so they cannot be tied.
-        margin = _TIE_ATOL + _TIE_RTOL * abs(best)
-        tied = np.array(
-            sorted(i for i in exact_ids if abs(ratios[i] - best) <= margin),
-            dtype=np.intp,
-        )
-        pick = int(gen.choice(tied))
-        chosen.append(pick)
-        union |= packed[pick]
-        v &= ~packed[pick]
-        iteration += 1
-        if traced:
-            # Anchored to the enclosing span's start: the search is pure
-            # CPU, so no simulated time passes between iterations.
-            tracer.event(
-                "setcover.iteration",
-                category="setcover",
-                iteration=len(chosen),
-                pick=pick,
-                gain=int(gains[pick]),
-                covered_count=candidates[pick].covered_count,
-                n_tied=int(tied.size),
-                remaining_targets=v.bit_count(),
-            )
-
-    counts = [candidates[i].covered_count for i in chosen]
-    collateral = (union & ~targets_packed).bit_count()
-    return CoverSelection(
-        bitmasks=[candidates[i].bitmask for i in chosen],
-        covered_counts=counts,
-        total_cost_s=cost_model.sweep_cost(counts),
-        n_targets=n_targets,
-        n_collateral=collateral,
-        method="greedy",
-    )
-
-
-def greedy_cover_reference(
-    candidates: Sequence[CandidateRow],
-    target_indices: Sequence[int],
-    population_size: int,
-    cost_model: CostModel,
-    rng: SeedLike = None,
-) -> CoverSelection:
-    """The straightforward greedy: rescan every candidate each iteration.
-
-    Kept as the behavioural reference for :func:`greedy_cover`; the
-    differential tests assert both return identical selections, draws and
-    trace events on the same inputs.
-    """
-    gen = make_rng(rng)
-    v = indicator_bitmap(population_size, target_indices)
-    targets_mask = v.copy()
-    n_targets = int(v.sum())
-    if n_targets == 0:
-        return CoverSelection([], [], 0.0, 0, 0, method="greedy")
-
-    coverages = [row.coverage for row in candidates]
-    prices = np.array(
-        [cost_model.inventory_cost(row.covered_count) for row in candidates]
-    )
-    chosen: List[int] = []
-    union = np.zeros(population_size, dtype=bool)
+    v = targets.copy()
 
     tracer = get_tracer()
     traced = tracer.enabled
     while v.any():
-        gains = np.array(
-            [int((cov & v).sum()) for cov in coverages], dtype=float
-        )
+        gains = np.bitwise_count(words & v).sum(axis=1)
         if not gains.any():
             raise ValueError("targets remain that no candidate covers")
         ratios = gains / prices
@@ -242,8 +121,7 @@ def greedy_cover_reference(
         tied = np.flatnonzero(np.isclose(ratios, best))
         pick = int(gen.choice(tied))
         chosen.append(pick)
-        union |= coverages[pick]
-        v &= ~coverages[pick]
+        v &= ~words[pick]
         if traced:
             # Anchored to the enclosing span's start: the search is pure
             # CPU, so no simulated time passes between iterations.
@@ -253,19 +131,19 @@ def greedy_cover_reference(
                 iteration=len(chosen),
                 pick=pick,
                 gain=int(gains[pick]),
-                covered_count=candidates[pick].covered_count,
+                covered_count=int(counts[pick]),
                 n_tied=int(tied.size),
-                remaining_targets=int(v.sum()),
+                remaining_targets=int(np.bitwise_count(v).sum()),
             )
 
-    counts = [candidates[i].covered_count for i in chosen]
-    collateral = int((union & ~targets_mask).sum())
+    union = np.bitwise_or.reduce(words[chosen], axis=0)
+    chosen_counts = [int(counts[i]) for i in chosen]
     return CoverSelection(
-        bitmasks=[candidates[i].bitmask for i in chosen],
-        covered_counts=counts,
-        total_cost_s=cost_model.sweep_cost(counts),
+        bitmasks=[table.bitmask(i) for i in chosen],
+        covered_counts=chosen_counts,
+        total_cost_s=cost_model.sweep_cost(chosen_counts),
         n_targets=n_targets,
-        n_collateral=collateral,
+        n_collateral=int(np.bitwise_count(union & ~targets).sum()),
         method="greedy",
     )
 
@@ -304,7 +182,9 @@ def exact_cover(
         )
     v = pack_indices(population_size, target_indices)
     n_targets = v.bit_count()
-    packed = [row.packed for row in candidates]
+    table = CandidateTable.of(candidates, population_size)
+    packed = [int.from_bytes(row.tobytes(), "little") for row in table.words]
+    row_counts = table.covered_counts.tolist()
     best: Optional[CoverSelection] = None
     limit = max_subset_size or len(candidates)
     # All subset sizes must be enumerated: a larger selection of cheap rows
@@ -315,11 +195,11 @@ def exact_cover(
             for i in combo:
                 union |= packed[i]
             if not v & ~union:
-                counts = [candidates[i].covered_count for i in combo]
+                counts = [row_counts[i] for i in combo]
                 cost = cost_model.sweep_cost(counts)
                 if best is None or cost < best.total_cost_s:
                     best = CoverSelection(
-                        bitmasks=[candidates[i].bitmask for i in combo],
+                        bitmasks=[table.bitmask(i) for i in combo],
                         covered_counts=counts,
                         total_cost_s=cost,
                         n_targets=n_targets,

@@ -20,10 +20,10 @@ Two session models are supported:
   leaner ``~ n e`` slot count of an idealised dedicated session.  Used by the
   ablation benchmarks.
 
-The per-frame slot draw is vectorised (one ``numpy`` draw per frame).  Two
+The per-frame slot draw is vectorised (one ``numpy`` draw per frame).  Three
 slot-consumption engines share that draw:
 
-- ``engine="fast"`` (default) asks the strategy for its mid-frame reaction at
+- ``engine="fast"`` asks the strategy for its mid-frame reaction at
   frame granularity (:meth:`FrameStrategy.scan_frame`) and then settles the
   whole processed prefix with array ops — cumulative-sum time assignment,
   vectorised dedup/loss draws — falling back to a sequential slot walk for

@@ -80,7 +80,7 @@ class TestCandidateRows:
 
     def test_no_targets(self):
         table = IndexedBitmaskTable(POPULATION)
-        assert table.candidate_rows([]) == []
+        assert len(table.candidate_rows([])) == 0
 
     def test_bad_target_index(self):
         table = IndexedBitmaskTable(POPULATION)
@@ -115,3 +115,17 @@ class TestPopulationUpdate:
     def test_invalid_max_length(self):
         with pytest.raises(ValueError):
             IndexedBitmaskTable(POPULATION, max_mask_length=0)
+
+    @pytest.mark.parametrize("max_len", [64, 96])
+    def test_windows_beyond_63_bits_rejected(self, max_len):
+        """Windows of 64+ bits overflow the window cache; two 96-bit EPCs
+        sharing a 70-bit prefix used to crash mid-plan."""
+        prefix = (1 << 69) | 12345
+        pair = [EPC((prefix << 26) | 1, 96), EPC((prefix << 26) | 2, 96)]
+        with pytest.raises(ValueError, match=r"max_mask_length must be in \[1, 63\]"):
+            IndexedBitmaskTable(pair, max_mask_length=max_len)
+        table = IndexedBitmaskTable(pair, max_mask_length=63)
+        assert len(table.candidate_rows([0, 1])) == 3
+        windows = table._window_values(63)
+        for pointer in range(96 - 63 + 1):
+            assert int(windows[pointer, 0]) == pair[0].bit_slice(pointer, 63)

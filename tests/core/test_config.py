@@ -30,6 +30,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             TagwatchConfig(selection_method="optimal")
 
+    @pytest.mark.parametrize("max_len", [0, 64, 96])
+    def test_max_mask_length_bounds(self, max_len):
+        with pytest.raises(ValueError, match=r"max_mask_length must be in \[1, 63\]"):
+            TagwatchConfig(max_mask_length=max_len)
+
+    def test_max_mask_length_63_accepted(self):
+        assert TagwatchConfig(max_mask_length=63).max_mask_length == 63
+
     def test_vote_rule_checked(self):
         with pytest.raises(ValueError):
             TagwatchConfig(vote_rule="unanimous")

@@ -127,7 +127,7 @@ class TestExact:
         assert exact.n_collateral == 1
 
     def test_rejects_large_instances(self):
-        rows = candidates_for() * 10
+        rows = list(candidates_for()) * 10
         with pytest.raises(ValueError):
             exact_cover(rows[:25], TARGETS, len(POPULATION), PAPER_R420)
 

@@ -1,19 +1,23 @@
-"""Differential tests: packed lazy-greedy set cover vs the dense reference.
+"""Differential tests: the columnar planner vs the per-row oracles.
 
-``greedy_cover`` (packed bitsets + lazy max-heap) must be bit-for-bit the
-same search as ``greedy_cover_reference`` (bool arrays, rescan everything):
-same picks in the same order, same tie-break draws (hence the same RNG
-stream position), same trace events, same cost and collateral.  Hypothesis
-drives both over random populations and target sets and compares all of it.
-The packed representation itself is checked via pack/unpack round-trips,
-and the packed ``exact_cover`` against a bool-mask reimplementation.
+``greedy_cover`` (vectorised rescan over the packed word matrix) must be
+bit-for-bit the same search as ``greedy_cover_reference`` (bool arrays, a
+Python loop over rows): same picks in the same order, same tie-break draws
+(hence the same RNG stream position), same trace events, same cost and
+collateral.  ``IndexedBitmaskTable.candidate_rows`` must emit exactly the
+rows of ``candidate_rows_reference``, in order.  Hypothesis drives both
+pairs over random populations and target sets and compares all of it.  The
+packed representation itself is checked via pack/unpack round-trips, and
+the packed ``exact_cover`` against a bool-mask reimplementation.
 """
 
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import bitmask
 from repro.core.bitmask import (
     IndexedBitmaskTable,
     indicator_bitmap,
@@ -22,13 +26,10 @@ from repro.core.bitmask import (
     unpack_bitmap,
 )
 from repro.core.cost import CostModel
-from repro.core.setcover import (
-    exact_cover,
-    greedy_cover,
-    greedy_cover_reference,
-)
-from repro.gen2.epc import EPC
+from repro.core.setcover import exact_cover, greedy_cover
+from repro.gen2.epc import EPC, random_epc_population
 from repro.obs.tracer import Tracer, use_tracer
+from tests.core.oracles import candidate_rows_reference, greedy_cover_reference
 
 MODEL = CostModel(tau0_s=0.019, tau_bar_s=0.00018)
 
@@ -49,10 +50,10 @@ def cover_instances(draw, min_size=2, max_size=24):
     return population, list(range(n_targets))
 
 
-def _run_traced(solver, candidates, targets, n, seed):
+def _run_traced(solver, candidates, targets, n, rng):
     tracer = Tracer(detail="round")
     with use_tracer(tracer):
-        selection = solver(candidates, targets, n, MODEL, rng=seed)
+        selection = solver(candidates, targets, n, MODEL, rng=rng)
     events = [
         (e.name, tuple(sorted(e.args.items())))
         for e in tracer.events("setcover.iteration")
@@ -62,38 +63,101 @@ def _run_traced(solver, candidates, targets, n, seed):
 
 @settings(max_examples=50, deadline=None)
 @given(instance=cover_instances(), seed=st.integers(0, 2**31 - 1))
-def test_lazy_greedy_matches_reference(instance, seed):
+def test_greedy_matches_reference(instance, seed):
     population, targets = instance
     table = IndexedBitmaskTable(population, max_mask_length=12)
     candidates = table.candidate_rows(targets)
     n = len(population)
 
-    lazy, lazy_events = _run_traced(
-        greedy_cover, candidates, targets, n, seed
-    )
+    _assert_same_search(candidates, list(candidates), targets, n, seed)
+
+
+def _assert_same_search(candidates, oracle_rows, targets, n, seed):
+    """``greedy_cover`` on ``candidates`` and the oracle on
+    ``oracle_rows`` agree on the plan, the trace and the RNG position."""
+    gen_a = np.random.default_rng(seed)
+    gen_b = np.random.default_rng(seed)
+    fast, fast_events = _run_traced(greedy_cover, candidates, targets, n, gen_a)
     dense, dense_events = _run_traced(
-        greedy_cover_reference, candidates, targets, n, seed
+        greedy_cover_reference, oracle_rows, targets, n, gen_b
     )
 
     assert [
-        (b.mask, b.pointer, b.length) for b in lazy.bitmasks
+        (b.mask, b.pointer, b.length) for b in fast.bitmasks
     ] == [(b.mask, b.pointer, b.length) for b in dense.bitmasks]
-    assert lazy.covered_counts == dense.covered_counts
-    assert lazy.total_cost_s == dense.total_cost_s
-    assert lazy.n_targets == dense.n_targets
-    assert lazy.n_collateral == dense.n_collateral
-    assert lazy_events == dense_events
-
+    assert fast.covered_counts == dense.covered_counts
+    assert fast.total_cost_s == dense.total_cost_s
+    assert fast.n_targets == dense.n_targets
+    assert fast.n_collateral == dense.n_collateral
+    assert fast_events == dense_events
     # Same number of tie-break draws consumed: both generators must sit at
     # the same stream position afterwards.
-    gen_a = np.random.default_rng(seed)
-    gen_b = np.random.default_rng(seed)
-    with use_tracer(Tracer(detail="round")):
-        greedy_cover(candidates, targets, n, MODEL, rng=gen_a)
-        greedy_cover_reference(candidates, targets, n, MODEL, rng=gen_b)
     assert gen_a.integers(0, 2**32, size=4).tolist() == gen_b.integers(
         0, 2**32, size=4
     ).tolist()
+
+
+def _row_keys(rows):
+    return [
+        (r.bitmask.mask, r.bitmask.pointer, r.bitmask.length, r.coverage.tobytes())
+        for r in rows
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    include_dominated=st.booleans(),
+    data=st.data(),
+)
+def test_candidate_rows_match_per_row_walk(n, include_dominated, data):
+    """Same (mask, pointer, length, coverage) rows, in the same order, on
+    populations whose packed words cross 64-tag boundaries."""
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    population = random_epc_population(n, rng=seed, length=16)
+    targets = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=0, max_size=min(n, 40))
+    )
+    max_len = data.draw(st.integers(1, 16))
+    table = IndexedBitmaskTable(
+        population, max_mask_length=max_len, include_dominated=include_dominated
+    )
+    rows = table.candidate_rows(targets)
+    oracle = candidate_rows_reference(
+        population, targets, max_len, include_dominated
+    )
+    assert len(rows) == len(oracle)
+    assert _row_keys(rows) == _row_keys(oracle)
+    assert _row_keys(rows[1:3]) == _row_keys(oracle[1:3])
+    assert rows.covered_counts.tolist() == [r.covered_count for r in oracle]
+
+
+@pytest.mark.parametrize("include_dominated", [False, True])
+def test_candidate_rows_survive_hash_collisions(monkeypatch, include_dominated):
+    """With every row hashed alike, the merge falls back to grouping on the
+    words themselves and still keeps the first row of each coverage."""
+    monkeypatch.setattr(
+        bitmask, "_row_hashes", lambda words: np.zeros(len(words), np.uint64)
+    )
+    population = random_epc_population(130, rng=4, length=16)
+    targets = list(range(0, 130, 3))
+    table = IndexedBitmaskTable(
+        population, max_mask_length=12, include_dominated=include_dominated
+    )
+    oracle = candidate_rows_reference(population, targets, 12, include_dominated)
+    assert _row_keys(table.candidate_rows(targets)) == _row_keys(oracle)
+
+
+def test_large_instance_matches_oracles():
+    """1k tags, 200 targets, ~22k candidates: the planner's table, plan,
+    trace events and RNG position equal the per-row oracles'."""
+    population = random_epc_population(1000, rng=5)
+    targets = list(range(0, 1000, 5))
+    rows = IndexedBitmaskTable(population).candidate_rows(targets)
+    oracle = candidate_rows_reference(population, targets)
+    assert 20_000 < len(rows) < 24_000
+    assert _row_keys(rows) == _row_keys(oracle)
+    _assert_same_search(rows, oracle, targets, len(population), seed=11)
 
 
 @settings(max_examples=100, deadline=None)

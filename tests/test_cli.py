@@ -248,3 +248,45 @@ class TestSiteChaosCommand:
         bundles = list(bundle_dir.iterdir())
         assert bundles and all(b.is_dir() for b in bundles)
         assert out_file.read_bytes().startswith(b"{")
+
+
+class TestCleanFailures:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["faults", "--loss", "1.5"], "report_loss must be a probability"),
+            (["faults", "--sweep", "0,2"], "report_loss must be a probability"),
+            (["health", "--loss", "3"], "report_loss must be a probability"),
+            (["site", "--chaos", "--outages", "-1"], "must be non-negative"),
+        ],
+    )
+    def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert f"{argv[0]}: " in line and message in line
+
+    def test_closed_stdout_exits_quietly(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "predict"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Close the read end before the child has printed anything, as
+        # ``| head -0`` would: every write then hits a broken pipe.
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
