@@ -18,6 +18,7 @@ from repro.gen2.aloha import FixedQ, QAdaptive
 from repro.gen2.epc import EPC
 from repro.gen2.inventory import InventoryEngine, InventoryLog
 from repro.gen2.timing import R420_PROFILE
+from repro.obs.tracer import Tracer, use_tracer
 from repro.world.motion import CircularPath, Stationary
 from repro.world.scene import Antenna, Scene, TagInstance
 
@@ -139,6 +140,78 @@ def test_merged_logs_are_engine_invariant(
         merged[name] = _log_signature(total)
     assert merged["calendar"] == merged["reference"]
     assert merged["fast"] == merged["reference"]
+
+
+# ----------------------------------------------------------------------
+# Mixed runs: calendar rounds interleaved with frame-traced fallbacks
+# ----------------------------------------------------------------------
+def _span_records(tracer):
+    return [
+        (s.span_id, s.parent_id, s.depth, s.name, s.category,
+         s.start_s, s.end_s, s.args)
+        for s in tracer.spans()
+    ]
+
+
+def _mixed_run(engine_name, kind, q, n_tags, seed, with_replacement, loss,
+               rounds=6):
+    """Alternate untraced rounds with frame-detail traced ones.
+
+    On the calendar engine the untraced rounds go through the kernel, which
+    bulk-prefetches PCG64 words (and may park a spare lane), while the
+    frame-traced rounds fall back to a Python walk that must keep draining
+    that same buffered stream.
+    """
+    engine = InventoryEngine(
+        R420_PROFILE,
+        _factory(kind, q),
+        rng=seed,
+        with_replacement=with_replacement,
+        read_loss_probability=loss,
+        engine=engine_name,
+    )
+    logs, spans = [], []
+    for i in range(rounds):
+        if i % 2:
+            tracer = Tracer()
+            with use_tracer(tracer):
+                log = engine.run_round(range(n_tags))
+            spans.append(_span_records(tracer))
+        else:
+            log = engine.run_round(range(n_tags))
+        logs.append(_log_signature(log))
+    return logs, spans
+
+
+@pytest.mark.parametrize("kind,q,n_tags", [
+    ("qadaptive", 0, 5),
+    ("qadaptive", 0, 13),
+    ("fixedq", 0, 1),
+    ("fixedq", 3, 13),
+])
+@pytest.mark.parametrize("with_replacement", [True, False])
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_mixed_traced_and_untraced_rounds_match_reference(
+    kind, q, n_tags, with_replacement, loss, seed
+):
+    calendar = _mixed_run(
+        "calendar", kind, q, n_tags, seed, with_replacement, loss
+    )
+    reference = _mixed_run(
+        "reference", kind, q, n_tags, seed, with_replacement, loss
+    )
+    assert calendar == reference
+    frame_lengths = [
+        rec[7]["frame_length"]
+        for round_spans in reference[1]
+        for rec in round_spans
+        if rec[3] == "frame"
+    ]
+    assert frame_lengths
+    if q == 0:
+        # Length-1 frames draw no stream words; the fallback must not either.
+        assert 1 in frame_lengths
 
 
 # ----------------------------------------------------------------------
