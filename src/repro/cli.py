@@ -53,11 +53,8 @@ Commands
 
 Every subcommand accepts ``--trace-out F`` (simulation-time trace; Chrome
 trace-event JSON by default, ``--trace-format jsonl`` for the event log),
-``--metrics-out F`` (telemetry registry; JSON, or Prometheus text when
-``F`` ends in ``.prom``/``.txt``), and ``--engine E`` (inventory kernel:
-``calendar``/``fast``/``reference``; overrides the
-``REPRO_INVENTORY_ENGINE`` environment variable).  See
-``docs/observability.md``.
+and ``--metrics-out F`` (telemetry registry; JSON, or Prometheus text when
+``F`` ends in ``.prom``/``.txt``).  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -66,8 +63,8 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from contextlib import ExitStack
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.core import TagwatchConfig
 from repro.core.analysis import breakeven_percent, predicted_gain
@@ -890,13 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out", default="",
         help="write telemetry metrics here (JSON; .prom/.txt: Prometheus text)",
     )
-    engine_parent = argparse.ArgumentParser(add_help=False)
-    engine_parent.add_argument(
-        "--engine", choices=("calendar", "fast", "reference"), default=None,
-        help="inventory kernel; overrides the REPRO_INVENTORY_ENGINE "
-        "environment variable (default: calendar)",
-    )
-    obs_parents = [trace_parent, metrics_parent, engine_parent]
+    obs_parents = [trace_parent, metrics_parent]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -945,7 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_faults = sub.add_parser(
         "faults", help="run Tagwatch under injected faults, export metrics",
-        parents=[trace_parent, engine_parent],
+        parents=[trace_parent],
     )
     p_faults.add_argument("--tags", type=int, default=20)
     p_faults.add_argument("--mobile", type=int, default=1)
@@ -1246,25 +1237,6 @@ def _write_metrics(registry: MetricsRegistry, path: str) -> None:
             handle.write("\n")
 
 
-@contextmanager
-def _use_engine(engine: str) -> Iterator[None]:
-    """Pin ``REPRO_INVENTORY_ENGINE`` for one subcommand; the flag wins.
-
-    Worker subprocesses inherit the environment, so the override reaches
-    sharded runs too; restoring the previous value keeps in-process
-    callers (tests invoking :func:`main` directly) side-effect free.
-    """
-    previous = os.environ.get("REPRO_INVENTORY_ENGINE")
-    os.environ["REPRO_INVENTORY_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_INVENTORY_ENGINE", None)
-        else:
-            os.environ["REPRO_INVENTORY_ENGINE"] = previous
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
@@ -1286,9 +1258,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             stack.enter_context(use_tracer(tracer))
         if registry is not None:
             stack.enter_context(use_metrics(registry))
-        engine = getattr(args, "engine", None)
-        if engine:
-            stack.enter_context(_use_engine(engine))
         try:
             code = COMMANDS[args.command](args)
         except UsageError as exc:

@@ -2,15 +2,16 @@
 
 The event-calendar engine (``engine="calendar"``) settles whole rounds —
 frame draws, the Q-algorithm walk, dedup, cumulative time assignment — in
-one C call per round instead of Python-per-frame work.  The C source below
-is a line-for-line transliteration of the fused small-frame walk in
-:meth:`InventoryEngine._run_round_fast`, so for the strategies it supports
-(Q-adaptive and FixedQ, loss-free) the slot outcomes, read times and RNG
-lane consumption are bit-for-bit identical to both existing engines:
+one C call per round instead of Python-per-slot work.  The C source below
+transliterates the sequential slot walk of
+:meth:`InventoryEngine._run_round_reference` with the Q-algorithm inlined,
+so for the strategies it supports (Q-adaptive and FixedQ, with or without
+link loss) the slot outcomes, read times and RNG consumption are
+bit-for-bit identical to the reference engine:
 
-- frame draws replay the same pre-fetched PCG64 32-bit lanes the fast
-  engine's buffered path consumes (``lane >> (32 - q)``; a frame of length
-  one consumes nothing);
+- frame draws replay pre-fetched PCG64 32-bit lanes (``lane >> (32 - q)``,
+  what numpy's bounded draw keeps for a power-of-two frame; a frame of
+  length one consumes nothing);
 - the Q-walk uses the same double arithmetic (``qfp ± c`` with [0, 15]
   clamps) and C ``rint`` — round-half-to-even, exactly Python's
   ``round(float)`` — for the QueryAdjust decision;
@@ -21,12 +22,12 @@ lane consumption are bit-for-bit identical to both existing engines:
   (``(word >> 11) * 2^-53``, numpy's exact uint64→double conversion) while
   frame draws split words into lanes low-half first, carrying an unused
   high lane across frames in a spare register — the precise interleaving
-  :meth:`InventoryEngine._raw_frame_draw` and ``Generator.random`` produce.
+  ``Generator.integers`` and ``Generator.random`` produce.
 
 The kernel is OPTIONAL.  It is compiled on first use with the system C
 compiler into a cache directory and loaded via :mod:`ctypes`; when no
 compiler is available (or ``REPRO_CALENDAR_CKERNEL=0``), the calendar
-engine silently falls back to the pure-Python fast path, which is always
+engine silently falls back to the pure-Python slot walk, which is always
 correct — only slower.  Nothing is downloaded and no third-party package
 is required.
 """
@@ -55,9 +56,9 @@ _C_SOURCE = r"""
 
 /* One inventory round, settled slot by slot.
  *
- * Mirrors the fused QAdaptive/FixedQ walk of the Python fast engine (and
- * therefore the sequential reference engine) exactly: same lane
- * consumption, same double arithmetic, same truncation checks.
+ * Mirrors the sequential reference walk with the QAdaptive/FixedQ
+ * controller inlined: same lane consumption, same double arithmetic, same
+ * truncation checks.
  *
  * dpar: [t_start, deadline, t_empty, t_single, t_collision, t_adjust,
  *        t_query, c, p_loss]

@@ -6,27 +6,27 @@ Q-algorithm walk, slot settlement, dedup and cumulative time assignment — is
 handed to the compiled kernel in :mod:`repro.gen2._ckernel` as one call, and
 Python only materialises the results (an :class:`InventoryLog` plus
 :class:`TagRead` records).  Python-level work is thereby O(rounds) with a
-tiny constant instead of O(frames) or O(slots), and rounds that the kernel
-cannot express (link loss, custom strategies, frame-level tracing, exotic
-bit generators) fall back to the vectorised fast path, which is always
-correct.
+tiny constant instead of O(slots), and rounds that the kernel cannot
+express (custom strategies, frame-level tracing, exotic bit generators) fall
+back to the sequential slot walk, which is always correct.
 
 This module owns the per-engine kernel state: the loaded shared library and
 the reusable scratch buffers the kernel writes into.  Buffers are allocated
 once and grown geometrically, so steady-state rounds do zero allocation
 beyond the result objects themselves.
 
-RNG discipline matches the fast engine's buffered path exactly: frame draws
-are replayed from the engine's pre-fetched PCG64 32-bit lane buffer
-(``lane >> (32 - q)``), and the kernel reports how many lanes it needed when
-the buffer runs dry — the caller refills (which re-snapshots numpy's stream
-position, exactly like :meth:`InventoryEngine._lane_fill`) and re-runs the
-round; nothing was committed, so the retry is idempotent.  With link loss
-on, the buffer instead holds raw 64-bit PCG64 words (see
-:meth:`InventoryEngine._word_fill`): the kernel splits them into frame-draw
-lanes itself, carrying the spare high lane across frames, and spends one
-whole word per singleton loss draw — the exact interleaving the fast
-engine's ``_raw_frame_draw`` + ``Generator.random()`` sequence produces.
+RNG discipline: frame draws are replayed from the engine's pre-fetched
+PCG64 32-bit lane buffer (``lane >> (32 - q)``), and the kernel reports how
+many lanes it needed when the buffer runs dry — the caller refills
+(:meth:`InventoryEngine._lane_fill`) and re-runs the round; nothing was
+committed, so the retry is idempotent.  With link loss on, the buffer
+instead holds raw 64-bit PCG64 words (see :meth:`InventoryEngine._word_fill`):
+the kernel splits them into frame-draw lanes itself, carrying the spare high
+lane across frames, and spends one whole word per singleton loss draw — the
+exact interleaving of ``Generator.integers`` and ``Generator.random()`` in
+the reference walk.  The slot-walk fallback replays from the same buffers
+(:meth:`InventoryEngine._replay_draws`), so kernel and fallback rounds can
+interleave on one stream.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class CalendarKernel:
 
     ``fn`` is ``None`` when the compiled kernel is unavailable (no C
     compiler, or disabled via ``REPRO_CALENDAR_CKERNEL=0``); callers must
-    then use the pure-Python fast path.
+    then use the pure-Python slot walk.
     """
 
     __slots__ = (

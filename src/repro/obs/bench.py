@@ -391,14 +391,14 @@ def _analyze(records: Sequence[object]) -> Dict[str, object]:
 # Harness
 # ----------------------------------------------------------------------
 def _engine_provenance(flight: bool) -> Dict[str, object]:
-    """Which inventory engine ran, and whether the C kernel compiled."""
+    """Which inventory engine settled the rounds, and whether the C kernel
+    compiled: without the kernel every round runs on the slot walk."""
     from repro.gen2 import _ckernel
 
+    compiled = _ckernel.load_kernel() is not None
     return {
-        "inventory_engine": os.environ.get(
-            "REPRO_INVENTORY_ENGINE", "calendar"
-        ),
-        "ckernel_compiled": _ckernel.load_kernel() is not None,
+        "inventory_engine": "calendar" if compiled else "reference",
+        "ckernel_compiled": compiled,
         "flight_recorder": flight,
     }
 

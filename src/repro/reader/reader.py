@@ -56,6 +56,8 @@ class SimReader:
         Seed for slot draws (independent of the scene's measurement noise).
     with_replacement:
         Session model handed to the inventory engine (see its docstring).
+    engine:
+        Inventory engine: ``"calendar"`` (default) or ``"reference"``.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class SimReader:
         seed: int = 0,
         with_replacement: bool = True,
         read_loss_probability: float = 0.0,
-        engine: Optional[str] = None,
+        engine: str = "calendar",
     ) -> None:
         self.scene = scene
         self.timing = timing

@@ -10,6 +10,7 @@ from repro.obs.bench import (
     WORKLOADS,
     BenchResult,
     _analyze,
+    _engine_provenance,
     format_reader_table,
     format_report,
     run_bench,
@@ -61,6 +62,23 @@ def test_write_bench_json_shape(fig02_result, tmp_path):
     assert data["engine"]["inventory_engine"]
     assert 0.0 <= data["startup_cpu_share"] <= 1.0
     assert data["counts"]["rounds"] == fig02_result.counts["rounds"]
+
+
+def test_engine_provenance_follows_the_kernel(monkeypatch):
+    from repro.gen2 import _ckernel
+
+    compiled = _ckernel.load_kernel() is not None
+    assert _engine_provenance(False)["inventory_engine"] == (
+        "calendar" if compiled else "reference"
+    )
+    # Without the compiled kernel every round runs on the slot walk, and
+    # the provenance block must say so whatever the environment holds.
+    monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
+    assert _engine_provenance(True) == {
+        "inventory_engine": "reference",
+        "ckernel_compiled": False,
+        "flight_recorder": True,
+    }
 
 
 def test_format_report_lists_each_workload(fig02_result):

@@ -173,48 +173,6 @@ class TestHealthCommand:
         assert out.count("status=ok") >= 3
 
 
-class TestEngineFlag:
-    def test_flag_overrides_env_and_restores_it(self, monkeypatch):
-        import os
-
-        from repro import cli
-
-        monkeypatch.setenv("REPRO_INVENTORY_ENGINE", "reference")
-        seen = {}
-
-        def spy(args):
-            seen["engine"] = os.environ.get("REPRO_INVENTORY_ENGINE")
-            return 0
-
-        monkeypatch.setitem(cli.COMMANDS, "figures", spy)
-        assert cli.main(["figures", "--engine", "fast"]) == 0
-        assert seen["engine"] == "fast"
-        # The previous value is back once the command returns.
-        assert os.environ["REPRO_INVENTORY_ENGINE"] == "reference"
-        # Without the flag, the env var (or the default) still rules.
-        assert cli.main(["figures"]) == 0
-        assert seen["engine"] == "reference"
-
-    def test_unset_env_stays_unset_after_the_flag(self, monkeypatch):
-        import os
-
-        from repro import cli
-
-        monkeypatch.delenv("REPRO_INVENTORY_ENGINE", raising=False)
-        monkeypatch.setitem(cli.COMMANDS, "figures", lambda args: 0)
-        assert cli.main(["figures", "--engine", "calendar"]) == 0
-        assert "REPRO_INVENTORY_ENGINE" not in os.environ
-
-    def test_engine_flag_reaches_a_real_run(self, capsys):
-        # The reference engine is a drop-in: same results, slower path.
-        assert main(["figure", "fig3", "--engine", "reference"]) == 0
-        assert "TrackPoint" in capsys.readouterr().out
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--engine", "warp"])
-
-
 class TestSiteChaosCommand:
     ARGS = [
         "site", "--chaos", "--readers", "3", "--tags", "24",
