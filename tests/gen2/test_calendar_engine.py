@@ -80,19 +80,8 @@ def _log_signature(log):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    kind=st.sampled_from(["qadaptive", "fixedq", "dfsa"]),
-    q=st.integers(min_value=0, max_value=7),
-    n_tags=st.sampled_from([0, 1, 3, 17, 60]),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    with_replacement=st.booleans(),  # S0 vs S1 session models
-    loss=st.sampled_from([0.0, 0.1, 0.5]),
-    deadline=st.sampled_from([None, 0.02]),
-)
-def test_calendar_matches_reference(
-    kind, q, n_tags, seed, with_replacement, loss, deadline
-):
+def _assert_matches_reference(kind, q, n_tags, seed, with_replacement,
+                              loss, deadline):
     original_cap = InventoryEngine.MAX_SLOTS_PER_ROUND
     # A low cap makes the truncation path reachable (FixedQ(0) over many
     # tags collides forever) without hypothesis-hostile runtimes.
@@ -120,6 +109,40 @@ def test_calendar_matches_reference(
     finally:
         InventoryEngine.MAX_SLOTS_PER_ROUND = original_cap
     assert signatures["calendar"] == signatures["reference"]
+
+
+_ROUND_SPACE = dict(
+    q=st.integers(min_value=0, max_value=7),
+    n_tags=st.sampled_from([0, 1, 3, 17, 60]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    with_replacement=st.booleans(),  # S0 vs S1 session models
+    loss=st.sampled_from([0.0, 0.1, 0.5]),
+    deadline=st.sampled_from([None, 0.02]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["qadaptive", "fixedq"]), **_ROUND_SPACE)
+def test_calendar_matches_reference(
+    kind, q, n_tags, seed, with_replacement, loss, deadline
+):
+    """Stock strategies: rounds the compiled kernel settles when loaded."""
+    _assert_matches_reference(
+        kind, q, n_tags, seed, with_replacement, loss, deadline
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_ROUND_SPACE)
+def test_custom_strategy_matches_reference(
+    q, n_tags, seed, with_replacement, loss, deadline
+):
+    """A strategy the kernel does not know always takes the slot-walk
+    fallback, which must draw from the generator exactly as the reference
+    does (pinned by probing the stream after the rounds)."""
+    _assert_matches_reference(
+        "dfsa", q, n_tags, seed, with_replacement, loss, deadline
+    )
 
 
 @settings(max_examples=30, deadline=None)
