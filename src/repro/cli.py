@@ -40,10 +40,9 @@ Commands
     Simulate a multi-reader warehouse site (overlapping coverage, channel
     coordination, reader-to-reader interference) sharded across the
     process pool, fuse the per-reader reports, and run the site invariant
-    suite.  ``--no-cull`` / ``--fusion reference`` disable the
-    visibility-culled shards and the columnar fusion engine;
-    ``--check-differential`` re-runs sequentially with both off and fails
-    unless the result is byte-identical (see ``docs/site.md``).
+    suite.  ``--check-differential`` re-runs sequentially with unculled
+    shards, re-fuses that run one report at a time, and fails unless the
+    result is byte-identical (see ``docs/site.md``).
 ``site --chaos [--epochs N --outages K --bundle-dir D]``
     Run the site under a :class:`~repro.site.supervisor.SiteSupervisor`
     with a seeded fault plan killing readers mid-run: watchdog detection,
@@ -60,6 +59,7 @@ and ``--metrics-out F`` (telemetry registry; JSON, or Prometheus text when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -597,7 +597,9 @@ def cmd_site(args: argparse.Namespace) -> int:
     from repro.runtime.invariants import SiteInvariantSuite
     from repro.site import (
         ChannelCoordinator,
+        FusionLayer,
         SiteConfig,
+        TagReport,
         line_site,
         ring_site,
         simulate_site,
@@ -607,17 +609,19 @@ def cmd_site(args: argparse.Namespace) -> int:
         return _cmd_site_chaos(args)
     layout = _pick(args.layout, "ring")
     build = ring_site if layout == "ring" else line_site
-    config = SiteConfig(
-        topology=build(_pick(args.readers, 4), _pick(args.tags, 1000)),
+    config = _checked(
+        SiteConfig,
+        topology=_checked(
+            build, _pick(args.readers, 4), _pick(args.tags, 1000)
+        ),
         seed=args.seed,
         duration_s=args.duration,
         base_read_loss=_pick(args.loss, 0.2),
-        coordinator=ChannelCoordinator(n_channels=_pick(args.channels, 16)),
+        coordinator=_checked(
+            ChannelCoordinator, n_channels=_pick(args.channels, 16)
+        ),
     )
-    cull = None if not args.no_cull else False
-    run = simulate_site(
-        config, workers=args.workers, cull=cull, fusion_engine=args.fusion
-    )
+    run = simulate_site(config, workers=args.workers)
     per_reader = run.reports_per_reader()
     rows = [
         [
@@ -658,23 +662,27 @@ def cmd_site(args: argparse.Namespace) -> int:
         f"{health['n_slo_alerts']} SLO alert(s)"
     )
     if args.check_differential:
-        # The reference leg deliberately crosses every fast-path switch at
-        # once: sequential, unculled shards, scalar fusion.  Byte equality
-        # against the (default) culled/columnar sharded run pins all three
+        # The reference leg deliberately crosses every fast path at once:
+        # sequential, unculled shards, and its rows re-fused one report at
+        # a time through the scalar ``ingest``.  Byte equality against the
+        # (default) culled/columnar sharded run pins all three
         # optimisations as behaviour-neutral in one check.
-        reference = simulate_site(
-            config, workers=1, cull=False, fusion_engine="reference"
-        )
+        reference = simulate_site(config, workers=1, cull=False)
+        scalar = FusionLayer()
+        for summary in reference.reader_summaries:
+            for row in summary["reports"]:
+                scalar.ingest(TagReport.from_row(row))
+        reference = dataclasses.replace(reference, fusion=scalar)
         if reference.canonical_bytes() != run.canonical_bytes():
             _log.error(
                 "differential check FAILED: sharded culled/columnar run "
-                "diverges from the sequential unculled/reference run"
+                "diverges from the sequential unculled, per-report-fused run"
             )
             code = 1
         else:
             _log.info(
                 "differential check: sharded run byte-identical to the "
-                "sequential unculled/reference-fusion run"
+                "sequential unculled, per-report-fused run"
             )
     if args.out:
         with open(args.out, "wb") as handle:
@@ -1071,18 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_site.add_argument(
         "--check-differential", action="store_true",
-        help="also run sequentially with culling off and the reference "
-        "fusion engine, and fail unless byte-identical",
-    )
-    p_site.add_argument(
-        "--no-cull", action="store_true",
-        help="disable visibility culling (every shard simulates the full "
-        "tag field; behaviour-neutral, for differential debugging)",
-    )
-    p_site.add_argument(
-        "--fusion", choices=("columnar", "reference"), default=None,
-        help="fusion engine; overrides REPRO_FUSION_ENGINE "
-        "(default: columnar)",
+        help="also run sequentially with culling off, re-fuse that run "
+        "one report at a time, and fail unless byte-identical",
     )
     p_site.add_argument(
         "--out", default="", help="write the canonical site payload here"

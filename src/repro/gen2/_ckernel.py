@@ -328,9 +328,12 @@ def _compile(so_path: str) -> bool:
     except OSError:
         return False
     c_path = so_path[:-3] + ".c"
+    # Per-process source and output: a concurrent build must never
+    # compile a source file another process is still writing.
+    tmp_c = c_path[:-2] + f".tmp{os.getpid()}.c"
     tmp_so = so_path + f".tmp{os.getpid()}"
     try:
-        with open(c_path, "w", encoding="utf-8") as handle:
+        with open(tmp_c, "w", encoding="utf-8") as handle:
             handle.write(_C_SOURCE)
         for compiler in ("cc", "gcc", "clang"):
             try:
@@ -342,7 +345,7 @@ def _compile(so_path: str) -> bool:
                         "-fPIC",
                         "-o",
                         tmp_so,
-                        c_path,
+                        tmp_c,
                         "-lm",
                     ],
                     capture_output=True,
@@ -351,17 +354,19 @@ def _compile(so_path: str) -> bool:
             except (OSError, subprocess.TimeoutExpired):
                 continue
             if result.returncode == 0:
+                os.replace(tmp_c, c_path)
                 os.replace(tmp_so, so_path)  # atomic: concurrent builds race safely
                 return True
         return False
     except OSError:
         return False
     finally:
-        if os.path.exists(tmp_so):
-            try:
-                os.unlink(tmp_so)
-            except OSError:
-                pass
+        for leftover in (tmp_c, tmp_so):
+            if os.path.exists(leftover):
+                try:
+                    os.unlink(leftover)
+                except OSError:
+                    pass
 
 
 _LOADED: Optional[ctypes.CDLL] = None

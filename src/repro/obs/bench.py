@@ -183,8 +183,8 @@ def _site_workload(scale: str) -> Dict[str, object]:
     ``smoke``/``paper`` run the redundancy sweep (overlapping ring sites).
     ``large`` is the warehouse tier the scale-out stack exists for: one
     24-reader aisle over 10k tags, simulated through the visibility-culled
-    shards and the columnar fusion engine (the defaults) — the workload the
-    committed ``BENCH_site.json`` tracks under its ``tiers`` key.
+    shards and the columnar fusion — the workload the committed
+    ``BENCH_site.json`` tracks under its ``tiers`` key.
     """
     if scale == "large":
         from repro.site.channels import ChannelCoordinator

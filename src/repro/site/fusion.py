@@ -22,22 +22,22 @@ a byte-identical :meth:`FusionLayer.snapshot`.  The property tests in
 ``tests/site/test_fusion_properties.py`` hold it to that contract, and the
 sharded site runner relies on it to fuse worker outputs in any grouping.
 
-Two engines implement the fold.  ``engine="reference"`` is the original
-one-report-at-a-time scalar ingest; ``engine="columnar"`` (the default,
-togglable via ``REPRO_FUSION_ENGINE``) absorbs whole batches through a
-vectorized arbitration-order ``lexsort`` — dedup, per-EPC aggregation and
-winner selection all happen on numpy columns, and ``TagReport`` objects
-are only materialised for reports that actually survive.  Both engines
-drive the exact same internal state, so every downstream surface
+Two code paths implement the fold, chosen by batch size alone.
+:meth:`FusionLayer.ingest` absorbs one report at a time; batches of at
+least ``_COLUMNAR_MIN_BATCH`` reports passed to :meth:`ingest_many` /
+:meth:`ingest_rows` go through a vectorized arbitration-order
+``lexsort`` instead — dedup, per-EPC aggregation and winner selection
+all happen on numpy columns, and ``TagReport`` objects are only
+materialised for reports that actually survive.  Both paths drive the
+exact same internal state, so every downstream surface
 (:meth:`FusionLayer.snapshot`, :meth:`reports`, :meth:`records`) is
-byte-identical between them — the differential property tests in
-``tests/site/test_fusion_columnar.py`` pin that across arbitrary orders,
-duplications and interleaved merges.
+byte-identical to a plain ``ingest`` loop — the differential property
+tests in ``tests/site/test_fusion_columnar.py`` pin that across
+arbitrary orders, duplications and interleaved merges.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -182,18 +182,10 @@ class FusedRecord:
         }
 
 
-#: Engines selectable via ``FusionLayer(engine=...)`` / REPRO_FUSION_ENGINE.
-FUSION_ENGINES = ("columnar", "reference")
-
-#: Below this batch size the columnar engine falls back to the scalar
+#: Below this batch size ``ingest_many``/``ingest_rows`` use the scalar
 #: ingest loop: the numpy set-up cost only pays for itself on real report
 #: batches, and small batches dominate the unit/property-test workloads.
 _COLUMNAR_MIN_BATCH = 32
-
-
-def default_fusion_engine() -> str:
-    """The engine ``FusionLayer()`` picks (``REPRO_FUSION_ENGINE``)."""
-    return os.environ.get("REPRO_FUSION_ENGINE", "columnar")
 
 
 class FusionLayer:
@@ -202,17 +194,10 @@ class FusionLayer:
     Reports are absorbed with :meth:`ingest` / :meth:`ingest_many` /
     :meth:`ingest_rows`, whole layers with :meth:`merge`.  All of them are
     order-insensitive and replay-safe; see the module docstring for the
-    exact contract and the two-engine implementation note.
+    exact contract and the scalar/columnar implementation note.
     """
 
-    def __init__(self, engine: Optional[str] = None) -> None:
-        if engine is None:
-            engine = default_fusion_engine()
-        if engine not in FUSION_ENGINES:
-            raise ValueError(
-                f"unknown fusion engine {engine!r}; known: {FUSION_ENGINES}"
-            )
-        self.engine = engine
+    def __init__(self) -> None:
         self._reports: Dict[ReportKey, TagReport] = {}
         self._records: Dict[int, FusedRecord] = {}
         #: reader id -> distinct reads, maintained incrementally so the
@@ -266,32 +251,30 @@ class FusionLayer:
 
     def ingest_many(self, reports: Iterable[TagReport]) -> int:
         """Absorb a batch; returns how many were new."""
-        if self.engine == "columnar":
-            batch = list(reports)
-            if len(batch) >= _COLUMNAR_MIN_BATCH:
-                return self._ingest_columns(
-                    [r.epc_value for r in batch],
-                    [r.reader_id for r in batch],
-                    [round(r.time_s, TIME_PRECISION) for r in batch],
-                    [r.antenna_index for r in batch],
-                    [r.channel_index for r in batch],
-                    [round(r.phase_rad, TIME_PRECISION) for r in batch],
-                    [round(r.rss_dbm, TIME_PRECISION) for r in batch],
-                    originals=batch,
-                )
-            reports = batch
-        return sum(1 for report in reports if self.ingest(report))
+        batch = list(reports)
+        if len(batch) < _COLUMNAR_MIN_BATCH:
+            return sum(1 for report in batch if self.ingest(report))
+        return self._ingest_columns(
+            [r.epc_value for r in batch],
+            [r.reader_id for r in batch],
+            [round(r.time_s, TIME_PRECISION) for r in batch],
+            [r.antenna_index for r in batch],
+            [r.channel_index for r in batch],
+            [round(r.phase_rad, TIME_PRECISION) for r in batch],
+            [round(r.rss_dbm, TIME_PRECISION) for r in batch],
+            originals=batch,
+        )
 
     def ingest_rows(self, rows: Sequence[Sequence[object]]) -> int:
         """Absorb a batch of :meth:`TagReport.to_row` rows; returns new count.
 
         The site fast path: row batches are what cross worker process
         boundaries and what checkpoints replay, and their fields are
-        already rounded — so the columnar engine ingests them without
+        already rounded — so the columnar path ingests them without
         materialising a ``TagReport`` per row (only surviving reports are
         built; a pure replay builds none at all).
         """
-        if self.engine != "columnar" or len(rows) < _COLUMNAR_MIN_BATCH:
+        if len(rows) < _COLUMNAR_MIN_BATCH:
             return self.ingest_many(
                 TagReport.from_row(row) for row in rows
             )
@@ -322,7 +305,7 @@ class FusionLayer:
 
         All float columns arrive pre-rounded to :data:`TIME_PRECISION`
         (exactly the key/arbitration precision), so numpy equality and
-        ordering below agree bit-for-bit with the scalar engine's tuple
+        ordering below agree bit-for-bit with the scalar fold's tuple
         comparisons.  ``originals`` supplies the report objects to store
         (``ingest_many``); when ``None`` (``ingest_rows``) survivors are
         rebuilt from their key fields — identical, field for field, to
@@ -350,7 +333,7 @@ class FusionLayer:
         # order): EPC groups become contiguous with each group's
         # arbitration winner last, and exact duplicates become adjacent
         # with the *first-ingested* copy first — the copy the scalar
-        # engine would have kept.
+        # ``ingest`` would have kept.
         order = np.lexsort(
             (rss_c, phase_c, chan_c, ant_c, reader_c, time_c, epc_ids)
         )
@@ -537,6 +520,6 @@ class FusionLayer:
 
     def copy(self) -> "FusionLayer":
         """An independent layer holding the same fused reports."""
-        duplicate = FusionLayer(engine=self.engine)
+        duplicate = FusionLayer()
         duplicate.ingest_many(self._reports.values())
         return duplicate

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -54,7 +53,6 @@ __all__ = [
     "site_tags",
     "mobile_tag_indices",
     "reachable_tag_indices",
-    "site_cull_enabled",
     "build_reader",
     "run_faulted_interval",
     "CULL_MARGIN_REL",
@@ -175,15 +173,6 @@ def site_epcs(config: SiteConfig) -> List[EPC]:
             _EPC_MEMO.clear()
         _EPC_MEMO[key] = epcs
     return epcs
-
-
-def site_cull_enabled() -> bool:
-    """Whether visibility culling is on (``REPRO_SITE_CULL``, default on)."""
-    return os.environ.get("REPRO_SITE_CULL", "1").lower() not in (
-        "0",
-        "off",
-        "false",
-    )
 
 
 def reachable_tag_indices(
@@ -309,7 +298,7 @@ def build_reader(
     interference: Optional[float] = None,
     range_scale: float = 1.0,
     seed_salt: str = "",
-    cull: Optional[bool] = None,
+    cull: bool = True,
 ) -> SimReader:
     """One reader's fully seeded view of the site.
 
@@ -327,12 +316,13 @@ def build_reader(
     (``seed_salt``) so epochs draw independent randomness.  All defaults
     reproduce the static-plan reader exactly.
 
-    ``cull`` controls the visibility fast path (default: the
-    ``REPRO_SITE_CULL`` environment toggle): when on, the scene is built
-    from :func:`reachable_tag_indices` only — behaviour-neutral by the
-    margin argument documented there, but linear in the reader's *zone*
-    rather than the whole site.  Culling uses the boosted range, so a
-    supervisor coverage boost widens the shard accordingly.
+    ``cull`` (default on) builds the scene from
+    :func:`reachable_tag_indices` only — behaviour-neutral by the margin
+    argument documented there, but linear in the reader's *zone* rather
+    than the whole site.  Culling uses the boosted range, so a supervisor
+    coverage boost widens the shard accordingly.  ``cull=False`` keeps
+    the full shard; it exists only as the reference the culling tests and
+    ``--check-differential`` compare against.
     """
     placement = config.topology.reader(reader_id)
     streams = RngStream(config.seed)
@@ -343,8 +333,6 @@ def build_reader(
         interference = coordinator.interference_loss(config.topology)[
             reader_id
         ]
-    if cull is None:
-        cull = site_cull_enabled()
     indices = (
         reachable_tag_indices(config, reader_id, range_scale=range_scale)
         if cull
@@ -444,8 +432,8 @@ def _simulate_reader(
     :func:`parallel_map` contract.  Returns primitives only.  Readers the
     fault plan never touches take the exact pre-resilience path, so a
     fault-free site run stays byte-identical to the pre-PR output.  The
-    cull decision rides in the task tuple (not the environment) so every
-    worker — however spawned — shards identically.
+    cull decision rides in the task tuple so every worker — however
+    spawned — shards identically.
     """
     config = SiteConfig.from_dict(config_dict)
     reader = build_reader(config, reader_id, cull=cull)
@@ -577,8 +565,7 @@ def simulate_site(
     config: SiteConfig,
     workers: Optional[int] = None,
     *,
-    cull: Optional[bool] = None,
-    fusion_engine: Optional[str] = None,
+    cull: bool = True,
 ) -> SiteRun:
     """Simulate every reader of the site; fuse reports in reader order.
 
@@ -587,23 +574,18 @@ def simulate_site(
     per reader fans out, which both saturates the pool for big sites and
     keeps each worker's RNG state private to one reader.
 
-    ``cull`` (default: the ``REPRO_SITE_CULL`` toggle) selects the
-    visibility-culled shards, and ``fusion_engine`` the
-    :class:`FusionLayer` implementation (default: the
-    ``REPRO_FUSION_ENGINE`` toggle, i.e. columnar).  Both fast paths are
-    behaviour-neutral: ``simulate_site(c, cull=False,
-    fusion_engine="reference")`` produces byte-identical
-    :meth:`SiteRun.canonical_bytes` at every worker count.
+    ``cull`` (default on) selects the visibility-culled shards; the
+    unculled ``cull=False`` run is the reference they are checked
+    against, and produces byte-identical :meth:`SiteRun.canonical_bytes`
+    at every worker count.
     """
-    if cull is None:
-        cull = site_cull_enabled()
     config_dict = config.to_dict()
     tasks: List[Tuple[Dict[str, object], int, bool]] = [
         (config_dict, placement.reader_id, cull)
         for placement in config.topology.readers
     ]
     summaries = parallel_map(_simulate_reader, tasks, workers=workers)
-    fusion = FusionLayer(engine=fusion_engine)
+    fusion = FusionLayer()
     for summary in summaries:
         fusion.ingest_rows(summary["reports"])
     return SiteRun(

@@ -337,6 +337,30 @@ def test_env_var_selects_calendar(monkeypatch):
     assert _log_signature(log) == _log_signature(expected)
 
 
+def test_kernel_build_never_compiles_a_shared_source(monkeypatch, tmp_path):
+    """Concurrent first builds share the cached ``.c`` path: one process
+    may truncate it while another compiles.  Each build must compile its
+    own copy of the source, or it can cache a kernel with no symbols."""
+    import ctypes
+    import subprocess
+
+    so_path = str(tmp_path / "kernel.so")
+    real_run = subprocess.run
+
+    def racing_run(argv, **kwargs):
+        # Another process starts rewriting the shared source right now.
+        open(tmp_path / "kernel.c", "w").close()
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(_ckernel.subprocess, "run", racing_run)
+    if not _ckernel._compile(so_path):
+        pytest.skip("no C compiler")
+    assert hasattr(ctypes.CDLL(so_path), "repro_run_round")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "kernel.c", "kernel.so"
+    ]
+
+
 def test_engine_rejects_unknown():
     for name in ("fast", "warp", None):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ magnitude wider than the scene's own range fold.  These properties pin the
 two halves of that argument on drawn topologies and seeds:
 
 - *neutrality* — the culled simulation's canonical payload is
-  byte-identical to the unculled one (with the reference fusion engine on
-  both sides, so the check isolates the cull);
+  byte-identical to the unculled one (both sides fuse through the same
+  default ``FusionLayer``, so the check isolates the cull);
 - *safety* — every tag a reader actually reports in the full simulation
   is inside its culled shard (the cull never drops a reachable tag);
 - *effectiveness* — on an aisle whose far end lies beyond the antenna
@@ -60,12 +60,8 @@ site_settings = st.fixed_dictionaries(
 def test_culled_site_is_byte_identical(params):
     """Culled ≡ unculled, byte for byte, on drawn topologies and seeds."""
     config = _config(**params)
-    culled = simulate_site(
-        config, workers=1, cull=True, fusion_engine="reference"
-    )
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
+    culled = simulate_site(config, workers=1, cull=True)
+    full = simulate_site(config, workers=1, cull=False)
     assert culled.canonical_bytes() == full.canonical_bytes()
 
 
@@ -75,9 +71,7 @@ def test_cull_keeps_every_reported_tag(params):
     """No reader ever reports an EPC its culled shard would have dropped."""
     config = _config(**params)
     epcs = site_epcs(config)
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
+    full = simulate_site(config, workers=1, cull=False)
     for summary in full.reader_summaries:
         indices = reachable_tag_indices(config, summary["reader_id"])
         if indices is None:
@@ -134,10 +128,6 @@ def test_mobile_tags_culled_by_orbit_not_grid_slot():
         kept_somewhere.update(set(indices) & mobile)
     # Orbits through the aisle pass at least one reader's zone.
     assert kept_somewhere
-    culled = simulate_site(
-        config, workers=1, cull=True, fusion_engine="reference"
-    )
-    full = simulate_site(
-        config, workers=1, cull=False, fusion_engine="reference"
-    )
+    culled = simulate_site(config, workers=1, cull=True)
+    full = simulate_site(config, workers=1, cull=False)
     assert culled.canonical_bytes() == full.canonical_bytes()

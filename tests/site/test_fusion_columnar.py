@@ -1,12 +1,12 @@
-"""Differential properties: columnar fusion engine vs the scalar reference.
+"""Differential properties: columnar fusion vs the scalar ``ingest`` fold.
 
-The columnar engine batches a whole reader's reports through one
+The columnar path batches a whole reader's reports through one
 vectorized arbitration-order ``lexsort`` instead of a per-report Python
-loop; its contract is *byte-identical state* with ``engine="reference"``
-for every ingest surface (``ingest_many``, ``ingest_rows``, ``merge``),
-any report order, any duplication, and any interleaving of the three.
-These properties drive both engines over that space and compare every
-observable surface.
+loop; its contract is *byte-identical state* with a plain loop over
+:meth:`FusionLayer.ingest` for every batch surface (``ingest_many``,
+``ingest_rows``, ``merge``), any report order, any duplication, and any
+interleaving of the three.  These properties drive both over that space
+and compare every observable surface.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.site import fusion
-from repro.site.fusion import FUSION_ENGINES, FusionLayer, TagReport
+from repro.site.fusion import FusionLayer, TagReport
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -58,9 +58,11 @@ def _state_bytes(layer):
 
 
 def _reference_fold(batches):
-    layer = FusionLayer(engine="reference")
+    """The scalar oracle: one ``ingest`` call per report, never a batch."""
+    layer = FusionLayer()
     for batch in batches:
-        layer.ingest_many(batch)
+        for report in batch:
+            layer.ingest(report)
     return layer
 
 
@@ -68,7 +70,7 @@ def _reference_fold(batches):
 @given(report_batches)
 def test_ingest_many_matches_reference(batch):
     """One columnar batch fuses to the exact scalar-ingest state."""
-    columnar = FusionLayer(engine="columnar")
+    columnar = FusionLayer()
     n_columnar = columnar.ingest_many(batch)
     reference = _reference_fold([batch])
     assert n_columnar == reference.n_reports
@@ -84,25 +86,26 @@ def test_chunked_ingest_rows_matches_reference(batches):
     dedup: later chunks can replay earlier chunks' reads at or below the
     per-reader time watermark.
     """
-    columnar = FusionLayer(engine="columnar")
+    columnar = FusionLayer()
     for batch in batches:
         columnar.ingest_rows([r.to_row() for r in batch])
-    reference = FusionLayer(engine="reference")
+    reference = FusionLayer()
     for batch in batches:
-        reference.ingest_rows([r.to_row() for r in batch])
+        for row in [r.to_row() for r in batch]:
+            reference.ingest(TagReport.from_row(row))
     assert _state_bytes(columnar) == _state_bytes(reference)
 
 
 @settings(max_examples=60, deadline=None)
 @given(report_batches, report_batches, report_batches)
 def test_interleaved_merge_matches_reference(a, b, c):
-    """Interleaving ingest and whole-layer merges commutes with the engine.
+    """Interleaving ingest and whole-layer merges matches the scalar fold.
 
     The site runner's exact shape: per-reader batches ingested directly,
     checkpointed layers folded back in via ``merge`` — with replays across
     the two paths.
     """
-    columnar = FusionLayer(engine="columnar")
+    columnar = FusionLayer()
     columnar.ingest_many(a)
     columnar.merge(_reference_fold([b]))
     columnar.ingest_rows([r.to_row() for r in c])
@@ -117,17 +120,27 @@ def test_columnar_order_insensitive(batch, rng):
     """The columnar fold is commutative over batch order, like the scalar."""
     shuffled = list(batch)
     rng.shuffle(shuffled)
-    a = FusionLayer(engine="columnar")
+    a = FusionLayer()
     a.ingest_many(batch)
-    b = FusionLayer(engine="columnar")
+    b = FusionLayer()
     b.ingest_many(shuffled)
     assert _state_bytes(a) == _state_bytes(b)
 
 
-def test_engine_registry_and_copy_preserve_engine():
-    assert FUSION_ENGINES == ("columnar", "reference")
-    for engine in FUSION_ENGINES:
-        layer = FusionLayer(engine=engine)
-        assert layer.copy().engine == engine
-    with pytest.raises(ValueError, match="unknown fusion engine"):
-        FusionLayer(engine="gpu")
+@settings(max_examples=40, deadline=None)
+@given(report_batches, report_batches)
+def test_copy_is_identical_and_independent(batch, extra):
+    """``copy`` reproduces the state exactly and shares none of it.
+
+    ``SiteInvariantSuite``'s idempotence check folds replays into a copy
+    and relies on the original staying untouched.
+    """
+    original = _reference_fold([batch])
+    before = _state_bytes(original)
+    duplicate = original.copy()
+    assert _state_bytes(duplicate) == before
+    duplicate.ingest_many(extra)
+    assert _state_bytes(original) == before
+    assert _state_bytes(duplicate) == _state_bytes(
+        _reference_fold([batch, extra])
+    )

@@ -208,6 +208,40 @@ class TestSiteChaosCommand:
         assert out_file.read_bytes().startswith(b"{")
 
 
+class TestSiteCommand:
+    ARGS = [
+        "site", "--layout", "line", "--readers", "6", "--tags", "300",
+        "--workers", "2", "--check-differential",
+    ]
+
+    def test_differential_is_byte_identical(self, capsys):
+        assert main(self.ARGS) == 0
+        captured = capsys.readouterr()
+        assert "byte-identical" in captured.out + captured.err
+
+    def test_differential_catches_a_diverging_reference(
+        self, monkeypatch, capsys
+    ):
+        """A reference leg whose unculled summaries differ fails the check."""
+        import repro.site
+
+        real = repro.site.simulate_site
+
+        def diverging(config, workers=None, *, cull=True):
+            run = real(config, workers=workers, cull=cull)
+            if not cull:
+                summary = next(
+                    s for s in run.reader_summaries if s["reports"]
+                )
+                summary["reports"] = summary["reports"][:-1]
+            return run
+
+        monkeypatch.setattr(repro.site, "simulate_site", diverging)
+        assert main(self.ARGS) == 1
+        captured = capsys.readouterr()
+        assert "differential check FAILED" in captured.out + captured.err
+
+
 class TestCleanFailures:
     @pytest.mark.parametrize(
         "argv, message",
@@ -216,6 +250,8 @@ class TestCleanFailures:
             (["faults", "--sweep", "0,2"], "report_loss must be a probability"),
             (["health", "--loss", "3"], "report_loss must be a probability"),
             (["site", "--chaos", "--outages", "-1"], "must be non-negative"),
+            (["site", "--readers", "0"], "need at least one reader"),
+            (["site", "--loss", "1.5"], "read loss must be a probability"),
         ],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
