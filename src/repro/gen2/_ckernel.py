@@ -9,27 +9,27 @@ so for the strategies it supports (Q-adaptive and FixedQ, with or without
 link loss) the slot outcomes, read times and RNG consumption are
 bit-for-bit identical to the reference engine:
 
-- frame draws replay pre-fetched PCG64 32-bit lanes (``lane >> (32 - q)``,
-  what numpy's bounded draw keeps for a power-of-two frame; a frame of
-  length one consumes nothing);
+- the kernel draws straight from the engine generator's ``bitgen_t``
+  (numpy's public C interface, ``numpy/random/bitgen.h``), making the same
+  calls the reference walk makes through numpy: a frame lane is
+  ``next_uint32`` shifted to ``lane >> (32 - q)`` — what
+  ``Generator.integers(0, 2**q)`` returns, since Lemire's bounded draw
+  never rejects for a power-of-two range — and a frame of length one
+  draws nothing; each singleton's link-loss draw is ``next_double``,
+  exactly ``Generator.random()``.  Any numpy bit generator works, and the
+  generator ends the round where the reference walk leaves it;
 - the Q-walk uses the same double arithmetic (``qfp ± c`` with [0, 15]
   clamps) and C ``rint`` — round-half-to-even, exactly Python's
   ``round(float)`` — for the QueryAdjust decision;
 - simulated time accrues through the same sequence of double additions, so
-  every read timestamp matches the sequential walk bit for bit;
-- with link loss on, the buffer holds raw 64-bit PCG64 *words* instead of
-  pre-split lanes: each singleton's loss draw consumes one whole word
-  (``(word >> 11) * 2^-53``, numpy's exact uint64→double conversion) while
-  frame draws split words into lanes low-half first, carrying an unused
-  high lane across frames in a spare register — the precise interleaving
-  ``Generator.integers`` and ``Generator.random`` produce.
+  every read timestamp matches the sequential walk bit for bit.
 
 The kernel is OPTIONAL.  It is compiled on first use with the system C
-compiler into a cache directory and loaded via :mod:`ctypes`; when no
-compiler is available (or ``REPRO_CALENDAR_CKERNEL=0``), the calendar
-engine silently falls back to the pure-Python slot walk, which is always
-correct — only slower.  Nothing is downloaded and no third-party package
-is required.
+compiler (against numpy's headers) into a cache directory and loaded via
+:mod:`ctypes`; when no compiler is available (or
+``REPRO_CALENDAR_CKERNEL=0``), the calendar engine silently falls back to
+the pure-Python slot walk, which is always correct — only slower.  Nothing
+is downloaded and no third-party package is required.
 """
 
 from __future__ import annotations
@@ -41,55 +41,42 @@ import subprocess
 import tempfile
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["load_kernel", "kernel_source_hash", "MAX_FRAME"]
 
 #: Largest Gen2 frame (Q = 15).  Scratch buffers are sized to this.
 MAX_FRAME = 1 << 15
 
-#: Return codes of ``repro_run_round``.
-OK = 0
-NEED_LANES = 1
-
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
+#include "numpy/random/bitgen.h"
 
 /* One inventory round, settled slot by slot.
  *
  * Mirrors the sequential reference walk with the QAdaptive/FixedQ
- * controller inlined: same lane consumption, same double arithmetic, same
- * truncation checks.
+ * controller inlined: same draws from the same bit generator, same double
+ * arithmetic, same truncation checks.
  *
  * dpar: [t_start, deadline, t_empty, t_single, t_collision, t_adjust,
  *        t_query, c, p_loss]
  * ipar: [n, strat (0 = FixedQ, 1 = QAdaptive), q0, with_replacement,
- *        max_slots, spare_lane_in (-1 = none; word mode only)]
- * out_i: [pos_out | units_needed, n_empty, n_single, n_collision,
- *         n_duplicate, n_adjusts, n_frames, truncated, n_reads, n_slots,
- *         spare_lane_out (-1 = none), n_lost]
+ *        max_slots]
+ * out_i: [n_empty, n_single, n_collision, n_duplicate, n_adjusts,
+ *         n_frames, truncated, n_reads, n_slots, n_lost]
  * out_d: [t_end]
  *
- * Buffer interpretation depends on p_loss.  When p_loss == 0 the buffer
- * holds pre-split 32-bit lanes and positions count lanes (the historical
- * contract).  When p_loss > 0 it holds raw 64-bit PCG64 words and
- * positions count words: each singleton's link-loss draw consumes one
- * whole word — ``(word >> 11) * 2^-53 < p_loss``, numpy's exact
- * ``Generator.random()`` conversion — while frame draws split words into
- * 32-bit lanes low-half first, carrying an unused high lane across frames
- * in the spare register, exactly like ``_raw_frame_draw`` in Python.
- *
- * Returns 0 on success, 1 when the buffer ran out (out_i[0] then holds
- * the number of lanes/words needed from the entry position onward; the
- * caller refills and re-runs the whole round — no state was committed).
+ * bg is the engine generator's bitgen_t; the caller holds the bit
+ * generator's lock.  A frame lane is next_uint32 >> (32 - q), which is
+ * what Generator.integers(0, 2**q) returns; a singleton's loss draw is
+ * next_double, which is what Generator.random() returns.
  */
-long repro_run_round(
+void repro_run_round(
     const double *dpar,
     const int64_t *ipar,
-    const uint32_t *lanes,
-    int64_t lane_len,
-    int64_t lane_pos,
+    bitgen_t *bg,
     uint8_t *seen,
-    int32_t *draws,
     int32_t *counts,
     int32_t *owner,
     int32_t *unseen,
@@ -112,17 +99,11 @@ long repro_run_round(
     const int with_replacement = (int)ipar[3];
     const int64_t max_slots = ipar[4];
     const int has_loss = p_loss > 0.0;
-    const uint64_t *words = (const uint64_t *)lanes;
-    const int64_t lane_start = lane_pos;
 
     double t = dpar[0];
     int q = (int)ipar[2];
     double qfp = (double)q;
     int64_t frame_length = (int64_t)1 << q;
-    /* Spare 32-bit lane carried across frame draws (word mode only);
-     * reset from ipar on every retry, so a NEED_LANES re-run replays the
-     * round from a clean slate. */
-    int64_t spare = ipar[5];
 
     int64_t n_empty = 0, n_single = 0, n_collision = 0;
     int64_t n_duplicate = 0, n_adjusts = 0, n_frames = 0;
@@ -130,8 +111,6 @@ long repro_run_round(
     int64_t n_lost = 0;
     int truncated = 0;
 
-    /* seen is kernel-owned scratch: clearing it here (rather than in
-     * Python) also resets any partial state from a NEED_LANES retry. */
     for (int64_t i = 0; i < n; i++) seen[i] = 0;
 
     while (n_seen < n) {
@@ -148,54 +127,10 @@ long repro_run_round(
         if (frame_length > 1) {
             const int shift = 32 - q;
             for (int64_t i = 0; i < frame_length; i++) counts[i] = 0;
-            if (!has_loss) {
-                if (lane_pos + size > lane_len) {
-                    /* Caller refills, retries the round from lane_start. */
-                    out_i[0] = (lane_pos - lane_start) + size;
-                    return 1;
-                }
-                for (int64_t i = 0; i < size; i++) {
-                    int32_t d = (int32_t)(lanes[lane_pos + i] >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                }
-                lane_pos += size;
-            } else {
-                const int64_t need = size - (spare >= 0 ? 1 : 0);
-                const int64_t n_words = (need + 1) >> 1;
-                if (lane_pos + n_words > lane_len) {
-                    out_i[0] = (lane_pos - lane_start) + n_words;
-                    return 1;
-                }
-                int64_t i = 0;
-                if (spare >= 0) {
-                    int32_t d = (int32_t)((uint32_t)spare >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                    i++;
-                    spare = -1;
-                }
-                while (i < size) {
-                    const uint64_t w = words[lane_pos++];
-                    const uint32_t lo = (uint32_t)w;
-                    const uint32_t hi = (uint32_t)(w >> 32);
-                    int32_t d = (int32_t)(lo >> shift);
-                    draws[i] = d;
-                    counts[d]++;
-                    owner[d] = (int32_t)i;
-                    i++;
-                    if (i < size) {
-                        d = (int32_t)(hi >> shift);
-                        draws[i] = d;
-                        counts[d]++;
-                        owner[d] = (int32_t)i;
-                        i++;
-                    } else {
-                        spare = (int64_t)hi;
-                    }
-                }
+            for (int64_t i = 0; i < size; i++) {
+                const int32_t d = (int32_t)(bg->next_uint32(bg->state) >> shift);
+                counts[d]++;
+                owner[d] = (int32_t)i;
             }
         } else {
             /* integers(0, 1, ...) consumes no stream words. */
@@ -213,17 +148,10 @@ long repro_run_round(
             if (occupancy == 1) {
                 t += t_single;
                 n_single++;
-                if (has_loss) {
-                    if (lane_pos >= lane_len) {
-                        out_i[0] = (lane_pos - lane_start) + 1;
-                        return 1;
-                    }
-                    const uint64_t w = words[lane_pos++];
-                    if ((double)(w >> 11) * 0x1p-53 < p_loss) {
-                        n_lost++;
-                        slot_counter++;
-                        continue;
-                    }
+                if (has_loss && bg->next_double(bg->state) < p_loss) {
+                    n_lost++;
+                    slot_counter++;
+                    continue;
                 }
                 const int64_t j = owner[slot];
                 const int64_t p_i = with_replacement ? j : (int64_t)unseen[j];
@@ -281,27 +209,27 @@ long repro_run_round(
         }
     }
 
-    out_i[0] = lane_pos;
-    out_i[1] = n_empty;
-    out_i[2] = n_single;
-    out_i[3] = n_collision;
-    out_i[4] = n_duplicate;
-    out_i[5] = n_adjusts;
-    out_i[6] = n_frames;
-    out_i[7] = truncated;
-    out_i[8] = n_reads;
-    out_i[9] = slot_counter;
-    out_i[10] = spare;
-    out_i[11] = n_lost;
+    out_i[0] = n_empty;
+    out_i[1] = n_single;
+    out_i[2] = n_collision;
+    out_i[3] = n_duplicate;
+    out_i[4] = n_adjusts;
+    out_i[5] = n_frames;
+    out_i[6] = truncated;
+    out_i[7] = n_reads;
+    out_i[8] = slot_counter;
+    out_i[9] = n_lost;
     out_d[0] = t;
-    return 0;
 }
 """
 
 
 def kernel_source_hash() -> str:
-    """Hash of the embedded C source (keys the build cache)."""
-    return hashlib.sha256(_C_SOURCE.encode("utf-8")).hexdigest()[:16]
+    """Hash of the embedded C source and the numpy version (keys the build
+    cache: the kernel is compiled against numpy's ``bitgen_t`` layout, so a
+    numpy upgrade must rebuild it)."""
+    key = f"{_C_SOURCE}\0numpy {np.__version__}"
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 def _build_dir() -> str:
@@ -343,6 +271,8 @@ def _compile(so_path: str) -> bool:
                         "-O2",
                         "-shared",
                         "-fPIC",
+                        "-I",
+                        np.get_include(),
                         "-o",
                         tmp_so,
                         tmp_c,
@@ -397,15 +327,12 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     except OSError:
         return None
     fn = lib.repro_run_round
-    fn.restype = ctypes.c_long
+    fn.restype = None
     fn.argtypes = [
         ctypes.c_void_p,  # dpar
         ctypes.c_void_p,  # ipar
-        ctypes.c_void_p,  # lanes
-        ctypes.c_int64,  # lane_len
-        ctypes.c_int64,  # lane_pos
+        ctypes.c_void_p,  # bg (bitgen_t *)
         ctypes.c_void_p,  # seen
-        ctypes.c_void_p,  # draws
         ctypes.c_void_p,  # counts
         ctypes.c_void_p,  # owner
         ctypes.c_void_p,  # unseen

@@ -7,26 +7,24 @@ handed to the compiled kernel in :mod:`repro.gen2._ckernel` as one call, and
 Python only materialises the results (an :class:`InventoryLog` plus
 :class:`TagRead` records).  Python-level work is thereby O(rounds) with a
 tiny constant instead of O(slots), and rounds that the kernel cannot
-express (custom strategies, frame-level tracing, exotic bit generators) fall
-back to the sequential slot walk, which is always correct.
+express (custom strategies, frame-level tracing) fall back to the
+sequential slot walk, which is always correct.
 
 This module owns the per-engine kernel state: the loaded shared library and
 the reusable scratch buffers the kernel writes into.  Buffers are allocated
 once and grown geometrically, so steady-state rounds do zero allocation
 beyond the result objects themselves.
 
-RNG discipline: frame draws are replayed from the engine's pre-fetched
-PCG64 32-bit lane buffer (``lane >> (32 - q)``), and the kernel reports how
-many lanes it needed when the buffer runs dry — the caller refills
-(:meth:`InventoryEngine._lane_fill`) and re-runs the round; nothing was
-committed, so the retry is idempotent.  With link loss on, the buffer
-instead holds raw 64-bit PCG64 words (see :meth:`InventoryEngine._word_fill`):
-the kernel splits them into frame-draw lanes itself, carrying the spare high
-lane across frames, and spends one whole word per singleton loss draw — the
-exact interleaving of ``Generator.integers`` and ``Generator.random()`` in
-the reference walk.  The slot-walk fallback replays from the same buffers
-(:meth:`InventoryEngine._replay_draws`), so kernel and fallback rounds can
-interleave on one stream.
+RNG discipline: the kernel receives the engine generator's ``bitgen_t``
+(numpy's public C interface) and draws from it directly — ``next_uint32``
+per frame lane (``lane >> (32 - q)``, what ``Generator.integers(0, 2**q)``
+returns) and ``next_double`` per singleton loss draw (what
+``Generator.random()`` returns).  These are the calls the reference walk
+makes through numpy, so each round is settled in one pass, nothing is
+pre-fetched, and the generator ends the round where the reference walk
+leaves it: kernel rounds and slot-walk rounds interleave on one stream, on
+any numpy bit generator.  The caller holds the bit generator's lock
+across the call, as numpy's own ``Generator`` methods do.
 """
 
 from __future__ import annotations
@@ -64,13 +62,11 @@ class CalendarKernel:
         "owner_ptr",
         "cap",
         "seen",
-        "draws",
         "unseen",
         "read_pos",
         "read_slot",
         "read_time",
         "seen_ptr",
-        "draws_ptr",
         "unseen_ptr",
         "read_pos_ptr",
         "read_slot_ptr",
@@ -90,8 +86,8 @@ class CalendarKernel:
         if self.fn is None:
             return
         self.dpar = (ctypes.c_double * 9)()
-        self.ipar = (ctypes.c_int64 * 8)()
-        self.out_i = (ctypes.c_int64 * 12)()
+        self.ipar = (ctypes.c_int64 * 5)()
+        self.out_i = (ctypes.c_int64 * 10)()
         self.out_d = (ctypes.c_double * 2)()
         self.counts = (ctypes.c_int32 * _ckernel.MAX_FRAME)()
         self.owner = (ctypes.c_int32 * _ckernel.MAX_FRAME)()
@@ -126,13 +122,11 @@ class CalendarKernel:
             cap <<= 1
         self.cap = cap
         self.seen = (ctypes.c_uint8 * cap)()
-        self.draws = (ctypes.c_int32 * cap)()
         self.unseen = (ctypes.c_int32 * cap)()
         self.read_pos = (ctypes.c_int64 * cap)()
         self.read_slot = (ctypes.c_int64 * cap)()
         self.read_time = (ctypes.c_double * cap)()
         self.seen_ptr = ctypes.addressof(self.seen)
-        self.draws_ptr = ctypes.addressof(self.draws)
         self.unseen_ptr = ctypes.addressof(self.unseen)
         self.read_pos_ptr = ctypes.addressof(self.read_pos)
         self.read_slot_ptr = ctypes.addressof(self.read_slot)

@@ -25,12 +25,13 @@ engines consume it:
 
 - ``engine="calendar"`` (the default) settles whole rounds through the
   compiled event-calendar kernel (:mod:`repro.gen2.calendar`): one C call
-  per round replays the PCG64 stream from a pre-fetched buffer, so
-  Python-level work is O(rounds) instead of O(slots).  Rounds the kernel
-  cannot express — custom strategies, frame-level tracing, non-PCG64
-  generators, or a missing C compiler (``REPRO_CALENDAR_CKERNEL=0``) — fall
-  back to the sequential slot walk, which then draws from the same buffers
-  so that kernel and fallback rounds interleave on one stream.
+  per round draws from the engine generator's ``bitgen_t`` exactly as the
+  slot walk draws through numpy, so Python-level work is O(rounds) instead
+  of O(slots).  Rounds the kernel cannot express — custom strategies,
+  frame-level tracing, or a missing C compiler
+  (``REPRO_CALENDAR_CKERNEL=0``) — run on the sequential slot walk; both
+  leave the generator at the same position, so kernel and slot-walk rounds
+  interleave on one stream.
 - ``engine="reference"`` is that sequential slot walk with plain
   ``Generator.integers``/``Generator.random`` draws, kept as the
   differential-testing oracle (see ``tests/gen2/test_calendar_engine.py``).
@@ -40,15 +41,10 @@ Both produce bit-identical results for identical seeds.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-#: The raw-word slot-draw shortcut reconstructs numpy's 32-bit Lemire lanes
-#: from 64-bit PCG64 output words, which requires a little-endian view.
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 from repro.gen2.aloha import FixedQ, FrameStrategy, QAdaptive, SlotOutcome
 from repro.gen2.timing import LinkTiming
@@ -159,27 +155,6 @@ class InventoryEngine:
         #: later frame, exactly like real link-level loss.
         self.read_loss_probability = read_loss_probability
         self._round_counter = 0
-        #: Mirror of numpy's internal uint32 cache for the raw-word slot-draw
-        #: shortcut: ``Generator.integers`` with a bound below 2**32 consumes
-        #: 32-bit halves of each 64-bit PCG64 word and buffers an unused high
-        #: half across *calls*.  The calendar engine replays draws from
-        #: ``random_raw``, so it must carry that spare lane itself to stay
-        #: stream-compatible with the reference engine.
-        self._spare_lane: Optional[int] = None
-        #: Bulk-prefetched 32-bit lanes (loss-free runs only; see
-        #: :meth:`_lane_fill`).
-        self._lane_arr: Optional[np.ndarray] = None
-        self._lane_pos = 0
-        self._lane_len = 0
-        #: Bulk-prefetched raw 64-bit words (lossy runs only; see
-        #: :meth:`_word_fill`).  When link loss is on the slot stream mixes
-        #: frame-draw lanes with one whole ``Generator.random()`` word per
-        #: singleton, so pre-fetching must happen at word granularity and
-        #: every consumer — the calendar kernel and its slot-walk fallback —
-        #: must drain this buffer in order.
-        self._word_arr: Optional[np.ndarray] = None
-        self._word_pos = 0
-        self._word_len = 0
         #: Lazily created compiled-kernel state for ``engine="calendar"``
         #: (:class:`repro.gen2.calendar.CalendarKernel`).
         self._cal = None
@@ -215,12 +190,13 @@ class InventoryEngine:
     ) -> InventoryLog:
         """Settle the whole round through the compiled calendar kernel.
 
-        One C call per round replays the engine's buffered PCG64 lane
-        stream, so reads, counters and timestamps are bit-identical to the
-        reference engine.  Rounds the kernel cannot express fall back to
-        :meth:`_run_round_reference`, which replays the kernel's buffers for
-        the stock strategies (an already-created strategy is passed through,
-        preserving the one-factory-call-per-round contract).
+        One C call per round draws from the engine generator's
+        ``bitgen_t`` exactly as the reference walk draws through numpy, so
+        reads, counters, timestamps and the generator's end position are
+        bit-identical to the reference engine.  Rounds the kernel cannot
+        express run on :meth:`_run_round_reference` (an already-created
+        strategy is passed through, preserving the one-factory-call-per-round
+        contract).
         """
         cal = self._cal
         if cal is None:
@@ -229,20 +205,9 @@ class InventoryEngine:
             cal = self._cal = CalendarKernel()
         tracer = get_tracer()
         traced = tracer.enabled
-        bit_generator = self.rng.bit_generator
-        replayable = _LITTLE_ENDIAN and isinstance(
-            bit_generator, np.random.PCG64
-        )
-        if (
-            cal.fn is None
-            or (traced and tracer.frame_detail)
-            or not replayable
-        ):
+        if cal.fn is None or (traced and tracer.frame_detail):
             return self._run_round_reference(
-                participant_ids,
-                start_time_s,
-                max_duration_s,
-                replay=replayable,
+                participant_ids, start_time_s, max_duration_s
             )
 
         timing = self.timing
@@ -321,44 +286,25 @@ class InventoryEngine:
             else float("inf")
         )
         dpar[7] = q_const
-        p_loss = self.read_loss_probability
-        dpar[8] = p_loss
+        dpar[8] = self.read_loss_probability
         ipar[0] = n
         ipar[1] = strat_code
         ipar[2] = q0
         ipar[3] = 1 if self.with_replacement else 0
         ipar[4] = self.MAX_SLOTS_PER_ROUND
-        spare_in = self._spare_lane
-        ipar[5] = -1 if spare_in is None else spare_in
 
         cal.prepare(n)
-        fn = cal.fn
-        raw_draw = bit_generator.random_raw
-        # With loss on, the kernel consumes raw 64-bit words (frame lanes +
-        # one word per singleton loss draw) from the shared lossy word
-        # buffer; loss-free rounds keep the historical pre-split lane
-        # buffer.  Both are re-read each retry because a refill resets the
-        # position to zero.
-        lossy = p_loss > 0.0
-        while True:
-            if lossy:
-                buf = self._word_arr
-                buf_ptr = buf.ctypes.data if buf is not None else 0
-                buf_len = self._word_len
-                buf_pos = self._word_pos
-            else:
-                buf = self._lane_arr
-                buf_ptr = buf.ctypes.data if buf is not None else 0
-                buf_len = self._lane_len
-                buf_pos = self._lane_pos
-            rc = fn(
+        # Looked up every round: ``self.rng`` may be reassigned between
+        # rounds, and numpy caches the ctypes view, so this is cheap.  The
+        # lock is held as numpy's own ``Generator`` methods hold it: ctypes
+        # releases the GIL for the call, and the kernel advances the state.
+        bit_generator = self.rng.bit_generator
+        with bit_generator.lock:
+            cal.fn(
                 cal.dpar_ptr,
                 cal.ipar_ptr,
-                buf_ptr,
-                buf_len,
-                buf_pos,
+                bit_generator.ctypes.bit_generator,
                 cal.seen_ptr,
-                cal.draws_ptr,
                 cal.counts_ptr,
                 cal.owner_ptr,
                 cal.unseen_ptr,
@@ -368,24 +314,8 @@ class InventoryEngine:
                 cal.read_slot_ptr,
                 cal.read_time_ptr,
             )
-            if rc == 0:
-                break
-            # Buffer ran dry mid-round: refill (keeping everything from the
-            # round's start position) and re-run — the kernel committed
-            # nothing, so the retry is idempotent.  The kernel only reports
-            # its need *through the stalled frame*, so growing geometrically
-            # (rather than by a fixed slack) keeps the number of full-round
-            # re-walks logarithmic even for with-replacement rounds that
-            # consume millions of words; the overshoot is never wasted —
-            # leftovers carry into subsequent rounds.
-            need = cal.out_i[0]
-            if lossy:
-                self._word_fill(raw_draw, need * 2 + 16384)
-            else:
-                self._lane_fill(raw_draw, need * 2 + 16384)
 
         (
-            pos_out,
             n_empty,
             n_single,
             n_collision,
@@ -395,14 +325,8 @@ class InventoryEngine:
             truncated,
             n_reads,
             n_slots,
-            spare_out,
             n_lost,
         ) = cal.out_i_np.tolist()
-        if lossy:
-            self._word_pos = pos_out
-            self._spare_lane = None if spare_out < 0 else spare_out
-        else:
-            self._lane_pos = pos_out
         end_t = cal.out_d[0]
         log = InventoryLog(start_time_s=start_time_s, end_time_s=end_t)
         log.n_rounds = 1
@@ -447,17 +371,12 @@ class InventoryEngine:
         participant_ids: Sequence[int],
         start_time_s: float,
         max_duration_s: Optional[float],
-        replay: bool = False,
         strategy: Optional[FrameStrategy] = None,
     ) -> InventoryLog:
         """Sequential slot walk: the oracle, and the calendar's fallback.
 
-        As ``engine="reference"`` (``replay=False``) it draws straight from
-        the generator.  As the calendar engine's fallback on a little-endian
-        PCG64 stream (``replay=True``) it replays stock-strategy draws from
-        the kernel's pre-fetched buffers instead (:meth:`_replay_draws`), so
-        fallback and kernel rounds interleave on one stream; the two draw
-        primitives are fixed here, at round start.
+        Draws straight from the generator: one ``integers`` call per frame
+        and one ``random`` call per singleton when link loss is on.
         """
         log = InventoryLog(start_time_s=start_time_s, end_time_s=start_time_s)
         log.n_rounds = 1
@@ -509,15 +428,7 @@ class InventoryEngine:
 
         if strategy is None:
             strategy = self.strategy_factory()
-        if replay and type(strategy) in (QAdaptive, FixedQ):
-            draw_frame, draw_loss = self._replay_draws()
-        else:
-            rng = self.rng
-
-            def draw_frame(frame_length: int, size: int) -> np.ndarray:
-                return rng.integers(0, frame_length, size=size)
-
-            draw_loss = rng.random
+        rng = self.rng
         frame_length = max(1, strategy.start_round(int(ids.size)))
         seen_mask = np.zeros(ids.size, dtype=bool)
         slot_counter_in_round = 0
@@ -535,7 +446,7 @@ class InventoryEngine:
                 contenders = np.arange(ids.size)
             else:
                 contenders = np.flatnonzero(~seen_mask)
-            draws = draw_frame(frame_length, contenders.size)
+            draws = rng.integers(0, frame_length, size=contenders.size)
             counts = np.bincount(draws, minlength=frame_length)
             # Map each singleton slot to the position of its tag.
             slot_owner = np.full(frame_length, -1, dtype=np.int64)
@@ -572,7 +483,7 @@ class InventoryEngine:
                     outcome = SlotOutcome.SINGLE
                     if (
                         self.read_loss_probability > 0.0
-                        and draw_loss() < self.read_loss_probability
+                        and rng.random() < self.read_loss_probability
                     ):
                         # EPC failed CRC: air time spent, nothing decoded.
                         log.n_lost += 1
@@ -635,160 +546,6 @@ class InventoryEngine:
                 frame_length = max(1, strategy.next_frame(remaining))
 
         return _finish(t)
-
-    # ------------------------------------------------------------------
-    def _replay_draws(self):
-        """Frame and loss draws replayed from the calendar kernel's buffers.
-
-        Only for the stock power-of-two strategies on a little-endian PCG64
-        stream, where numpy's bounded draw keeps the top ``q`` bits of each
-        32-bit lane (``lane >> (32 - q)``) and a frame of length one draws
-        nothing.  Loss-free rounds read the pre-split lane buffer; lossy
-        rounds read the raw word buffer with the spare-lane carry, one whole
-        word per loss draw — the same consumption the kernel replays.
-        """
-        raw_draw = self.rng.bit_generator.random_raw
-
-        if self.read_loss_probability > 0.0:
-
-            def draw_frame(frame_length: int, size: int) -> np.ndarray:
-                if frame_length == 1:
-                    return np.zeros(size, dtype=np.int64)
-                return self._raw_frame_draw(
-                    raw_draw, size, 33 - frame_length.bit_length()
-                )
-
-            def draw_loss() -> float:
-                return self._loss_draw(raw_draw)
-
-            return draw_frame, draw_loss
-
-        def draw_frame(frame_length: int, size: int) -> np.ndarray:
-            if frame_length == 1:
-                return np.zeros(size, dtype=np.int64)
-            pos = self._lane_pos
-            if pos + size > self._lane_len:
-                self._lane_fill(raw_draw, size)
-                pos = 0
-            self._lane_pos = pos + size
-            return self._lane_arr[pos : pos + size] >> (
-                33 - frame_length.bit_length()
-            )
-
-        return draw_frame, None
-
-    def _lane_fill(self, raw_draw, min_lanes: int) -> None:
-        """Grow the lane buffer so at least ``min_lanes`` are unconsumed.
-
-        Only used when link loss is off: the slot stream is then consumed
-        exclusively by frame draws, so 64-bit words can be pre-fetched in
-        bulk without perturbing the draw sequence the reference engine
-        produces one frame at a time.
-        """
-        arr = self._lane_arr
-        left = arr[self._lane_pos :] if arr is not None else None
-        have = int(left.size) if left is not None else 0
-        n_words = max(8192, ((min_lanes - have) + 1) >> 1)
-        fresh = raw_draw(n_words).view(np.uint32)
-        arr = np.concatenate((left, fresh)) if have else fresh
-        self._lane_arr = arr
-        self._lane_pos = 0
-        self._lane_len = int(arr.size)
-
-    def _word_fill(self, raw_draw, min_words: int) -> None:
-        """Grow the raw 64-bit word buffer to at least ``min_words`` unconsumed.
-
-        The lossy counterpart of :meth:`_lane_fill`: with link loss on, the
-        slot stream interleaves frame-draw lanes with one whole word per
-        singleton loss draw, so pre-fetching is only sound at word
-        granularity with *every* consumer draining this buffer in order.
-        Only the calendar kernel's refill-and-retry loop bulk-fills; the
-        slot-walk fallback's helpers below drain leftovers first and then
-        draw *exactly* what they need.
-        """
-        arr = self._word_arr
-        pos = self._word_pos
-        have = self._word_len - pos
-        want = max(8192, min_words - have)
-        cap = int(arr.size) if arr is not None else 0
-        if arr is None or have + want > cap:
-            # Grow (amortised doubling) and compact the leftover to the
-            # front; between growths fresh words append in place, so the
-            # per-fill cost is one generator call, not a full-buffer copy.
-            new_cap = max(cap * 2, have + want, 16384)
-            fresh_arr = np.empty(new_cap, dtype=np.uint64)
-            if have:
-                fresh_arr[:have] = arr[pos : self._word_len]
-            self._word_arr = arr = fresh_arr
-            self._word_pos = pos = 0
-            self._word_len = have
-        elif pos and pos + have + want > cap:
-            arr[:have] = arr[pos : self._word_len]
-            self._word_pos = pos = 0
-            self._word_len = have
-        end = self._word_len
-        arr[end : end + want] = raw_draw(want)
-        self._word_len = end + want
-
-    def _take_words(self, raw_draw, n: int) -> np.ndarray:
-        """Consume ``n`` raw 64-bit words: buffered leftovers first, then an
-        exact draw — never over-pulling the generator."""
-        pos = self._word_pos
-        have = self._word_len - pos
-        if have <= 0:
-            return raw_draw(n)
-        if have >= n:
-            self._word_pos = pos + n
-            return self._word_arr[pos : pos + n]
-        self._word_pos = self._word_len
-        return np.concatenate(
-            (self._word_arr[pos : self._word_len], raw_draw(n - have))
-        )
-
-    def _loss_draw(self, raw_draw) -> float:
-        """One uniform double replayed from raw words.
-
-        ``(word >> 11) * 2^-53`` is numpy's exact uint64→double conversion,
-        so the value matches ``Generator.random()`` bit for bit while the
-        word comes out of the shared buffer.
-        """
-        pos = self._word_pos
-        if pos >= self._word_len:
-            word = int(raw_draw())
-        else:
-            self._word_pos = pos + 1
-            word = int(self._word_arr[pos])
-        return (word >> 11) * 2.0**-53
-
-    def _raw_frame_draw(self, raw_draw, size: int, shift: int) -> np.ndarray:
-        """One frame draw replayed from raw words with the spare-lane carry.
-
-        Used when link loss interleaves scalar ``rng.random()`` draws with
-        the frame draws: each frame must consume exactly the lanes
-        ``Generator.integers`` would have, with loss draws spending whole
-        words in between.  Words come from the shared lossy word buffer
-        (:meth:`_word_fill`), which keeps fallback rounds and calendar
-        kernel rounds on one stream no matter how they interleave.
-        """
-        spare = self._spare_lane
-        if spare is None:
-            n_words = (size + 1) >> 1
-            lanes = self._take_words(raw_draw, n_words).view(np.uint32)
-            self._spare_lane = int(lanes[-1]) if (n_words << 1) > size else None
-            return lanes[:size] >> shift
-        if size == 1:
-            # The buffered high lane from an earlier odd-sized draw is
-            # consumed first, like numpy's uint32 cache.
-            self._spare_lane = None
-            return np.array([spare >> shift], dtype=np.int64)
-        need = size - 1
-        n_words = (need + 1) >> 1
-        fresh = self._take_words(raw_draw, n_words).view(np.uint32)
-        self._spare_lane = int(fresh[-1]) if (n_words << 1) > need else None
-        lanes = np.empty(size, dtype=np.uint32)
-        lanes[0] = spare
-        lanes[1:] = fresh[:need]
-        return lanes >> shift
 
     # ------------------------------------------------------------------
     def run_for_duration(

@@ -10,6 +10,10 @@ observable, both at the engine level (raw :class:`InventoryLog`) and at the
 reader level (post-fault report streams under a :class:`FaultPlan`).
 """
 
+import shutil
+import subprocess
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,6 +84,12 @@ def _log_signature(log):
     )
 
 
+def _stream_probe(engine):
+    """The generator's next draws: equal only if both engines left the
+    stream at the same position."""
+    return tuple(engine.rng.random(size=4).tolist())
+
+
 def _assert_matches_reference(kind, q, n_tags, seed, with_replacement,
                               loss, deadline):
     original_cap = InventoryEngine.MAX_SLOTS_PER_ROUND
@@ -97,14 +107,7 @@ def _assert_matches_reference(kind, q, n_tags, seed, with_replacement,
             # One fresh strategy per round, however the round is settled
             # (IdealDFSA always takes the calendar engine's fallback).
             assert engine.strategy_factory.calls == (2 if n_tags else 0)
-            # The stream position must match too, but only where nothing is
-            # pre-fetched: the calendar kernel and its replaying fallback
-            # bulk-fill buffers from the generator, so for the stock
-            # strategies the generator legitimately sits ahead — their
-            # *consumed* stream is pinned by the log equality.  Custom
-            # strategies draw straight from the generator on both engines.
-            if kind == "dfsa":
-                sig.append(tuple(engine.rng.random(size=4).tolist()))
+            sig.append(_stream_probe(engine))
             signatures[name] = sig
     finally:
         InventoryEngine.MAX_SLOTS_PER_ROUND = original_cap
@@ -181,6 +184,94 @@ def test_merged_logs_are_engine_invariant(
 
 
 # ----------------------------------------------------------------------
+# The kernel draws from any numpy bit generator
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "bit_generator",
+    [np.random.MT19937, np.random.Philox, np.random.SFC64],
+    ids=lambda cls: cls.__name__,
+)
+@pytest.mark.parametrize("kind,q,n_tags", [
+    ("qadaptive", 4, 40),
+    ("qadaptive", 0, 9),
+    ("fixedq", 0, 1),  # length-1 frames draw nothing
+    ("fixedq", 3, 13),
+])
+@pytest.mark.parametrize("with_replacement", [True, False])
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+def test_kernel_matches_reference_on_other_bit_generators(
+    monkeypatch, bit_generator, kind, q, n_tags, with_replacement, loss
+):
+    if _ckernel.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
+    signatures = {}
+    for name in ("reference", "calendar"):
+        if name == "calendar":
+            # Every round must settle in the kernel, not the slot walk.
+            def no_fallback(*args, **kwargs):
+                raise AssertionError("untraced round left the kernel")
+
+            monkeypatch.setattr(
+                InventoryEngine, "_run_round_reference", no_fallback
+            )
+        engine, logs = _run_rounds(
+            name, kind, q, n_tags, np.random.Generator(bit_generator(5)),
+            with_replacement, loss, deadline=None, rounds=3,
+        )
+        signatures[name] = [_log_signature(log) for log in logs]
+        signatures[name].append(_stream_probe(engine))
+    assert signatures["calendar"] == signatures["reference"]
+
+
+def test_reassigned_rng_is_drawn_from_next_round():
+    """The kernel takes the generator from ``engine.rng`` every round."""
+
+    def run(name):
+        engine = InventoryEngine(
+            R420_PROFILE, lambda: QAdaptive(initial_q=4), rng=1,
+            read_loss_probability=0.2, engine=name,
+        )
+        logs = [engine.run_round(range(30))]
+        engine.rng = np.random.default_rng(2)
+        logs.append(engine.run_round(range(30)))
+        engine.rng = np.random.Generator(np.random.MT19937(3))
+        logs.append(engine.run_round(range(30)))
+        return [_log_signature(log) for log in logs] + [_stream_probe(engine)]
+
+    assert run("calendar") == run("reference")
+
+
+def test_kernel_call_holds_the_bit_generator_lock():
+    engine = InventoryEngine(
+        R420_PROFILE, lambda: QAdaptive(initial_q=4), rng=1
+    )
+    engine.run_round(range(5))
+    cal = engine._cal
+    if cal.fn is None:
+        pytest.skip("C kernel unavailable")
+    kernel = cal.fn
+    lock = engine.rng.bit_generator.lock
+    held = []
+
+    def try_lock():
+        acquired = lock.acquire(blocking=False)
+        if acquired:
+            lock.release()
+        held.append(not acquired)
+
+    def spy(*args):
+        # Another thread must find the lock taken while the kernel runs.
+        other = threading.Thread(target=try_lock)
+        other.start()
+        other.join(timeout=10)
+        return kernel(*args)
+
+    cal.fn = spy
+    engine.run_round(range(5))
+    assert held == [True]
+
+
+# ----------------------------------------------------------------------
 # Mixed runs: calendar rounds interleaved with frame-traced fallbacks
 # ----------------------------------------------------------------------
 def _span_records(tracer):
@@ -195,10 +286,9 @@ def _mixed_run(engine_name, kind, q, n_tags, seed, with_replacement, loss,
                rounds=6):
     """Alternate untraced rounds with frame-detail traced ones.
 
-    On the calendar engine the untraced rounds go through the kernel, which
-    bulk-prefetches PCG64 words (and may park a spare lane), while the
-    frame-traced rounds fall back to a Python walk that must keep draining
-    that same buffered stream.
+    On the calendar engine the untraced rounds go through the kernel and
+    the frame-traced rounds through the slot walk; both draw from the one
+    generator, which must end where the reference leaves it.
     """
     engine = InventoryEngine(
         R420_PROFILE,
@@ -218,6 +308,7 @@ def _mixed_run(engine_name, kind, q, n_tags, seed, with_replacement, loss,
         else:
             log = engine.run_round(range(n_tags))
         logs.append(_log_signature(log))
+    logs.append(_stream_probe(engine))
     return logs, spans
 
 
@@ -342,7 +433,6 @@ def test_kernel_build_never_compiles_a_shared_source(monkeypatch, tmp_path):
     may truncate it while another compiles.  Each build must compile its
     own copy of the source, or it can cache a kernel with no symbols."""
     import ctypes
-    import subprocess
 
     so_path = str(tmp_path / "kernel.so")
     real_run = subprocess.run
@@ -359,6 +449,28 @@ def test_kernel_build_never_compiles_a_shared_source(monkeypatch, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "kernel.c", "kernel.so"
     ]
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / "kernel.c"
+    source.write_text(_ckernel._C_SOURCE)
+    result = subprocess.run(
+        [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         "-I", np.get_include(), str(source)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_kernel_cache_key_tracks_numpy_version(monkeypatch):
+    """The kernel is built against numpy's ``bitgen_t`` layout, so a numpy
+    upgrade must not load a kernel cached for the old version."""
+    key = _ckernel.kernel_source_hash()
+    monkeypatch.setattr(_ckernel.np, "__version__", "0.0.0")
+    assert _ckernel.kernel_source_hash() != key
 
 
 def test_engine_rejects_unknown():
