@@ -67,13 +67,14 @@ site-smoke:
 		--workers 4 --check-differential --out site_run.json
 
 # Site-scale smoke: a 12-reader/2k-tag aisle big enough for the
-# visibility cull and the columnar fusion to actually engage.
+# visibility cull and the columnar fusion to actually engage; 40 orbiting
+# tags put the vectorised orbit bound under the same check.
 # --check-differential re-runs the site sequentially with culling off and
 # re-fuses it one report at a time, so one byte-equality check crosses
 # every fast path at once (docs/site.md#scaling-to-10k100k-tags).
 site-scale-smoke:
 	python -m repro site --layout line --readers 12 --tags 2000 \
-		--duration 0.25 --workers 4 --check-differential \
+		--mobile 40 --duration 0.25 --workers 4 --check-differential \
 		--out site_scale_run.json
 
 # Site chaos smoke: a supervised 3-reader site where the seeded plan

@@ -36,7 +36,7 @@ Commands
     IRR/staleness statistics, client state, and any incident bundles cut
     (each validated before exit).  ``--watch`` streams a one-line status
     per cycle (see ``docs/observability.md``).
-``site [--readers N --tags N --workers W --check-differential]``
+``site [--readers N --tags N --mobile M --workers W --check-differential]``
     Simulate a multi-reader warehouse site (overlapping coverage, channel
     coordination, reader-to-reader interference) sharded across the
     process pool, fuse the per-reader reports, and run the site invariant
@@ -508,7 +508,7 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         site_soak.SiteSoakConfig,
         n_readers=_pick(args.readers, 6),
         n_tags=_pick(args.tags, 96),
-        n_mobile=args.mobile,
+        n_mobile=_pick(args.mobile, 4),
         layout=_pick(args.layout, "line"),
         seed=args.seed,
         n_epochs=args.epochs,
@@ -620,6 +620,7 @@ def cmd_site(args: argparse.Namespace) -> int:
         coordinator=_checked(
             ChannelCoordinator, n_channels=_pick(args.channels, 16)
         ),
+        n_mobile=_pick(args.mobile, 0),
     )
     run = simulate_site(config, workers=args.workers)
     per_reader = run.reports_per_reader()
@@ -1103,8 +1104,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="reader deaths the seeded fault plan injects (--chaos)",
     )
     p_site.add_argument(
-        "--mobile", type=int, default=4,
-        help="mobile tags orbiting the field across zones (--chaos)",
+        "--mobile", type=int, default=None,
+        help="mobile tags orbiting the field across zones "
+        "(default: 0; --chaos: 4)",
     )
     p_site.add_argument(
         "--bundle-dir", default="",

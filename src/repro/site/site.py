@@ -12,11 +12,13 @@ per-reader read-loss penalty computed by the
 so each reader's simulation is a pure function of ``(config, reader_id)``.
 
 That purity is what makes sharding trivial *and* provable:
-:func:`simulate_site` hands one task per reader to
+:func:`simulate_site` computes the site-wide inputs once (channel plan,
+EPCs, cull arrays), hands one task per reader to
 :func:`repro.experiments.parallel.parallel_map` (one worker per reader
-group), merges the report batches through the
+group), folds every reader's report rows through the
 :class:`~repro.site.fusion.FusionLayer` (a commutative, idempotent fold)
-in reader order, and absorbs worker traces in the same order — so
+in one batch, in reader order, and absorbs worker traces in the same
+order — so
 ``workers=N`` is byte-identical to ``workers=1`` for every N.  The
 differential tests in ``tests/site/test_differential.py`` pin exactly
 that, over several topologies and hypothesis-drawn seeds.
@@ -27,7 +29,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -175,6 +185,51 @@ def site_epcs(config: SiteConfig) -> List[EPC]:
     return epcs
 
 
+class _CullInputs(NamedTuple):
+    """The per-site arrays every reader's cull reads (never mutated)."""
+
+    grid: np.ndarray  # (n_tags, 3) grid positions
+    mobile: np.ndarray  # ascending indices of the orbiting tags
+    radii: np.ndarray  # each mobile tag's orbit radius
+
+
+#: Per-process memo of :class:`_CullInputs`, keyed by the fields that
+#: define the grid plus the mobile count.  :func:`simulate_site` fills it
+#: before the pool forks, so forked workers inherit it.
+_CULL_MEMO: Dict[
+    Tuple[int, float, int, Tuple[float, float, float], int], _CullInputs
+] = {}
+_CULL_MEMO_LIMIT = 8
+
+
+def _cull_inputs(config: SiteConfig) -> _CullInputs:
+    """The site's :class:`_CullInputs`, built once per process."""
+    topology = config.topology
+    key = (
+        topology.n_tags,
+        topology.spacing_m,
+        topology.columns,
+        topology.field_center,
+        config.n_mobile,
+    )
+    inputs = _CULL_MEMO.get(key)
+    if inputs is None:
+        positions = topology.tag_positions()
+        mobile = sorted(mobile_tag_indices(config))
+        inputs = _CullInputs(
+            grid=np.asarray(positions, dtype=float),
+            mobile=np.asarray(mobile, dtype=np.intp),
+            radii=np.asarray(
+                [_orbit_radius(config, positions[i]) for i in mobile],
+                dtype=float,
+            ),
+        )
+        if len(_CULL_MEMO) >= _CULL_MEMO_LIMIT:
+            _CULL_MEMO.clear()
+        _CULL_MEMO[key] = inputs
+    return inputs
+
+
 def reachable_tag_indices(
     config: SiteConfig, reader_id: int, *, range_scale: float = 1.0
 ) -> Optional[List[int]]:
@@ -191,6 +246,11 @@ def reachable_tag_indices(
     (observations carry EPCs, and every RNG stream draws by participant
     count, never by absolute index).
 
+    Stationary tags are bounded by their grid distance; mobile tags by
+    :meth:`CircularPath.distance_bounds`, ``hypot(|rho - r|, dz)``,
+    evaluated for every orbit at once (all orbits share the field centre,
+    so ``rho`` is one scalar per reader).
+
     Returns ascending indices, or ``None`` when every tag is reachable
     (the caller can then skip subsetting entirely — the ring layouts).
     """
@@ -198,20 +258,19 @@ def reachable_tag_indices(
     apos = np.asarray(placement.position, dtype=float)
     range_m = placement.range_m * range_scale
     limit = range_m + CULL_MARGIN_REL * (range_m + 1.0)
-    positions = config.topology.tag_positions()
-    grid = np.asarray(positions, dtype=float)
-    dist = np.sqrt(((grid - apos) ** 2).sum(axis=1))
-    mobile = mobile_tag_indices(config)
-    for index in mobile:
-        bounds = _mobile_trajectory(
-            config, positions[index]
-        ).distance_bounds(apos)
-        # Unbounded trajectories can come arbitrarily close: never cull.
-        dist[index] = bounds[0] if bounds is not None else 0.0
+    inputs = _cull_inputs(config)
+    dist = np.sqrt(((inputs.grid - apos) ** 2).sum(axis=1))
+    px, py, pz = placement.position
+    cx, cy, _cz = config.topology.field_center
+    rho = math.hypot(px - cx, py - cy)
+    # An orbit's height is its tag's grid z.
+    dist[inputs.mobile] = np.hypot(
+        np.abs(rho - inputs.radii), pz - inputs.grid[inputs.mobile, 2]
+    )
     keep = dist <= limit
     if bool(keep.all()):
         return None
-    return [int(i) for i in np.nonzero(keep)[0]]
+    return np.flatnonzero(keep).tolist()
 
 
 def mobile_tag_indices(config: SiteConfig) -> FrozenSet[int]:
@@ -236,15 +295,24 @@ def _mobile_trajectory(
     identical to the all-stationary layout.
     """
     cx, cy, cz = config.topology.field_center
-    dx = position[0] - cx
-    dy = position[1] - cy
-    radius = max(math.hypot(dx, dy), config.topology.spacing_m)
     return CircularPath(
         (cx, cy, cz),
-        radius=radius,
+        radius=_orbit_radius(config, position),
         speed=config.mobile_speed_mps,
-        phase0=math.atan2(dy, dx),
+        phase0=math.atan2(position[1] - cy, position[0] - cx),
         z=position[2],
+    )
+
+
+def _orbit_radius(
+    config: SiteConfig, position: Tuple[float, float, float]
+) -> float:
+    """Orbit radius of the mobile tag at ``position``: its distance from
+    the field centre, clamped up to one grid pitch."""
+    cx, cy, _cz = config.topology.field_center
+    return max(
+        math.hypot(position[0] - cx, position[1] - cy),
+        config.topology.spacing_m,
     )
 
 
@@ -305,9 +373,10 @@ def build_reader(
     Pure against ``(config, reader_id)`` plus the explicit overrides:
     seeds are derived per reader by name, the channel offset and
     interference penalty default to the coordinator's static full-fleet
-    plan, and the shared tag field is rebuilt from the site seed.  Two
-    calls — in any two processes — return readers that will produce
-    byte-identical observation streams.
+    plan (callers building every reader pass each its row of one
+    :func:`_channel_plan`), and the shared tag field is rebuilt from the
+    site seed.  Two calls — in any two processes — return readers that
+    will produce byte-identical observation streams.
 
     The keyword overrides exist for the :class:`SiteSupervisor`: after a
     re-plan over the surviving topology it hands each reader its new
@@ -355,6 +424,23 @@ def build_reader(
         scene,
         seed=streams.child_seed(f"site-reader-{reader_id}{seed_salt}"),
         read_loss_probability=loss,
+    )
+
+
+def _channel_plan(
+    config: SiteConfig,
+) -> Tuple[Dict[int, int], Dict[int, float]]:
+    """The static full-fleet plan: channel offset and interference per id.
+
+    :meth:`ChannelCoordinator.interference_loss` builds the whole R×R
+    reader-pair table, so callers that build every reader compute this
+    once and pass each reader its row instead of letting
+    :func:`build_reader` re-plan the site per reader.
+    """
+    coordinator = config.coordinator
+    return (
+        coordinator.assign(config.topology),
+        coordinator.interference_loss(config.topology),
     )
 
 
@@ -424,7 +510,11 @@ def run_faulted_interval(
 
 
 def _simulate_reader(
-    config_dict: Dict[str, object], reader_id: int, cull: bool = True
+    config_dict: Dict[str, object],
+    reader_id: int,
+    cull: bool,
+    channel_offset: int,
+    interference: float,
 ) -> dict:
     """Worker task: run one reader for the site duration.
 
@@ -432,11 +522,18 @@ def _simulate_reader(
     :func:`parallel_map` contract.  Returns primitives only.  Readers the
     fault plan never touches take the exact pre-resilience path, so a
     fault-free site run stays byte-identical to the pre-PR output.  The
-    cull decision rides in the task tuple so every worker — however
-    spawned — shards identically.
+    cull decision and the reader's row of the site's channel plan ride in
+    the task tuple, so every worker — however spawned — shards
+    identically without re-planning the whole site.
     """
     config = SiteConfig.from_dict(config_dict)
-    reader = build_reader(config, reader_id, cull=cull)
+    reader = build_reader(
+        config,
+        reader_id,
+        channel_offset=channel_offset,
+        interference=interference,
+        cull=cull,
+    )
     tracer = get_tracer()
     span = None
     if tracer.enabled:
@@ -579,20 +676,34 @@ def simulate_site(
     against, and produces byte-identical :meth:`SiteRun.canonical_bytes`
     at every worker count.
     """
+    # Site-wide inputs are computed here, once: the channel plan rides in
+    # the task tuples, and the EPC and cull memos are warm before the pool
+    # forks, so forked workers inherit them (a spawned worker recomputes).
+    truth_epc_values = sorted(epc.value for epc in site_epcs(config))
+    if cull:
+        _cull_inputs(config)
+    assignment, interference = _channel_plan(config)
     config_dict = config.to_dict()
-    tasks: List[Tuple[Dict[str, object], int, bool]] = [
-        (config_dict, placement.reader_id, cull)
+    tasks: List[Tuple[Dict[str, object], int, bool, int, float]] = [
+        (
+            config_dict,
+            placement.reader_id,
+            cull,
+            assignment[placement.reader_id],
+            interference[placement.reader_id],
+        )
         for placement in config.topology.readers
     ]
     summaries = parallel_map(_simulate_reader, tasks, workers=workers)
     fusion = FusionLayer()
-    for summary in summaries:
-        fusion.ingest_rows(summary["reports"])
+    fusion.ingest_rows(
+        [row for summary in summaries for row in summary["reports"]]
+    )
     return SiteRun(
         config=config,
         reader_summaries=summaries,
         fusion=fusion,
-        truth_epc_values=sorted(epc.value for epc in site_epcs(config)),
+        truth_epc_values=truth_epc_values,
     )
 
 
@@ -621,8 +732,14 @@ class Site:
 
     def readers(self) -> List[SimReader]:
         """Fresh readers for every placement, in topology order."""
+        assignment, interference = _channel_plan(self.config)
         return [
-            build_reader(self.config, placement.reader_id)
+            build_reader(
+                self.config,
+                placement.reader_id,
+                channel_offset=assignment[placement.reader_id],
+                interference=interference[placement.reader_id],
+            )
             for placement in self.topology.readers
         ]
 

@@ -11,7 +11,9 @@ two halves of that argument on drawn topologies and seeds:
 - *safety* — every tag a reader actually reports in the full simulation
   is inside its culled shard (the cull never drops a reachable tag);
 - *effectiveness* — on an aisle whose far end lies beyond the antenna
-  range, the cull genuinely shrinks the shard (the fast path engages).
+  range, the cull genuinely shrinks the shard (the fast path engages);
+- *oracle agreement* — the vectorised cull returns exactly the index
+  lists of the per-orbit scalar cull kept in ``tests/site/oracles.py``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from repro.site.site import (
     site_epcs,
 )
 from repro.site.topology import line_site, ring_site
+from tests.site.oracles import reachable_tag_indices_reference
 
 
 def _config(layout, n_readers, n_tags, seed, loss, n_mobile):
@@ -131,3 +134,34 @@ def test_mobile_tags_culled_by_orbit_not_grid_slot():
     culled = simulate_site(config, workers=1, cull=True)
     full = simulate_site(config, workers=1, cull=False)
     assert culled.canonical_bytes() == full.canonical_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(["ring", "line"]),
+    n_readers=st.integers(min_value=1, max_value=6),
+    n_tags=st.sampled_from([24, 60, 150, 400]),
+    range_m=st.sampled_from([2.0, 5.0, 9.0]),
+    n_mobile=st.sampled_from([0, 1, 7]),
+    range_scale=st.sampled_from([1.0, 1.3]),
+)
+def test_vectorised_cull_matches_per_orbit_oracle(
+    layout, n_readers, n_tags, range_m, n_mobile, range_scale
+):
+    """The memoised, vectorised cull returns the oracle's exact lists.
+
+    ``range_scale=1.3`` is the supervisor's coverage boost; the short
+    ranges make ring layouts cull too, so both return shapes (``None``
+    and an index list) are compared.
+    """
+    if layout == "ring":
+        topology = ring_site(n_readers, n_tags, radius_m=3.0, range_m=range_m)
+    else:
+        topology = line_site(n_readers, n_tags, pitch_m=3.0, range_m=range_m)
+    config = SiteConfig(topology=topology, n_mobile=n_mobile)
+    for placement in topology.readers:
+        assert reachable_tag_indices(
+            config, placement.reader_id, range_scale=range_scale
+        ) == reachable_tag_indices_reference(
+            config, placement.reader_id, range_scale=range_scale
+        )

@@ -241,6 +241,22 @@ class TestSiteCommand:
         captured = capsys.readouterr()
         assert "differential check FAILED" in captured.out + captured.err
 
+    def test_mobile_flag_reaches_one_shot_config(self, tmp_path):
+        """``site --mobile N`` puts N orbiting tags into the one-shot run."""
+        import json
+
+        base = ["site", "--layout", "line", "--readers", "3", "--tags",
+                "120", "--duration", "0.1"]
+        mobile_out = tmp_path / "mobile.json"
+        still_out = tmp_path / "still.json"
+        assert main(base + ["--mobile", "5", "--out", str(mobile_out)]) == 0
+        assert main(base + ["--out", str(still_out)]) == 0
+        mobile = json.loads(mobile_out.read_text())
+        still = json.loads(still_out.read_text())
+        assert mobile["config"]["n_mobile"] == 5
+        assert "n_mobile" not in still["config"]
+        assert mobile["fusion"] != still["fusion"]
+
 
 class TestCleanFailures:
     @pytest.mark.parametrize(
@@ -252,6 +268,8 @@ class TestCleanFailures:
             (["site", "--chaos", "--outages", "-1"], "must be non-negative"),
             (["site", "--readers", "0"], "need at least one reader"),
             (["site", "--loss", "1.5"], "read loss must be a probability"),
+            (["site", "--tags", "10", "--mobile", "11"],
+             "mobile tag count must lie within the population"),
         ],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
