@@ -20,20 +20,22 @@ test-site:
 		tests/experiments/test_parallel.py \
 		tests/experiments/test_site_soak.py tests/faults/test_site_plan.py
 
+# The repository benchmark: four workloads, every metric (bench/README.md).
 bench:
-	python -m repro bench --name all --scale smoke
+	python3 bench/run.py
 
+# A traced smoke-scale Fig 2 run; CI schema-checks the Chrome trace it writes.
 bench-smoke:
-	python -m repro bench --name fig02 --scale smoke \
-		--trace-out trace_fig02.json --out-dir .
+	python -m repro figure fig2 --scale smoke --trace-out trace_fig02.json
 
 bench-micro:
 	pytest benchmarks/ --benchmark-only -s
 
-# Perf gate: re-run the workloads and fail if simulated-slots-per-second
-# drops more than 25% below the committed BENCH_<name>.json baselines.
+# Perf gate: one full-size benchmark run at seed 1; fails on a wrong digest
+# or when execution_s or peak_rss_mb exceeds ci/perf_baseline.json by more
+# than its BENCHMARK.json bound (ci/perf_floor.py).
 bench-compare:
-	python -m repro bench-compare --name all --scale smoke
+	python3 ci/perf_floor.py
 
 # Self-tests of the repository benchmark (bench/): span arithmetic, the
 # boundary matrix per workload, metric names against BENCHMARK.json.  A
@@ -41,11 +43,11 @@ bench-compare:
 bench-selftest:
 	python3 -m pytest bench/tests -q
 
-# Intentional-change override for the perf gate: regenerate the committed
-# baselines.  Run on a quiet machine, eyeball the diff, commit it with the
-# change that moved the numbers.
+# Intentional-change override for the perf gate: re-record the committed
+# baseline as the per-metric median of three runs.  Run on a quiet machine,
+# eyeball the diff, commit it with the change that moved the numbers.
 bench-refresh:
-	python -m repro bench --name all --scale smoke --out-dir .
+	python3 ci/perf_floor.py --refresh
 
 # Full chaos soak: 2000 supervised cycles under the seeded fault schedule
 # (reader crashes, jamming, blackouts, churn, kills, checkpoint

@@ -18,11 +18,6 @@ Commands
     Run Tagwatch under an injected fault plan with the resilient client and
     export the structured metrics (retries, backoff, drops, IRR) as JSON;
     ``--sweep`` charts a whole loss-rate degradation curve instead.
-``bench [--name fig02,fig18 --scale smoke|paper|large --out-dir D]``
-    Run the profiling workloads under tracing, print the per-phase time
-    budget (plus a per-reader wall table for the site workload), and
-    write one ``BENCH_<name>.json`` per workload; non-smoke scales land
-    under the file's ``tiers`` key.
 ``soak [--cycles N --seed S --out F]``
     Chaos soak: run the supervised runtime (checkpointing, watchdog,
     escalation ladder) for thousands of cycles under a seeded fault
@@ -110,8 +105,8 @@ class UsageError(Exception):
 
 
 def _checked(build: Callable[..., T], *args, **kwargs) -> T:
-    """Build a fault plan or run config from flag values, turning the
-    ``ValueError`` of its validation into a :class:`UsageError`."""
+    """Build a plan, config, lab or prediction from flag values, turning
+    the ``ValueError`` of its validation into a :class:`UsageError`."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
@@ -259,8 +254,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     """Run a live Tagwatch deployment and print cycle decisions."""
-    setup = build_lab(
-        n_tags=args.tags, n_mobile=args.mobile, seed=args.seed, partition=True
+    setup = _checked(
+        build_lab,
+        n_tags=args.tags, n_mobile=args.mobile, seed=args.seed, partition=True,
     )
     tagwatch = setup.tagwatch(TagwatchConfig(phase2_duration_s=args.phase2))
     _log.info(f"warming up ({args.warmup:.0f} s of read-all inventory)...")
@@ -296,17 +292,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     """Print the analytic gain curve and break-even point."""
     rows = []
     for percent in (2.0, 5.0, 10.0, 15.0, 20.0, 30.0):
-        rows.append(
-            [percent, predicted_gain(PAPER_R420, args.tags, percent, args.phase2)]
+        gain = _checked(
+            predicted_gain, PAPER_R420, args.tags, percent, args.phase2
         )
+        rows.append([percent, gain])
+    breakeven = _checked(breakeven_percent, PAPER_R420, args.tags, args.phase2)
     _log.info(
         format_table(
             ["% mobile", "predicted naive gain"],
             rows,
             title=(
                 f"Analytic Fig 18 (n={args.tags}, Phase II {args.phase2:.0f}s); "
-                f"break-even at "
-                f"{breakeven_percent(PAPER_R420, args.tags, args.phase2):.1f}%"
+                f"break-even at {breakeven:.1f}%"
             ),
         )
     )
@@ -449,7 +446,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     """Run the chaos soak harness; non-zero exit on invariant violations."""
     from repro.experiments import soak
 
-    config = soak.SoakConfig(
+    config = _checked(
+        soak.SoakConfig,
         n_cycles=args.cycles,
         seed=args.seed,
         n_tags=args.tags,
@@ -827,53 +825,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the profiling workloads; print and export the time budget."""
-    from repro.obs import bench as bench_module
-
-    names = (
-        sorted(bench_module.WORKLOADS)
-        if args.name == "all"
-        else args.name.split(",")
-    )
-    results = []
-    for name in names:
-        results.append(
-            bench_module.run_bench(
-                name.strip(),
-                scale=args.scale,
-                warmup=args.warmup,
-                repeats=args.repeats,
-            )
-        )
-    _log.info(bench_module.format_report(results))
-    for result in results:
-        if result.readers:
-            _log.info(bench_module.format_reader_table(result))
-    if not args.no_write:
-        for result in results:
-            path = bench_module.write_bench(result, args.out_dir)
-            _log.info(f"wrote {path}")
-    return 0
-
-
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """Gate: compare fresh bench runs against the committed baselines."""
-    from repro.obs import bench_compare as compare_module
-
-    names = None if args.name == "all" else args.name.split(",")
-    report = compare_module.run_compare(
-        names=names,
-        scale=args.scale,
-        baseline_dir=args.baseline_dir,
-        max_regression=args.max_regression,
-        warmup=args.warmup,
-        repeats=args.repeats,
-    )
-    _log.info(compare_module.format_compare(report))
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -1148,66 +1099,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="", help="write the JSON health report here"
     )
 
-    p_bench = sub.add_parser(
-        "bench", help="profile the workloads: per-phase time budget",
-        parents=obs_parents,
-    )
-    p_bench.add_argument(
-        "--name", default="all",
-        help='comma-separated workload names, or "all" '
-        "(fig02, fig18, site, soak)",
-    )
-    p_bench.add_argument(
-        "--scale", choices=("smoke", "paper", "large"), default="smoke",
-        help="large: the 24-reader x 10k-tag warehouse site tier "
-        "(site workload; other workloads run at paper scale)",
-    )
-    p_bench.add_argument(
-        "--out-dir", default=".", help="where BENCH_<name>.json files land"
-    )
-    p_bench.add_argument(
-        "--no-write", action="store_true", help="print the table only"
-    )
-    p_bench.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed warm-up executions per workload (default 1)",
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed executions per workload; fastest wins (default 3)",
-    )
-
-    p_compare = sub.add_parser(
-        "bench-compare",
-        help="re-run the workloads and fail on throughput regressions "
-        "against the committed BENCH_<name>.json baselines",
-    )
-    p_compare.add_argument(
-        "--name", default="all",
-        help='comma-separated workload names, or "all" '
-        "(fig02, fig18, site, soak)",
-    )
-    p_compare.add_argument(
-        "--scale", choices=("smoke", "paper", "large"), default="smoke",
-        help="gate against the matching tier of the committed baseline "
-        "(see the tiers key of BENCH_site.json)",
-    )
-    p_compare.add_argument(
-        "--baseline-dir", default=".",
-        help="directory holding the BENCH_<name>.json baselines",
-    )
-    p_compare.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="tolerated fractional slots/s drop before failing (default 0.25)",
-    )
-    p_compare.add_argument(
-        "--warmup", type=int, default=1,
-        help="untimed warm-up executions per workload (default 1)",
-    )
-    p_compare.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed executions per workload; fastest wins (default 3)",
-    )
     return parser
 
 
@@ -1219,8 +1110,6 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "faults": cmd_faults,
     "predict": cmd_predict,
     "rospec": cmd_rospec,
-    "bench": cmd_bench,
-    "bench-compare": cmd_bench_compare,
     "site": cmd_site,
     "soak": cmd_soak,
     "health": cmd_health,

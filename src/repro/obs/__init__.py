@@ -1,6 +1,6 @@
 """Observability: simulation-time tracing, structured logs, telemetry.
 
-The subsystem has four parts, designed to be near-zero cost when unused:
+The subsystem has three parts, designed to be near-zero cost when unused:
 
 - :mod:`repro.obs.tracer` — a span/event tracer clocked on *simulated*
   time (wall-clock annotations on the side).  Instrumentation across the
@@ -11,9 +11,6 @@ The subsystem has four parts, designed to be near-zero cost when unused:
   JSON (Perfetto-compatible), and Prometheus text exposition.
 - :mod:`repro.obs.logging` — a structured logger whose default format is
   byte-identical to the bare ``print()`` it replaced.
-- :mod:`repro.obs.bench` — the profiling/benchmark harness behind
-  ``python -m repro bench`` (imported lazily; it pulls in the experiment
-  drivers).
 
 This module additionally hosts the *ambient metrics registry*: app-level
 telemetry (Tagwatch cycle counters and timing histograms) is recorded only

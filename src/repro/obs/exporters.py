@@ -15,8 +15,8 @@ excluded unless explicitly requested:
   :class:`~repro.util.metrics.MetricsRegistry` (counters as ``_total``,
   histograms as summaries with p50/p90 quantiles).
 
-:func:`validate_chrome_trace` is the schema check CI runs on every bench
-artifact.
+:func:`validate_chrome_trace` is the schema check CI runs on the trace of
+a smoke-scale ``--trace-out`` run.
 """
 
 from __future__ import annotations

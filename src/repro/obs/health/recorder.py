@@ -12,11 +12,11 @@ Because records land in completion order and a top-level (depth-0) span
 closes only after all of its children, a "cycle" is a contiguous slice of
 ``records`` ending at the depth-0 span — so eviction is a single
 ``del records[:cut]``.  Memory is bounded by the capacity times the
-per-cycle record volume; with ``detail="round"`` (the default here, as in
-the bench harness) that is a few dozen records per cycle.
+per-cycle record volume; with ``detail="round"`` (the default here) that
+is a few dozen records per cycle.
 
-Eviction is observable through ``on_evict`` (the bench harness collects
-evicted records so its analysis still covers the whole run) and through
+Eviction is observable through ``on_evict`` (a caller that needs the whole
+run collects the evicted records there) and through
 the ``evicted_spans`` / ``evicted_events`` tallies (what an incident
 bundle reports as its truncation note).  ``absorb()`` keeps the merged
 sequence identical to a sequential run's before applying the same

@@ -110,8 +110,8 @@ class Tracer:
 
     #: Whether per-frame spans are wanted.  Frame spans dominate trace
     #: volume (and tracing overhead) in inventory-heavy runs; aggregate
-    #: users like the bench harness ask for ``detail="round"`` and rely on
-    #: the ``n_frames``/``n_slots`` args of the round span instead.
+    #: users like the flight recorder ask for ``detail="round"`` and rely
+    #: on the ``n_frames``/``n_slots`` args of the round span instead.
     frame_detail: bool = True
 
     def __init__(

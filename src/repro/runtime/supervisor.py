@@ -24,7 +24,7 @@ so it can be *rebuilt* after a crash) and enforces:
 
 Every watchdog fire, escalation step, restart, and checkpoint write/load
 is emitted as a trace event (category ``runtime``) and counted in the
-metrics registries, so recovery overhead shows up in ``BENCH_*.json`` and
+metrics registries, so recovery overhead shows up in telemetry exports and
 Perfetto traces alongside the regular cycle budget.
 """
 

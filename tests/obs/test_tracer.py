@@ -1,4 +1,6 @@
-"""Tracer: nesting, ambient installation, null path, determinism."""
+"""Tracer: nesting, ambient installation, null path, determinism, overhead."""
+
+import time
 
 from repro.obs import (
     NULL_TRACER,
@@ -118,3 +120,68 @@ def test_same_workload_exports_byte_identically():
     # Wall annotations differ between the runs but are excluded by default.
     spans = [r for r in first.records if isinstance(r, Span)]
     assert any(s.wall_duration_s >= 0.0 for s in spans)
+
+
+def _time_fig02(repeats=3):
+    from repro.experiments import fig02_irr
+
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fig02_irr.run(tag_counts=(1, 5, 10, 20), initial_qs=(4,), repeats=4)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_disabled_tracer_overhead_is_small():
+    """Acceptance: tracing off must cost < 2% wall on the fig02 workload.
+
+    Timing comparisons on shared CI boxes are noisy, so the assertion
+    allows generous headroom over the 2% budget while still catching a
+    pathological regression (e.g. per-slot work no longer gated on
+    ``tracer.enabled``).
+    """
+    baseline = _time_fig02()
+    traced = Tracer()
+    with use_tracer(traced):
+        _time_fig02(repeats=1)
+    disabled = _time_fig02()
+    assert disabled <= baseline * 1.25 + 0.05
+
+
+def _time_fig18(tracer):
+    from repro.experiments import fig18_gain
+
+    start = time.perf_counter()
+    with use_tracer(tracer):
+        fig18_gain.run(
+            percents=(5.0, 20.0),
+            populations=(40,),
+            n_cycles=4,
+            warmup_cycles=1,
+            phase2_duration_s=1.0,
+        )
+    return time.perf_counter() - start
+
+
+def test_flight_recorder_overhead_is_bounded():
+    """The always-on flight recorder must stay cheap on full Tagwatch cycles.
+
+    Five alternating pairs of an untraced and a recorded run; the bound
+    has the same form as the disabled-tracer test above and must hold in
+    at least three pairs.  The two runs of a pair share the host's load,
+    whereas a best-of-five per side can pair a quiet untraced run with
+    recorded runs that all fell in a later busy spell.  The measured
+    ratios are in docs/observability.md.
+    """
+    from repro.obs.health import FlightRecorder
+
+    pairs = [
+        (
+            _time_fig18(None),
+            _time_fig18(FlightRecorder(capacity_cycles=8, detail="round")),
+        )
+        for _ in range(5)
+    ]
+    within = [flight <= untraced * 1.25 + 0.05 for untraced, flight in pairs]
+    assert sum(within) >= 3, pairs

@@ -109,32 +109,6 @@ class TestObservabilityWiring:
         assert "# TYPE tagwatch_cycles_total counter" in text
         assert "tagwatch_cycles_total 1" in text
 
-    def test_bench_command(self, tmp_path, capsys):
-        import json
-
-        assert (
-            main(
-                ["bench", "--name", "fig02", "--scale", "smoke",
-                 "--out-dir", str(tmp_path)]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "fig02/smoke" in out
-        data = json.loads((tmp_path / "BENCH_fig02.json").read_text())
-        assert data["counts"]["rounds"] > 0
-        assert not (tmp_path / "BENCH_fig18.json").exists()
-
-    def test_bench_no_write(self, tmp_path, capsys):
-        assert (
-            main(
-                ["bench", "--name", "fig02", "--no-write",
-                 "--out-dir", str(tmp_path)]
-            )
-            == 0
-        )
-        assert list(tmp_path.iterdir()) == []
-
 
 class TestHealthCommand:
     def test_fault_free_report_is_ok(self, tmp_path, capsys):
@@ -270,6 +244,11 @@ class TestCleanFailures:
             (["site", "--loss", "1.5"], "read loss must be a probability"),
             (["site", "--tags", "10", "--mobile", "11"],
              "mobile tag count must lie within the population"),
+            (["soak", "--cycles", "0"], "need at least one cycle"),
+            (["demo", "--tags", "0"], "more mobile tags than tags"),
+            (["demo", "--tags", "5", "--mobile", "9"],
+             "more mobile tags than tags"),
+            (["predict", "--tags", "0"], "need 0 <= n_targets <= n_tags"),
         ],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
