@@ -12,11 +12,11 @@ field.  The package splits the problem into four deterministic layers:
 - :mod:`repro.site.fusion` — the fusion layer: dedups and merges tag
   reports across readers with per-EPC provenance and deterministic
   staleness arbitration;
-- :mod:`repro.site.site` — the :class:`Site` itself, which binds one
-  :class:`~repro.reader.SimReader` per placement and shards the simulation
-  across the deterministic process pool
-  (:func:`repro.experiments.parallel.parallel_map`), one worker per reader
-  group, with byte-stable results at every worker count;
+- :mod:`repro.site.site` — :func:`~repro.site.site.simulate_site`, which
+  runs one :class:`~repro.reader.SimReader` task per placement across the
+  deterministic process pool
+  (:func:`repro.experiments.parallel.parallel_map`) and fuses the reports,
+  with byte-stable results at every worker count;
 - :mod:`repro.site.supervisor` — the :class:`SiteSupervisor`: epoch-driven
   fleet supervision with a missed-report watchdog, dynamic channel
   re-planning over survivors, coverage rebalancing, warm rejoin from
@@ -29,7 +29,7 @@ failover story.
 
 from repro.site.channels import ChannelCoordinator
 from repro.site.fusion import FusedRecord, FusionLayer, TagReport
-from repro.site.site import Site, SiteConfig, SiteRun, simulate_site
+from repro.site.site import SiteConfig, SiteRun, simulate_site
 from repro.site.supervisor import (
     OutageEpisode,
     SiteChaosReport,
@@ -58,7 +58,6 @@ __all__ = [
     "line_site",
     "ring_site",
     "site_config_hash",
-    "Site",
     "SiteConfig",
     "SiteRun",
     "simulate_site",

@@ -29,7 +29,9 @@ at every epoch barrier it
   :class:`~repro.obs.health.monitor.SiteHealthMonitor`.
 
 Determinism contract: every epoch fans one pure task per reader through
-:func:`~repro.experiments.parallel.parallel_map` and makes *all*
+:func:`~repro.experiments.parallel.parallel_map` — the same reader task
+and fusion fold as the one-shot :func:`~repro.site.site.simulate_site` —
+and makes *all*
 decisions at the barrier, in ascending reader order, from the returned
 summaries alone — so a supervised run is byte-identical across
 ``workers=1`` and ``workers=N`` (the chaos-soak differential test pins
@@ -43,19 +45,18 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.experiments.parallel import parallel_map
 from repro.obs.health.monitor import HealthPolicy, SiteHealthMonitor
 from repro.obs.tracer import get_tracer
 from repro.runtime.checkpoint import CheckpointStore, CheckpointUnavailable
 from repro.runtime.invariants import SiteInvariantSuite, Violation
-from repro.site.fusion import FusionLayer, TagReport
+from repro.site.fusion import FusionLayer
 from repro.site.site import (
     SiteConfig,
-    build_reader,
+    _channel_plan,
+    _run_readers,
     mobile_tag_indices,
-    run_faulted_interval,
     site_epcs,
     site_tags,
 )
@@ -158,75 +159,6 @@ class OutageEpisode:
             "replayed_new": self.replayed_new,
             "bundle": self.bundle,
         }
-
-
-def _simulate_reader_epoch(
-    config_dict: Dict[str, object],
-    reader_id: int,
-    epoch_index: int,
-    t0: float,
-    epoch_s: float,
-    channel_offset: int,
-    interference: float,
-    range_scale: float,
-) -> dict:
-    """Worker task: one reader, one supervision epoch.
-
-    Module-level and pure against its picklable arguments (the
-    :func:`parallel_map` contract): the reader is rebuilt from the config
-    with the supervisor's current plan overrides, fast-forwarded to the
-    epoch start, and run under the fault plan.  Seeds are salted with the
-    epoch index so every epoch draws independent randomness regardless of
-    which worker runs it.
-    """
-    config = SiteConfig.from_dict(config_dict)
-    reader = build_reader(
-        config,
-        reader_id,
-        channel_offset=channel_offset,
-        interference=interference,
-        range_scale=range_scale,
-        seed_salt=f"-epoch-{epoch_index}",
-    )
-    if t0 > 0:
-        reader.advance_clock(t0)
-    tracer = get_tracer()
-    span = None
-    if tracer.enabled:
-        span = tracer.begin(
-            "site_reader_epoch",
-            t=reader.time_s,
-            category="site",
-            reader=reader_id,
-            epoch=epoch_index,
-        )
-    observations, log, fault_stats = run_faulted_interval(
-        reader, config, reader_id, epoch_s, fault_salt=f"e{epoch_index}"
-    )
-    if span is not None:
-        tracer.end(
-            span,
-            t=reader.time_s,
-            n_reports=len(observations),
-            n_rounds=log.n_rounds,
-        )
-    return {
-        "reader_id": reader_id,
-        "epoch": epoch_index,
-        "reports": [
-            TagReport.from_observation(obs, reader_id).to_row()
-            for obs in observations
-        ],
-        "n_rounds": log.n_rounds,
-        "n_slots": log.n_slots,
-        "n_lost": log.n_lost,
-        "channel_offset": channel_offset,
-        "range_scale": round(range_scale, 9),
-        "read_loss_probability": round(
-            reader.engine.read_loss_probability, 9
-        ),
-        "faults": fault_stats,
-    }
 
 
 @dataclass
@@ -357,17 +289,11 @@ class SiteSupervisor:
             epc.value for epc in site_epcs(config)
         )
         self.invariants = SiteInvariantSuite(self.truth_epc_values)
-        topology = config.topology
-        self.reader_ids = [p.reader_id for p in topology.readers]
+        self.reader_ids = [p.reader_id for p in config.topology.readers]
         self.epoch_index = 0
         self.believed_dead: Set[int] = set()
         self._silent: Dict[int, int] = {rid: 0 for rid in self.reader_ids}
-        self._assignment: Dict[int, int] = dict(
-            config.coordinator.assign(topology)
-        )
-        self._interference: Dict[int, float] = dict(
-            config.coordinator.interference_loss(topology)
-        )
+        self._assignment, self._interference = _channel_plan(config)
         self._range_scale: Dict[int, float] = {
             rid: 1.0 for rid in self.reader_ids
         }
@@ -453,25 +379,27 @@ class SiteSupervisor:
         policy = self.policy
         t0 = round(self.epoch_index * policy.epoch_s, 9)
         t1 = round(t0 + policy.epoch_s, 9)
-        config_dict = self.config.to_dict()
-        tasks: List[Tuple] = [
-            (
-                config_dict,
-                rid,
-                self.epoch_index,
-                t0,
-                policy.epoch_s,
+        # The rows this epoch runs on; the barrier's re-plan below must
+        # not leak into this epoch's record.
+        rows = {
+            rid: (
                 self._assignment[rid],
-                self._interference.get(rid, 0.0),
+                self._interference[rid],
                 self._range_scale[rid],
             )
             for rid in self.reader_ids
-        ]
-        summaries = parallel_map(
-            _simulate_reader_epoch, tasks, workers=workers
+        }
+        summaries = _run_readers(
+            self.config,
+            rows,
+            self.fusion,
+            t0=t0,
+            duration_s=policy.epoch_s,
+            seed_salt=f"-epoch-{self.epoch_index}",
+            fault_salt=f"e{self.epoch_index}",
+            cull=True,
+            workers=workers,
         )
-        for summary in summaries:
-            self.fusion.ingest_rows(summary["reports"])
 
         # Watchdog: silence bookkeeping in ascending reader order.
         newly_dead: List[int] = []
@@ -573,8 +501,8 @@ class SiteSupervisor:
                     "reader_id": s["reader_id"],
                     "n_reports": len(s["reports"]),
                     "n_rounds": s["n_rounds"],
-                    "channel_offset": s["channel_offset"],
-                    "range_scale": s["range_scale"],
+                    "channel_offset": rows[s["reader_id"]][0],
+                    "range_scale": round(rows[s["reader_id"]][2], 9),
                 }
                 for s in summaries
             ],

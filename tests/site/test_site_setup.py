@@ -1,12 +1,13 @@
 """Site-wide set-up is paid once per site, not once per reader.
 
 The channel plan (an R×R reader-pair table) is computed once by
-``simulate_site`` and ``Site.readers`` and handed to each reader, and the
-readers built that way are the readers ``build_reader`` builds on its own.
+``simulate_site``, and once by ``SiteSupervisor`` until a reader dies,
+and handed to each reader task as its row.
 """
 
 from repro.site.channels import ChannelCoordinator
-from repro.site.site import Site, SiteConfig, build_reader, simulate_site
+from repro.site.site import SiteConfig, simulate_site
+from repro.site.supervisor import SiteSupervisor
 from repro.site.topology import line_site
 
 
@@ -21,7 +22,7 @@ def _config():
     )
 
 
-def test_simulate_site_plans_channels_once(monkeypatch):
+def _count_plans(monkeypatch):
     calls = []
     original = ChannelCoordinator.interference_loss
 
@@ -30,30 +31,17 @@ def test_simulate_site_plans_channels_once(monkeypatch):
         return original(self, topology, alive)
 
     monkeypatch.setattr(ChannelCoordinator, "interference_loss", counting)
+    return calls
+
+
+def test_simulate_site_plans_channels_once(monkeypatch):
+    calls = _count_plans(monkeypatch)
     simulate_site(_config(), workers=1)
     assert calls == [None]
 
 
-def _fingerprint(reader):
-    observations, log = reader.run_duration(0.05)
-    return (
-        reader.engine.read_loss_probability,
-        reader.scene.channel_plan,
-        [tag.epc for tag in reader.scene.tags],
-        observations,
-        (log.n_rounds, log.n_slots, log.n_lost),
-    )
-
-
-def test_site_readers_equal_default_build_reader():
-    config = _config()
-    readers = Site(config).readers()
-    assert len(readers) == config.topology.n_readers
-    losses = set()
-    for placement, reader in zip(config.topology.readers, readers):
-        expected = build_reader(config, placement.reader_id)
-        assert _fingerprint(reader) == _fingerprint(expected)
-        losses.add(reader.engine.read_loss_probability)
-    # The plan genuinely differs per reader (edge vs interior readers).
-    assert len(losses) > 1
-
+def test_supervisor_plans_channels_once_without_deaths(monkeypatch):
+    calls = _count_plans(monkeypatch)
+    report = SiteSupervisor(_config()).run(3, workers=1)
+    assert report.n_deaths == 0
+    assert calls == [None]
