@@ -92,7 +92,7 @@ class TestStaleness:
             health.observe_cycle(cycle(i, float(i), reads=(1, 2, 3, 4)))
         assert tracker.n_errors == 1
         health.observe_cycle(cycle(4, 4.0, reads=(7, 1, 2, 3)))
-        assert health._unread_healthy[7] == 0
+        assert health.staleness.counts[7] == 0
         assert tracker.n_errors == 1  # reading it stopped the bleeding
 
     def test_unhealthy_cycles_hold_the_clock(self):
