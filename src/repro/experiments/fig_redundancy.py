@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.logging import get_logger
 from repro.site.channels import ChannelCoordinator
-from repro.site.fusion import FusionLayer
 from repro.site.site import SiteConfig, SiteRun, simulate_site
 from repro.site.topology import ring_site
 from repro.util.tables import format_table
@@ -195,13 +194,6 @@ def format_report(result: RedundancyResult) -> str:
         f"throughput cost monotone: {result.monotone_throughput_cost}"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def fused_inventory(
-    result_config: SiteConfig, workers: Optional[int] = None
-) -> FusionLayer:
-    """Convenience: the fused inventory of one site run (for notebooks)."""
-    return simulate_site(result_config, workers=workers).fusion
 
 
 def main() -> None:  # pragma: no cover - CLI entry
