@@ -260,9 +260,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     )
     tagwatch = setup.tagwatch(TagwatchConfig(phase2_duration_s=args.phase2))
     _log.info(f"warming up ({args.warmup:.0f} s of read-all inventory)...")
-    tagwatch.warm_up(args.warmup)
+    _checked(tagwatch.warm_up, args.warmup)
     rows = []
-    for result in tagwatch.run(args.cycles):
+    for result in _checked(tagwatch.run, args.cycles):
         masks = (
             ", ".join(str(b) for b in result.plan.selection.bitmasks)
             if result.plan
@@ -336,7 +336,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 report_loss=rate,
                 disconnect_at_s=tuple(args.disconnect_at),
             )
-        result = fault_sweep.run(
+        result = _checked(
+            fault_sweep.run,
             loss_rates=rates,
             n_tags=args.tags,
             n_mobile=args.mobile,
@@ -370,7 +371,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
             disconnect_at_s=tuple(args.disconnect_at),
             blackouts=tuple(args.blackout),
         )
-    setup = build_lab(
+    setup = _checked(
+        build_lab,
         n_tags=args.tags,
         n_mobile=args.mobile,
         seed=args.seed,
@@ -384,10 +386,10 @@ def cmd_faults(args: argparse.Namespace) -> int:
             population_grace_cycles=2,
         )
     )
-    tagwatch.warm_up(args.warmup)
+    _checked(tagwatch.warm_up, args.warmup)
     monitor = TagwatchMonitor(window=max(args.cycles, 1))
     rows = []
-    for result in tagwatch.run(args.cycles):
+    for result in _checked(tagwatch.run, args.cycles):
         monitor.record(result)
         rows.append(
             [
@@ -460,8 +462,10 @@ def cmd_soak(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir or None,
         bundle_dir=args.bundle_dir or None,
     )
-    if args.runs > 1:
-        reports = soak.run_many(config, runs=args.runs, workers=args.workers)
+    if args.runs != 1:
+        reports = _checked(
+            soak.run_many, config, runs=args.runs, workers=args.workers
+        )
         for report in reports:
             _log.info(soak.format_report(report))
         survived = sum(1 for r in reports if r.ok)
@@ -714,13 +718,14 @@ def cmd_health(args: argparse.Namespace) -> int:
         if args.blackout or args.loss
         else None
     )
-    setup = build_lab(
+    recorder = _checked(FlightRecorder, capacity_cycles=args.flight_capacity)
+    setup = _checked(
+        build_lab,
         n_tags=args.tags,
         n_mobile=args.mobile,
         seed=args.seed,
         fault_plan=plan,
     )
-    recorder = FlightRecorder(capacity_cycles=args.flight_capacity)
     health = HealthMonitor(
         recorder=recorder,
         incident_dir=args.bundle_dir or None,
@@ -810,7 +815,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.experiments import report as report_module
 
     only = args.only.split(",") if args.only else None
-    results = report_module.run(scale=args.scale, only=only)
+    results = _checked(report_module.run, scale=args.scale, only=only)
     document = report_module.to_markdown(results, args.scale)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -171,6 +171,8 @@ def run(
     Points are independent fresh labs, so ``workers > 1`` runs them over a
     process pool with identical results.
     """
+    if n_cycles < 1:
+        raise ValueError("need at least one cycle")
     tasks = [
         (
             rate,

@@ -159,10 +159,15 @@ def run(
     """Run the selected figure drivers and collect their reports."""
     if scale not in ("smoke", "paper"):
         raise ValueError("scale must be 'smoke' or 'paper'")
+    sections = [
+        section
+        for section in _sections(scale)
+        if only is None or section[0] in only
+    ]
+    if not sections:
+        raise ValueError(f"no figures matched {only!r}")
     results: List[SectionResult] = []
-    for figure_id, title, runner in _sections(scale):
-        if only is not None and figure_id not in only:
-            continue
+    for figure_id, title, runner in sections:
         start = time.perf_counter()
         body = runner()
         results.append(
@@ -173,8 +178,6 @@ def run(
                 wall_s=time.perf_counter() - start,
             )
         )
-    if not results:
-        raise ValueError(f"no figures matched {only!r}")
     return results
 
 

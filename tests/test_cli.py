@@ -249,6 +249,17 @@ class TestCleanFailures:
             (["demo", "--tags", "5", "--mobile", "9"],
              "more mobile tags than tags"),
             (["predict", "--tags", "0"], "need 0 <= n_targets <= n_tags"),
+            (["health", "--flight-capacity", "0"],
+             "flight recorder needs capacity >= 1 cycle"),
+            (["health", "--tags", "0"], "more mobile tags than tags"),
+            (["faults", "--tags", "0"], "more mobile tags than tags"),
+            (["faults", "--cycles", "0"], "need at least one cycle"),
+            (["faults", "--sweep", "0.1", "--cycles", "0"],
+             "need at least one cycle"),
+            (["demo", "--cycles", "0"], "need at least one cycle"),
+            (["demo", "--warmup", "0"], "warm-up duration must be positive"),
+            (["reproduce", "--only", "bogus"], "no figures matched"),
+            (["soak", "--runs", "0"], "need at least one run"),
         ],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
