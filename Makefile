@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-faults test-runtime test-site bench bench-smoke bench-micro bench-compare bench-refresh bench-selftest soak soak-smoke site-smoke site-scale-smoke site-chaos-smoke health-smoke examples reproduce clean
+.PHONY: install test test-faults test-runtime test-site bench bench-smoke bench-compare bench-refresh bench-selftest soak soak-smoke site-smoke site-scale-smoke site-chaos-smoke health-smoke examples reproduce clean
 
 install:
 	python setup.py develop
@@ -27,9 +27,6 @@ bench:
 # A traced smoke-scale Fig 2 run; CI schema-checks the Chrome trace it writes.
 bench-smoke:
 	python -m repro figure fig2 --scale smoke --trace-out trace_fig02.json
-
-bench-micro:
-	pytest benchmarks/ --benchmark-only -s
 
 # Perf gate: one full-size benchmark run at seed 1; fails on a wrong digest
 # or when execution_s or peak_rss_mb exceeds ci/perf_baseline.json by more
@@ -118,5 +115,5 @@ reproduce:
 	python -m repro reproduce --scale paper --out reproduction_report.md
 
 clean:
-	rm -rf .pytest_cache .benchmarks src/*.egg-info
+	rm -rf .pytest_cache src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

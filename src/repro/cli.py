@@ -65,19 +65,7 @@ from repro.core import TagwatchConfig
 from repro.core.analysis import breakeven_percent, predicted_gain
 from repro.core.cost import PAPER_R420
 from repro.core.scheduler import TargetScheduler
-from repro.experiments import (
-    fig01_tracking,
-    fig02_irr,
-    fig03_trace,
-    fig08_gmm,
-    fig12_roc,
-    fig13_sensitivity,
-    fig14_learning,
-    fig15_feasibility,
-    fig17_cost,
-    fig18_gain,
-    fig_redundancy,
-)
+from repro.experiments import report as figure_report
 from repro.experiments.harness import build_lab
 from repro.gen2.epc import random_epc_population
 from repro.obs import (
@@ -113,142 +101,24 @@ def _checked(build: Callable[..., T], *args, **kwargs) -> T:
         raise UsageError(str(exc)) from None
 
 
-#: Figure registry: id -> (description, smoke runner, paper-scale runner).
-#: Runners take ``workers`` and forward it where the driver can fan out
-#: (fig2, fig18); the rest accept and ignore it.
-FIGURES: Dict[str, tuple] = {
-    "fig1": (
-        "tracking accuracy vs stationary company",
-        lambda workers=None: fig01_tracking.format_report(
-            fig01_tracking.run(stationary_counts=(0, 14), duration_s=4.0)
-        ),
-        lambda workers=None: fig01_tracking.format_report(fig01_tracking.run()),
-    ),
-    "fig2": (
-        "IRR vs number of tags, model vs measured",
-        lambda workers=None: fig02_irr.format_report(
-            fig02_irr.run(tag_counts=(1, 5, 10, 20, 40), initial_qs=(4,),
-                          repeats=8, workers=workers)
-        ),
-        lambda workers=None: fig02_irr.format_report(
-            fig02_irr.run(workers=workers)
-        ),
-    ),
-    "fig3": (
-        "TrackPoint warehouse trace statistics (also covers Fig 4)",
-        lambda workers=None: fig03_trace.format_report(fig03_trace.run()),
-        lambda workers=None: fig03_trace.format_report(fig03_trace.run()),
-    ),
-    "fig8": (
-        "phase multi-modality of a stationary tag",
-        lambda workers=None: fig08_gmm.format_report(
-            fig08_gmm.run(duration_s=30.0)
-        ),
-        lambda workers=None: fig08_gmm.format_report(fig08_gmm.run()),
-    ),
-    "fig12": (
-        "motion-detector ROC",
-        lambda workers=None: fig12_roc.format_report(
-            fig12_roc.run(
-                n_stationary=10,
-                n_people=2,
-                monitor_duration_s=40.0,
-                mobile_duration_s=15.0,
-            )
-        ),
-        lambda workers=None: fig12_roc.format_report(fig12_roc.run()),
-    ),
-    "fig13": (
-        "detection sensitivity vs displacement",
-        lambda workers=None: fig13_sensitivity.format_report(
-            fig13_sensitivity.run(trials=8, settle_s=6.0)
-        ),
-        lambda workers=None: fig13_sensitivity.format_report(
-            fig13_sensitivity.run()
-        ),
-    ),
-    "fig14": (
-        "immobility-model learning curve",
-        lambda workers=None: fig14_learning.format_report(
-            fig14_learning.run(duration_s=20.0)
-        ),
-        lambda workers=None: fig14_learning.format_report(fig14_learning.run()),
-    ),
-    "fig15": (
-        "schedule feasibility, 2/40 targets",
-        lambda workers=None: fig15_feasibility.format_report(
-            fig15_feasibility.run(n_targets=2, duration_s=4.0)
-        ),
-        lambda workers=None: fig15_feasibility.format_report(
-            fig15_feasibility.run(n_targets=2)
-        ),
-    ),
-    "fig16": (
-        "schedule feasibility, 5/40 targets",
-        lambda workers=None: fig15_feasibility.format_report(
-            fig15_feasibility.run(n_targets=5, duration_s=4.0)
-        ),
-        lambda workers=None: fig15_feasibility.format_report(
-            fig15_feasibility.run(n_targets=5)
-        ),
-    ),
-    "fig17": (
-        "scheduling overhead CDF",
-        lambda workers=None: fig17_cost.format_report(
-            fig17_cost.run(n_tags=30, n_mobile=2, n_cycles=14, warmup_cycles=6,
-                           phase2_duration_s=0.6)
-        ),
-        lambda workers=None: fig17_cost.format_report(fig17_cost.run()),
-    ),
-    "fig18": (
-        "IRR gain vs percentage of mobile tags",
-        lambda workers=None: fig18_gain.format_report(
-            fig18_gain.run(
-                percents=(5.0, 20.0),
-                populations=(40,),
-                n_cycles=5,
-                warmup_cycles=1,
-                phase2_duration_s=1.0,
-                workers=workers,
-            )
-        ),
-        lambda workers=None: fig18_gain.format_report(
-            fig18_gain.run(workers=workers)
-        ),
-    ),
-    "redundancy": (
-        "multi-reader redundancy vs throughput (site simulation)",
-        lambda workers=None: fig_redundancy.format_report(
-            fig_redundancy.run(workers=workers)
-        ),
-        lambda workers=None: fig_redundancy.format_report(
-            fig_redundancy.run(
-                overlaps=(1, 2, 4, 8),
-                n_tags=480,
-                duration_s=1.0,
-                workers=workers,
-            )
-        ),
-    ),
-}
-
-
 def cmd_figures(_args: argparse.Namespace) -> int:
     """List every reproducible figure."""
-    rows = [[fig_id, description] for fig_id, (description, _, _) in FIGURES.items()]
+    rows = [
+        [fig_id, figure.title]
+        for fig_id, figure in figure_report.FIGURES.items()
+    ]
     _log.info(format_table(["id", "figure"], rows, title="Reproducible figures"))
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Run one figure's experiment and print its report."""
-    entry = FIGURES.get(args.id)
-    if entry is None:
-        _log.error(f"unknown figure {args.id!r}; try: python -m repro figures")
-        return 2
-    _, smoke, paper = entry
-    runner = smoke if args.scale == "smoke" else paper
-    _log.info(runner(workers=args.workers))
+    figure = figure_report.FIGURES.get(args.id)
+    if figure is None:
+        raise UsageError(
+            f"unknown figure {args.id!r}; try: python -m repro figures"
+        )
+    _log.info(figure.render(args.scale, workers=args.workers))
     return 0
 
 
@@ -498,13 +368,31 @@ def _pick(value, default):
     return default if value is None else value
 
 
+def _bundles_valid(bundle_dir: str) -> bool:
+    """Schema-check every incident bundle in ``bundle_dir``: log each
+    problem and a one-line count, and return whether all are valid."""
+    from repro.obs.health import list_bundles, validate_bundle
+
+    bundles = list_bundles(bundle_dir)
+    valid = True
+    for path in bundles:
+        for problem in validate_bundle(path):
+            _log.error(f"{path.name}: {problem}")
+            valid = False
+    _log.info(
+        f"{len(bundles)} incident bundle(s) in {bundle_dir}"
+        + ("" if valid else " — validation FAILED")
+    )
+    return valid
+
+
 def _cmd_site_chaos(args: argparse.Namespace) -> int:
     """Run the supervised chaos soak behind ``site --chaos``."""
     import tempfile
     from pathlib import Path
 
     from repro.experiments import site_soak
-    from repro.obs.health import FlightRecorder, list_bundles, validate_bundle
+    from repro.obs.health import FlightRecorder
 
     config = _checked(
         site_soak.SiteSoakConfig,
@@ -575,18 +463,8 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
             "differential check: sharded chaos run byte-identical to "
             "sequential reference"
         )
-    if args.bundle_dir:
-        bundles = list_bundles(args.bundle_dir)
-        for path in bundles:
-            problems = validate_bundle(path)
-            if problems:
-                for problem in problems:
-                    _log.error(f"{path.name}: {problem}")
-                code = 1
-        _log.info(
-            f"{len(bundles)} incident bundle(s) in {args.bundle_dir}"
-            + ("" if code == 0 else " — validation FAILED")
-        )
+    if args.bundle_dir and not _bundles_valid(args.bundle_dir):
+        code = 1
     if args.out:
         with open(args.out, "wb") as handle:
             handle.write(report.canonical_bytes())
@@ -700,12 +578,7 @@ def cmd_health(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.faults import FaultPlan
-    from repro.obs.health import (
-        FlightRecorder,
-        HealthMonitor,
-        list_bundles,
-        validate_bundle,
-    )
+    from repro.obs.health import FlightRecorder, HealthMonitor
     from repro.runtime import (
         CheckpointStore,
         Supervisor,
@@ -776,20 +649,9 @@ def cmd_health(args: argparse.Namespace) -> int:
         _log.info(f"wrote {args.out}")
     else:
         _log.info(json.dumps(report, indent=2, sort_keys=True))
-    code = 0
-    if args.bundle_dir:
-        bundles = list_bundles(args.bundle_dir)
-        for path in bundles:
-            problems = validate_bundle(path)
-            if problems:
-                for problem in problems:
-                    _log.error(f"{path.name}: {problem}")
-                code = 1
-        _log.info(
-            f"{len(bundles)} incident bundle(s) in {args.bundle_dir}"
-            + ("" if code == 0 else " — validation FAILED")
-        )
-    return code
+    if args.bundle_dir and not _bundles_valid(args.bundle_dir):
+        return 1
+    return 0
 
 
 def cmd_rospec(args: argparse.Namespace) -> int:
@@ -812,11 +674,9 @@ def cmd_rospec(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Run every figure driver and write one markdown reproduction report."""
-    from repro.experiments import report as report_module
-
     only = args.only.split(",") if args.only else None
-    results = _checked(report_module.run, scale=args.scale, only=only)
-    document = report_module.to_markdown(results, args.scale)
+    results = _checked(figure_report.run, scale=args.scale, only=only)
+    document = figure_report.to_markdown(results, args.scale)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -865,8 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_figure.add_argument("id", help="figure id, e.g. fig18")
     p_figure.add_argument(
-        "--scale", choices=("smoke", "paper"), default="smoke",
-        help="smoke: seconds; paper: the benchmark-scale run",
+        "--scale", choices=figure_report.SCALES, default="smoke",
+        help="smoke: seconds; paper: the run EXPERIMENTS.md records",
     )
     p_figure.add_argument(
         "--workers", type=int, default=None,
@@ -947,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=obs_parents,
     )
     p_reproduce.add_argument(
-        "--scale", choices=("smoke", "paper"), default="smoke"
+        "--scale", choices=figure_report.SCALES, default="smoke"
     )
     p_reproduce.add_argument(
         "--out", default="", help="output path (default: stdout)"

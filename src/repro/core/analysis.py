@@ -3,7 +3,7 @@
 The paper evaluates Tagwatch empirically; this module derives the expected
 behaviour analytically from the same inventory-cost model (Definition 1),
 so that the simulation and a back-of-envelope can be checked against each
-other (see ``benchmarks/test_bench_analysis.py``):
+other (see ``tests/paper/test_analysis.py``):
 
 - read-all IRR: every tag is read once per ``C(n)``;
 - naive rate-adaptive IRR: a Phase II sweep reads each of ``n'`` targets

@@ -1,8 +1,9 @@
 """Experiment drivers: one module per paper figure.
 
-Each module exposes ``run(...) -> <Result>`` plus ``format_report(result)``;
-benchmarks, tests and examples share these drivers (benchmarks at paper
-scale, tests at smoke scale).
+Each module exposes ``run(...) -> <Result>`` plus ``format_report(result)``.
+:data:`repro.experiments.report.FIGURES` fixes each figure's smoke and
+paper-scale arguments; the CLI, the tests (``tests/paper/`` at paper scale)
+and the examples share these drivers.
 
 Submodules load lazily (PEP 562): eagerly importing every figure driver
 both slowed ``import repro.experiments`` down and created an import cycle —

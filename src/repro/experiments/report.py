@@ -1,31 +1,176 @@
-"""One-shot reproduction report: every figure, one markdown document.
+"""Every reproducible figure in one table, and the one-shot report.
+
+:data:`FIGURES` is the one place a figure's run is written down: its
+driver module, the keyword arguments of its smoke run (seconds) and of its
+paper-scale run (the configuration EXPERIMENTS.md records), and whether the
+driver fans out over a process pool.  ``python -m repro figures``,
+``figure`` and ``reproduce`` and the paper-claim tests (``tests/paper/``)
+all read it.  Drivers are imported by id when a figure runs, so importing
+this module loads none of them.
 
 ``python -m repro reproduce --out report.md`` regenerates the measured side
 of EXPERIMENTS.md on the current code: each figure's driver runs (at smoke
-or benchmark scale) and its paper-style table is embedded, so a reader can
-diff a fresh run against the committed record.
+or paper scale) and its paper-style table is embedded, so a reader can diff
+a fresh run against the committed record.
 """
 
 from __future__ import annotations
 
+import importlib
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from types import ModuleType
+from typing import Any, Dict, List, Optional
 
-from repro.experiments import (
-    ablations,
-    fig01_tracking,
-    fig02_irr,
-    fig03_trace,
-    fig08_gmm,
-    fig12_roc,
-    fig13_sensitivity,
-    fig14_learning,
-    fig15_feasibility,
-    fig17_cost,
-    fig18_gain,
-    latency,
-)
+SCALES = ("smoke", "paper")
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure: which driver function runs it, and at what size.
+
+    ``smoke`` and ``paper`` are the driver's keyword arguments at each
+    scale; an argument left out takes the driver's default.  ``workers``
+    marks a driver that takes a ``workers`` pool size.
+    """
+
+    title: str
+    module: str
+    smoke: Dict[str, Any] = field(default_factory=dict)
+    paper: Dict[str, Any] = field(default_factory=dict)
+    workers: bool = False
+    runner: str = "run"
+    formatter: str = "format_report"
+
+    @property
+    def driver(self) -> ModuleType:
+        """The driver module, imported on first use."""
+        return importlib.import_module(f"repro.experiments.{self.module}")
+
+    def kwargs(
+        self, scale: str, workers: Optional[int] = None
+    ) -> Dict[str, Any]:
+        """The driver's keyword arguments at ``scale``."""
+        if scale not in SCALES:
+            raise ValueError("scale must be 'smoke' or 'paper'")
+        kwargs = dict(self.smoke if scale == "smoke" else self.paper)
+        if self.workers:
+            kwargs["workers"] = workers
+        return kwargs
+
+    def run(self, scale: str, workers: Optional[int] = None) -> Any:
+        """Run the driver at ``scale`` and return its result object."""
+        kwargs = self.kwargs(scale, workers)
+        return getattr(self.driver, self.runner)(**kwargs)
+
+    def format(self, result: Any) -> str:
+        """The driver's paper-style table for ``result``."""
+        return getattr(self.driver, self.formatter)(result)
+
+    def render(self, scale: str, workers: Optional[int] = None) -> str:
+        """Run the driver at ``scale`` and return its paper-style table."""
+        return self.format(self.run(scale, workers))
+
+
+FIGURES: Dict[str, Figure] = {
+    "fig1": Figure(
+        "Fig 1 — tracking accuracy vs stationary company",
+        "fig01_tracking",
+        smoke={"stationary_counts": (0, 14), "duration_s": 4.0},
+    ),
+    "fig2": Figure(
+        "Fig 2 — IRR vs number of tags, model vs measured",
+        "fig02_irr",
+        smoke={
+            "tag_counts": (1, 5, 10, 20, 40),
+            "initial_qs": (4,),
+            "repeats": 8,
+        },
+        workers=True,
+    ),
+    "fig3": Figure(
+        "Fig 3/4 — TrackPoint warehouse trace statistics", "fig03_trace"
+    ),
+    "fig8": Figure(
+        "Fig 8 — phase multi-modality of a stationary tag",
+        "fig08_gmm",
+        smoke={"duration_s": 30.0},
+    ),
+    "fig12": Figure(
+        "Fig 12 — motion-detector ROC",
+        "fig12_roc",
+        smoke={
+            "n_stationary": 10,
+            "n_people": 2,
+            "monitor_duration_s": 40.0,
+            "mobile_duration_s": 15.0,
+        },
+    ),
+    "fig13": Figure(
+        "Fig 13 — detection sensitivity vs displacement",
+        "fig13_sensitivity",
+        smoke={"trials": 8, "settle_s": 6.0},
+    ),
+    "fig14": Figure(
+        "Fig 14 — immobility-model learning curve",
+        "fig14_learning",
+        smoke={"duration_s": 20.0},
+    ),
+    "fig15": Figure(
+        "Fig 15 — schedule feasibility, 2/40 targets",
+        "fig15_feasibility",
+        smoke={"n_targets": 2, "duration_s": 4.0},
+        paper={"n_targets": 2},
+    ),
+    "fig16": Figure(
+        "Fig 16 — schedule feasibility, 5/40 targets",
+        "fig15_feasibility",
+        smoke={"n_targets": 5, "duration_s": 4.0},
+        paper={"n_targets": 5},
+    ),
+    "fig17": Figure(
+        "Fig 17 — scheduling overhead CDF",
+        "fig17_cost",
+        smoke={
+            "n_tags": 30,
+            "n_mobile": 2,
+            "n_cycles": 14,
+            "warmup_cycles": 6,
+            "phase2_duration_s": 0.6,
+        },
+    ),
+    "fig18": Figure(
+        "Fig 18 — IRR gain vs percentage of mobile tags",
+        "fig18_gain",
+        smoke={
+            "percents": (5.0, 20.0),
+            "populations": (40,),
+            "n_cycles": 5,
+            "warmup_cycles": 1,
+            "phase2_duration_s": 1.0,
+        },
+        paper={"phase2_duration_s": 1.5},
+        workers=True,
+    ),
+    "redundancy": Figure(
+        "Beyond the paper — multi-reader redundancy vs throughput",
+        "fig_redundancy",
+        paper={"overlaps": (1, 2, 4, 8), "n_tags": 480, "duration_s": 1.0},
+        workers=True,
+    ),
+    "latency": Figure(
+        "Beyond the paper — detection latency vs Phase II length",
+        "latency",
+        smoke={"phase2_durations_s": (0.5, 2.0), "n_trials": 3},
+        paper={"phase2_durations_s": (0.5, 2.0), "n_trials": 5},
+    ),
+    "channel-keying": Figure(
+        "Ablation — immobility models keyed by (antenna, channel)",
+        "ablations",
+        runner="run_channel_keying",
+        formatter="format_channel_keying",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -38,142 +183,24 @@ class SectionResult:
     wall_s: float
 
 
-def _sections(scale: str) -> List[Tuple[str, str, Callable[[], str]]]:
-    """(figure id, title, runner) per section, at the requested scale."""
-    smoke = scale == "smoke"
-
-    def fig1() -> str:
-        counts = (0, 14) if smoke else (0, 8, 14)
-        return fig01_tracking.format_report(
-            fig01_tracking.run(
-                stationary_counts=counts,
-                duration_s=4.0 if smoke else 6.0,
-            )
-        )
-
-    def fig2() -> str:
-        result = fig02_irr.run(
-            tag_counts=(1, 5, 10, 20, 40) if smoke else
-            (1, 2, 5, 10, 15, 20, 25, 30, 35, 40),
-            initial_qs=(4,) if smoke else (4, 2, 6),
-            repeats=8 if smoke else 20,
-        )
-        return fig02_irr.format_report(result)
-
-    def fig3() -> str:
-        return fig03_trace.format_report(fig03_trace.run())
-
-    def fig8() -> str:
-        return fig08_gmm.format_report(
-            fig08_gmm.run(duration_s=30.0 if smoke else 60.0)
-        )
-
-    def fig12() -> str:
-        result = fig12_roc.run(
-            n_stationary=10 if smoke else 30,
-            n_people=2 if smoke else 3,
-            monitor_duration_s=40.0 if smoke else 120.0,
-            mobile_duration_s=15.0 if smoke else 40.0,
-        )
-        return fig12_roc.format_report(result)
-
-    def fig13() -> str:
-        return fig13_sensitivity.format_report(
-            fig13_sensitivity.run(
-                trials=8 if smoke else 20,
-                settle_s=6.0 if smoke else 8.0,
-            )
-        )
-
-    def fig14() -> str:
-        return fig14_learning.format_report(
-            fig14_learning.run(duration_s=20.0 if smoke else 60.0)
-        )
-
-    def fig1516() -> str:
-        duration = 4.0 if smoke else 10.0
-        two = fig15_feasibility.run(n_targets=2, duration_s=duration)
-        five = fig15_feasibility.run(n_targets=5, duration_s=duration)
-        return (
-            fig15_feasibility.format_report(two)
-            + "\n\n"
-            + fig15_feasibility.format_report(five)
-        )
-
-    def fig17() -> str:
-        return fig17_cost.format_report(
-            fig17_cost.run(
-                n_tags=30 if smoke else 60,
-                n_mobile=2 if smoke else 3,
-                n_cycles=14 if smoke else 40,
-                warmup_cycles=6 if smoke else 8,
-                phase2_duration_s=0.6 if smoke else 1.0,
-            )
-        )
-
-    def fig18() -> str:
-        result = fig18_gain.run(
-            percents=(5.0, 20.0) if smoke else (5.0, 10.0, 15.0, 20.0),
-            populations=(40,) if smoke else (50, 100, 200),
-            n_cycles=5 if smoke else 6,
-            warmup_cycles=1 if smoke else 2,
-            phase2_duration_s=1.0 if smoke else 1.5,
-        )
-        return fig18_gain.format_report(result)
-
-    def extras() -> str:
-        parts = [
-            latency.format_report(
-                latency.run(
-                    phase2_durations_s=(0.5, 2.0),
-                    n_trials=3 if smoke else 5,
-                )
-            )
-        ]
-        if not smoke:
-            parts.append(
-                ablations.format_channel_keying(
-                    ablations.run_channel_keying()
-                )
-            )
-        return "\n\n".join(parts)
-
-    return [
-        ("fig2", "Fig 2 — IRR vs population size", fig2),
-        ("fig3", "Fig 3/4 — TrackPoint trace", fig3),
-        ("fig8", "Fig 8 — phase multi-modality", fig8),
-        ("fig12", "Fig 12 — detector ROC", fig12),
-        ("fig13", "Fig 13 — detection sensitivity", fig13),
-        ("fig14", "Fig 14 — learning curve", fig14),
-        ("fig15", "Fig 15/16 — schedule feasibility", fig1516),
-        ("fig17", "Fig 17 — scheduling overhead", fig17),
-        ("fig18", "Fig 18 — IRR gain vs % mobile", fig18),
-        ("fig1", "Fig 1 — tracking application", fig1),
-        ("extras", "Beyond the paper — latency and ablations", extras),
-    ]
-
-
 def run(
     scale: str = "smoke", only: Optional[List[str]] = None
 ) -> List[SectionResult]:
     """Run the selected figure drivers and collect their reports."""
-    if scale not in ("smoke", "paper"):
-        raise ValueError("scale must be 'smoke' or 'paper'")
-    sections = [
-        section
-        for section in _sections(scale)
-        if only is None or section[0] in only
+    selected = [
+        figure_id for figure_id in FIGURES if only is None or figure_id in only
     ]
-    if not sections:
+    if not selected:
         raise ValueError(f"no figures matched {only!r}")
     results: List[SectionResult] = []
-    for figure_id, title, runner in sections:
+    for figure_id in selected:
+        figure = FIGURES[figure_id]
         start = time.perf_counter()
-        body = runner()
+        body = figure.render(scale)
         results.append(
             SectionResult(
                 figure_id=figure_id,
-                title=title,
+                title=figure.title,
                 body=body,
                 wall_s=time.perf_counter() - start,
             )

@@ -18,7 +18,7 @@ Two session models are supported:
 - ``with_replacement=False`` (session-S1 behaviour): a read tag flips its
   inventoried flag and stays silent for the rest of the round, giving the
   leaner ``~ n e`` slot count of an idealised dedicated session.  Used by the
-  ablation benchmarks.
+  ablation tests.
 
 The per-frame slot draw is vectorised (one ``numpy`` draw per frame).  Two
 engines consume it:

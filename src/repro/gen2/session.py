@@ -16,20 +16,11 @@ actually participate in the next round, and what flags does the round flip?
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.gen2.commands import Session
 from repro.util.rng import SeedLike, make_rng
-
-
-class Session(enum.IntEnum):
-    """The four Gen2 inventory sessions."""
-
-    S0 = 0
-    S1 = 1
-    S2 = 2
-    S3 = 3
 
 
 #: (minimum, maximum) persistence of the inventoried flag once the tag is

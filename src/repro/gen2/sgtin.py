@@ -11,7 +11,7 @@ Tags from one company — or one carton of one product — share long common
 prefixes, which is exactly the structure the Phase II set cover exploits
 (one short mask covers a whole carton).  This module implements the full
 encode/decode per the GS1 Tag Data Standard partition table, plus warehouse
-population generators used by the ablation benchmarks.
+population generators used by the ablation tests.
 """
 
 from __future__ import annotations

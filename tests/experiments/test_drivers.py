@@ -1,5 +1,5 @@
 """Smoke-scale runs of every figure driver, checking the paper's claims
-directionally (benchmarks run the full-scale versions)."""
+directionally (``tests/paper/`` runs the paper-scale versions)."""
 
 import numpy as np
 import pytest

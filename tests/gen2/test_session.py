@@ -96,3 +96,11 @@ class TestSessionedReading:
         sessioned = SessionedInventory(make_reader(), Session.S1)
         with pytest.raises(ValueError):
             sessioned.run_duration(0.0)
+
+
+def test_one_session_enum():
+    """The package's Session is the type a Select command carries."""
+    import repro.gen2
+    import repro.gen2.commands
+
+    assert repro.gen2.Session is repro.gen2.commands.Session

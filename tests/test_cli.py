@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.report import FIGURES, SCALES
 
 
 class TestParser:
@@ -12,7 +13,8 @@ class TestParser:
 
     def test_figures_registered(self):
         for fig in ("fig1", "fig2", "fig3", "fig8", "fig12", "fig13",
-                    "fig14", "fig15", "fig16", "fig17", "fig18"):
+                    "fig14", "fig15", "fig16", "fig17", "fig18",
+                    "redundancy", "latency", "channel-keying"):
             assert fig in FIGURES
 
 
@@ -23,7 +25,9 @@ class TestCommands:
         assert "fig18" in out
 
     def test_unknown_figure_fails(self, capsys):
-        assert main(["figure", "fig99"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "fig99"])
+        assert excinfo.value.code == 2
 
     def test_predict(self, capsys):
         assert main(["predict", "--tags", "80"]) == 0
@@ -52,6 +56,66 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "Tagwatch demo" in out
+
+
+class TestFigureRegistry:
+    """``figures``, ``figure`` and ``reproduce`` read one table."""
+
+    @pytest.fixture
+    def driver_calls(self, monkeypatch):
+        """Swap every registry driver for a recorder of its kwargs."""
+        calls = []
+
+        def fake_run(**kwargs):
+            calls.append(kwargs)
+            return kwargs
+
+        for figure in FIGURES.values():
+            monkeypatch.setattr(figure.driver, figure.runner, fake_run)
+            monkeypatch.setattr(figure.driver, figure.formatter, repr)
+        return calls
+
+    def test_figures_lists_every_id(self, capsys):
+        assert main(["figures"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == list(FIGURES)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("fig_id", list(FIGURES))
+    def test_figure_and_reproduce_run_the_same_driver_call(
+        self, fig_id, scale, driver_calls, capsys
+    ):
+        assert main(["figure", fig_id, "--scale", scale]) == 0
+        assert main(["reproduce", "--only", fig_id, "--scale", scale]) == 0
+        figure_call, reproduce_call = driver_calls
+        assert figure_call == reproduce_call == FIGURES[fig_id].kwargs(scale)
+
+    def test_commands_import_drivers_only_when_a_figure_runs(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = (
+            "import sys\n"
+            "def loaded():\n"
+            "    return [m for m in sorted(sys.modules)\n"
+            "            if m.startswith('repro.experiments.')]\n"
+            "import repro.experiments.harness\n"
+            "print(loaded())\n"
+            "import repro.cli\n"
+            "print(loaded())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        ).stdout.splitlines()
+        assert out == [
+            "['repro.experiments.harness']",
+            "['repro.experiments.harness', 'repro.experiments.report']",
+        ]
 
 
 class TestObservabilityWiring:
@@ -260,6 +324,7 @@ class TestCleanFailures:
             (["demo", "--warmup", "0"], "warm-up duration must be positive"),
             (["reproduce", "--only", "bogus"], "no figures matched"),
             (["soak", "--runs", "0"], "need at least one run"),
+            (["figure", "fig99"], "unknown figure 'fig99'"),
         ],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
