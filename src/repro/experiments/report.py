@@ -89,7 +89,9 @@ FIGURES: Dict[str, Figure] = {
         workers=True,
     ),
     "fig3": Figure(
-        "Fig 3/4 — TrackPoint warehouse trace statistics", "fig03_trace"
+        "Fig 3/4 — TrackPoint warehouse trace statistics",
+        "fig03_trace",
+        paper={"seed": 13},
     ),
     "fig8": Figure(
         "Fig 8 — phase multi-modality of a stationary tag",

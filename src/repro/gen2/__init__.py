@@ -7,7 +7,6 @@ Implements the link-layer pieces Tagwatch relies on:
   parameters (the source of the paper's tau_0 / tau_bar constants);
 - :mod:`repro.gen2.commands` — Select / Query / QueryAdjust / QueryRep / ACK;
 - :mod:`repro.gen2.select` — bitmask matching over tag memory;
-- :mod:`repro.gen2.tag` — tag-side protocol state machine;
 - :mod:`repro.gen2.aloha` — FSA, ideal DFSA and Q-adaptive frame control;
 - :mod:`repro.gen2.inventory` — slot-accurate inventory-round engine.
 """
@@ -41,7 +40,6 @@ from repro.gen2.sgtin import (
     is_sgtin96,
     warehouse_population,
 )
-from repro.gen2.tag import TagProtocolState
 from repro.gen2.timing import LinkTiming
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "SelectAction",
     "SelectTarget",
     "SlotOutcome",
-    "TagProtocolState",
     "TagRead",
     "apply_selects",
     "matches",

@@ -8,8 +8,7 @@ fields carry spec-faithful defaults.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 from repro.gen2.epc import MemoryBank
 
@@ -124,32 +123,3 @@ class Ack:
     def __post_init__(self) -> None:
         if not 0 <= self.rn16 < (1 << 16):
             raise ValueError("RN16 must be a 16-bit value")
-
-
-@dataclass(frozen=True)
-class CommandTrace:
-    """A (time, command) pair recorded by the inventory engine for debugging."""
-
-    time_s: float
-    command: object
-    note: str = ""
-
-
-def select_all(session: Session = Session.S0) -> Select:
-    """A Select that asserts SL on every tag (zero-length mask matches all)."""
-    return Select(
-        membank=MemoryBank.EPC,
-        pointer=0,
-        length=0,
-        mask=0,
-        target=SelectTarget.SL,
-        action=SelectAction.ASSERT_DEASSERT,
-    )
-
-
-def selects_cover_key(selects: Tuple[Select, ...]) -> Tuple:
-    """Hashable identity of a Select sequence (used for caching coverage)."""
-    return tuple(
-        (s.membank, s.pointer, s.length, s.mask, s.target, s.action)
-        for s in selects
-    )

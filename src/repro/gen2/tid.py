@@ -15,11 +15,8 @@ machinery matches against any memory bank.
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from repro.gen2.epc import EPC, MemoryBank, TagMemory
 from repro.gen2.commands import Select, SelectAction, SelectTarget
-from repro.util.rng import SeedLike, make_rng
 
 #: Gen2 class identifier that opens every TID bank.
 TID_CLASS_IDENTIFIER = 0xE2
@@ -82,20 +79,3 @@ def tagged_memory(
 ) -> TagMemory:
     """A full tag memory: the given EPC plus a realistic TID."""
     return TagMemory(epc=epc, tid=make_tid(mdid, tag_model, serial))
-
-
-def mixed_vendor_memories(
-    epcs: Iterable[EPC],
-    rng: SeedLike = None,
-    mdids: Iterable[int] = (MDID_ALIEN, MDID_IMPINJ),
-) -> List[TagMemory]:
-    """Assign each EPC a TID from a random vendor (for vendor-mix scenes)."""
-    gen = make_rng(rng)
-    vendor_list = list(mdids)
-    out = []
-    for epc in epcs:
-        mdid = vendor_list[int(gen.integers(0, len(vendor_list)))]
-        out.append(
-            tagged_memory(epc, mdid=mdid, serial=int(gen.integers(0, 2**32)))
-        )
-    return out

@@ -8,12 +8,7 @@ from repro.radio.constants import (
     china_920_926,
     wavelength,
 )
-from repro.radio.geometry import (
-    as_point,
-    distance,
-    fresnel_excess,
-    fresnel_zone_index,
-)
+from repro.radio.geometry import as_point, distance
 from repro.radio.measurement import NoiseModel, TagObservation, measure
 
 __all__ = [
@@ -25,8 +20,6 @@ __all__ = [
     "backscatter_gain",
     "china_920_926",
     "distance",
-    "fresnel_excess",
-    "fresnel_zone_index",
     "measure",
     "path_loss_amplitude",
     "wavelength",

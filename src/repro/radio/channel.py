@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -161,27 +161,3 @@ def backscatter_gain(
     """Round-trip (monostatic) channel gain: the one-way gain squared."""
     g = one_way_gain(antenna, tag, freq_hz, reflectors)
     return g * g
-
-
-def dominant_mode_phases(
-    antenna: PointLike,
-    tag: PointLike,
-    freq_hz: float,
-    reflector_positions: Iterable[PointLike],
-    coefficient: float = 0.4,
-) -> Tuple[float, ...]:
-    """Phases of the multipath 'modes' a moving reflector toggles between.
-
-    Returns the round-trip phase with no reflector and with the reflector at
-    each supplied position — the centres of the Gaussian modes Phase I's GMM
-    is expected to learn (cf. the paper's Fig 7b: angle(s1+s2),
-    angle(s1+s2+s3), angle(s1+s2+s4)).
-    """
-    base = np.angle(backscatter_gain(antenna, tag, freq_hz))
-    phases = [float(np.mod(base, 2 * np.pi))]
-    for pos in reflector_positions:
-        h = backscatter_gain(
-            antenna, tag, freq_hz, (Reflector(as_point(pos), coefficient),)
-        )
-        phases.append(float(np.mod(np.angle(h), 2 * np.pi)))
-    return tuple(phases)

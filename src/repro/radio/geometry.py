@@ -1,10 +1,8 @@
-"""Geometric helpers: points, distances, and Fresnel zones.
+"""Geometric helpers: points and distances.
 
-Section 4.1 of the paper uses Fresnel-zone geometry to explain why a
-stationary tag's phase is multi-modal under ambient motion: a reflector in
-the k-th zone adds an excess path of roughly ``k * lambda / 2``, flipping the
-superposition between in-phase and anti-phase.  These helpers let the channel
-model and the tests reason about zone membership explicitly.
+Points are float ``(3,)`` arrays (2-D input gets z = 0).  The scalar
+squared-distance helper reproduces numpy's ``np.dot`` bit for bit, so the
+channel model's hot paths can stay scalar without moving any output.
 """
 
 from __future__ import annotations
@@ -71,61 +69,3 @@ def as_point(p: PointLike) -> np.ndarray:
 def distance(a: PointLike, b: PointLike) -> float:
     """Euclidean distance between two points."""
     return float(np.linalg.norm(as_point(a) - as_point(b)))
-
-
-def fresnel_excess(tx: PointLike, rx: PointLike, p: PointLike) -> float:
-    """Excess path length of the reflection at ``p``: |tx-p| + |p-rx| - |tx-rx|."""
-    t = as_point(tx)
-    r = as_point(rx)
-    q = as_point(p)
-    return float(
-        np.linalg.norm(t - q) + np.linalg.norm(q - r) - np.linalg.norm(t - r)
-    )
-
-
-def fresnel_zone_index(
-    tx: PointLike, rx: PointLike, p: PointLike, wavelength_m: float
-) -> int:
-    """1-based Fresnel-zone index of point ``p`` for the (tx, rx) link.
-
-    Points inside the innermost ellipse (excess < lambda/2) are in zone 1;
-    the k-th zone is the elliptical annulus between the (k-1)-th and k-th
-    confocal ellipses of Eqn 10.
-    """
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
-    excess = fresnel_excess(tx, rx, p)
-    return int(np.floor(excess / (wavelength_m / 2.0))) + 1
-
-
-def point_on_fresnel_boundary(
-    tx: PointLike, rx: PointLike, k: int, wavelength_m: float, lateral: float = 0.0
-) -> np.ndarray:
-    """A point lying exactly on the k-th Fresnel ellipse boundary.
-
-    Constructed on the perpendicular bisector plane of the link (or offset by
-    ``lateral`` along the link axis); mainly used by tests to place reflectors
-    at controlled zone boundaries.
-    """
-    if k < 1:
-        raise ValueError("zone index must be >= 1")
-    t = as_point(tx)
-    r = as_point(rx)
-    d = distance(t, r)
-    if d == 0:
-        raise ValueError("tx and rx coincide")
-    # Semi-major / semi-minor axes of the ellipse with foci tx, rx whose
-    # boundary has excess k*lambda/2.
-    a = (d + k * wavelength_m / 2.0) / 2.0
-    b = float(np.sqrt(a**2 - (d / 2.0) ** 2))
-    axis = (r - t) / d
-    # Any unit vector perpendicular to the link axis.
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(helper, axis)) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    perp = np.cross(axis, helper)
-    perp /= np.linalg.norm(perp)
-    center = (t + r) / 2.0
-    x = np.clip(lateral, -a, a)
-    y = b * np.sqrt(max(0.0, 1.0 - (x / a) ** 2))
-    return center + axis * x + perp * y

@@ -173,8 +173,3 @@ def measure(
         gain, tag_phase_offset_rad, lo_phase_offset_rad, noise
     )
     return measure_from_bases(phase_base, rss_base, noise, rng)
-
-
-def snr_floor_dbm() -> float:
-    """Sensitivity floor below which the reader fails to decode (approx)."""
-    return -82.0

@@ -21,7 +21,7 @@ number Section 2.4 quotes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -153,18 +153,6 @@ def generate_trackpoint_trace(
 
     events.sort(key=lambda e: e.time_s)
     return events
-
-
-def concurrent_transits(
-    params: TrackPointParams, entries: np.ndarray, at_time: float
-) -> int:
-    """How many conveyed tags are inside the gate at ``at_time``."""
-    return int(
-        np.sum(
-            (entries <= at_time)
-            & (at_time < entries + params.transit_duration_s)
-        )
-    )
 
 
 def expected_reads_if_fair(params: TrackPointParams) -> float:

@@ -1,23 +1,15 @@
-"""Tracking application substrate: hologram localisation + accuracy metrics."""
+"""Tracking application: differential hologram tracking + accuracy metrics."""
 
-from repro.tracking.dah import DahConfig, DifferentialTracker
-from repro.tracking.fleet import FleetTracker, SiteFleetTracker, TrackedTag
-from repro.tracking.hologram import (
-    HologramLocalizer,
-    PositionEstimate,
-    TrackingConfig,
-)
+from repro.tracking.dah import DahConfig, DifferentialTracker, PositionEstimate
+from repro.tracking.fleet import FleetTracker, TrackedTag
 from repro.tracking.trajectory import TrackAccuracy, evaluate_track
 
 __all__ = [
     "DahConfig",
     "DifferentialTracker",
     "FleetTracker",
-    "HologramLocalizer",
     "PositionEstimate",
-    "SiteFleetTracker",
     "TrackAccuracy",
     "TrackedTag",
-    "TrackingConfig",
     "evaluate_track",
 ]

@@ -33,8 +33,18 @@ import numpy as np
 from repro.radio.constants import ChannelPlan
 from repro.radio.geometry import PointLike, as_point
 from repro.radio.measurement import TagObservation
-from repro.tracking.hologram import PositionEstimate
 from repro.util.circular import TWO_PI, circular_signed_difference
+
+
+@dataclass(frozen=True)
+class PositionEstimate:
+    """One localisation fix."""
+
+    time_s: float
+    position: np.ndarray
+    velocity: np.ndarray
+    score: float
+    n_reads: int
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ import numpy as np
 from repro.radio.constants import ChannelPlan
 from repro.radio.geometry import PointLike, as_point
 from repro.radio.measurement import TagObservation
-from repro.tracking.dah import DahConfig, DifferentialTracker
-from repro.tracking.hologram import PositionEstimate
+from repro.tracking.dah import DahConfig, DifferentialTracker, PositionEstimate
 
 
 @dataclass
@@ -115,79 +114,3 @@ class FleetTracker:
             estimates = tag.estimates()
             out[epc_value] = estimates[-1].position if estimates else None
         return out
-
-
-class SiteFleetTracker(FleetTracker):
-    """A fleet tracker fed by every reader of a multi-reader site.
-
-    Extends :class:`FleetTracker` from one observation stream to N: site
-    readers deliver :class:`~repro.site.fusion.TagReport` batches (often
-    replayed, often overlapping), and this tracker routes them through a
-    private :class:`~repro.site.fusion.FusionLayer` first, so each
-    physical read feeds a tag's tracker **exactly once** no matter how
-    many report batches carried it.  Without that dedup, redundant
-    coverage would double-weight observations and silently bias every
-    hologram the differential tracker builds.
-
-    Only reports from ``reader_id`` values in ``accepted_reader_ids`` (all,
-    when ``None``) are considered, which lets a site run one tracker per
-    fusion domain.
-    """
-
-    def __init__(
-        self,
-        antenna_positions: Sequence[PointLike],
-        channel_plan: ChannelPlan,
-        config: DahConfig = DahConfig(),
-        accepted_reader_ids: Optional[Sequence[int]] = None,
-        epc_length: int = 96,
-    ) -> None:
-        super().__init__(antenna_positions, channel_plan, config)
-        self.accepted_reader_ids = (
-            None if accepted_reader_ids is None else set(accepted_reader_ids)
-        )
-        self.epc_length = epc_length
-        # Imported here: repro.site depends on repro.world/reader only, so
-        # tracking -> site is acyclic, but keeping the import local makes
-        # plain FleetTracker use carry no site dependency at all.
-        from repro.site.fusion import FusionLayer
-
-        self._fusion = FusionLayer()
-
-    @property
-    def fusion(self):
-        """The dedup layer (per-EPC provenance of everything fed so far)."""
-        return self._fusion
-
-    def _to_observation(self, report) -> TagObservation:
-        from repro.gen2.epc import EPC
-
-        return TagObservation(
-            epc=EPC(report.epc_value, self.epc_length),
-            time_s=report.time_s,
-            phase_rad=report.phase_rad,
-            rss_dbm=report.rss_dbm,
-            antenna_index=report.antenna_index,
-            channel_index=report.channel_index,
-        )
-
-    def ingest_report(self, report) -> bool:
-        """Feed one site report; returns True when it reached a tracker.
-
-        False means the report was a duplicate of one already fed, came
-        from a reader outside the fusion domain, or belongs to an
-        unregistered tag — all cases where the per-tag trackers must not
-        see it (again).
-        """
-        if (
-            self.accepted_reader_ids is not None
-            and report.reader_id not in self.accepted_reader_ids
-        ):
-            return False
-        if not self._fusion.ingest(report):
-            return False
-        return self.feed(self._to_observation(report))
-
-    def ingest_reports(self, reports) -> int:
-        """Feed a batch of site reports; returns how many reached trackers."""
-        return sum(1 for report in reports if self.ingest_report(report))

@@ -7,7 +7,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.tracking.hologram import PositionEstimate
+from repro.tracking.dah import PositionEstimate
 from repro.world.motion import Trajectory
 
 

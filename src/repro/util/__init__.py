@@ -15,7 +15,6 @@ from repro.util.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_registries,
 )
 from repro.util.rng import RngStream, derive_rng, make_rng
 from repro.util.stats import (
@@ -34,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "RngStream",
     "Summary",
-    "merge_registries",
     "cdf_points",
     "circular_distance",
     "circular_mean",

@@ -71,12 +71,3 @@ def circular_std(angles: np.ndarray) -> float:
     r = np.hypot(s, c)
     r = min(max(r, 1e-12), 1.0)
     return float(np.sqrt(-2.0 * np.log(r)))
-
-
-def unwrap_stream(phases: np.ndarray) -> np.ndarray:
-    """Unwrap a sequence of phases into a continuous curve.
-
-    Thin wrapper over :func:`numpy.unwrap` kept here so tracking code does not
-    import numpy specifics directly.
-    """
-    return np.unwrap(np.asarray(phases, dtype=float))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 Number = Union[int, float]
 
@@ -218,13 +218,3 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON export (sorted keys, stable float rounding)."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-
-def merge_registries(
-    registries: Sequence[MetricsRegistry],
-) -> Dict[str, Dict[str, Number]]:
-    """Combine exports from several registries (later names win on clash)."""
-    merged: Dict[str, Dict[str, Number]] = {}
-    for registry in registries:
-        merged.update(registry.to_dict())
-    return {name: merged[name] for name in sorted(merged)}

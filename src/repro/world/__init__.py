@@ -11,7 +11,7 @@ from repro.world.motion import (
     TurntablePath,
     WaypointPath,
 )
-from repro.world.objects import AmbientObject, office_worker, walking_person
+from repro.world.objects import AmbientObject, office_worker
 from repro.world.scene import Antenna, Scene, TagInstance
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "Trajectory",
     "TurntablePath",
     "WaypointPath",
-    "walking_person",
 ]

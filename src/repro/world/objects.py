@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.radio.geometry import PointLike, as_point
-from repro.world.motion import RandomWaypointWalk, Trajectory
+from repro.world.motion import Trajectory
 from repro.util.rng import SeedLike, make_rng
 
 
@@ -26,28 +26,6 @@ class AmbientObject:
     def __post_init__(self) -> None:
         if not 0.0 <= self.reflection_coefficient <= 1.0:
             raise ValueError("reflection coefficient must be in [0, 1]")
-
-
-def walking_person(
-    region_min: PointLike,
-    region_max: PointLike,
-    duration_s: float,
-    rng: SeedLike = None,
-    name: str = "person",
-    speed: float = 1.0,
-    dwell_s: float = 2.0,
-) -> AmbientObject:
-    """A person wandering in a rectangular region (the office workers of
-    Section 7.1's false-positive study).
-
-    ``dwell_s`` is the mean pause between walks; office workers mostly sit
-    (long dwells), warehouse pickers barely stop (short dwells).
-    """
-    walk = RandomWaypointWalk(
-        region_min, region_max, duration_s, speed=speed, dwell_s=dwell_s,
-        rng=rng,
-    )
-    return AmbientObject(trajectory=walk, reflection_coefficient=0.45, name=name)
 
 
 def office_worker(

@@ -7,10 +7,6 @@ from repro.gen2.commands import (
     Query,
     QueryAdjust,
     Select,
-    SelectAction,
-    SelectTarget,
-    select_all,
-    selects_cover_key,
 )
 from repro.gen2.epc import EPC, MemoryBank
 from repro.gen2.select import matches
@@ -30,12 +26,12 @@ class TestSelect:
         assert s.mask_bits() == "0101"
 
     def test_zero_length_mask_bits(self):
-        assert select_all().mask_bits() == ""
+        assert Select(MemoryBank.EPC, 0, 0, mask=0).mask_bits() == ""
 
 
 class TestSelectAll:
     def test_matches_any_epc(self):
-        s = select_all()
+        s = Select(MemoryBank.EPC, 0, 0, mask=0)  # zero-length mask
         assert matches(s, EPC.from_bits("1010"))
         assert matches(s, EPC.from_bits("0101"))
 
@@ -62,11 +58,3 @@ class TestAck:
         with pytest.raises(ValueError):
             Ack(rn16=1 << 16)
         Ack(rn16=0)
-
-
-class TestCoverKey:
-    def test_stable_and_distinct(self):
-        a = (Select(MemoryBank.EPC, 0, 2, 1),)
-        b = (Select(MemoryBank.EPC, 0, 2, 2),)
-        assert selects_cover_key(a) == selects_cover_key(a)
-        assert selects_cover_key(a) != selects_cover_key(b)

@@ -9,7 +9,6 @@ from repro.gen2.tid import (
     MDID_IMPINJ,
     decode_mdid,
     make_tid,
-    mixed_vendor_memories,
     select_manufacturer,
     tagged_memory,
 )
@@ -69,12 +68,6 @@ class TestManufacturerSelect:
         ]
         flags = apply_selects([select_manufacturer(MDID_IMPINJ)], memories)
         assert flags == [False, False, True, True]
-
-    def test_mixed_vendor_generator(self):
-        epcs = random_epc_population(30, rng=3)
-        memories = mixed_vendor_memories(epcs, rng=4)
-        mdids = {decode_mdid(m.tid) for m in memories}
-        assert mdids == {MDID_ALIEN, MDID_IMPINJ}
 
     def test_memory_epc_consistency_enforced(self):
         epcs = random_epc_population(2, rng=5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gen2.timing import R420_PROFILE, LinkTiming, describe
+from repro.gen2.timing import R420_PROFILE, LinkTiming
 
 
 class TestDurations:
@@ -42,7 +42,3 @@ class TestDurations:
     def test_custom_profile_scales(self):
         slow = LinkTiming(blf_hz=160e3)
         assert slow.rn16_duration > R420_PROFILE.rn16_duration
-
-    def test_describe_mentions_tau(self):
-        text = describe(R420_PROFILE)
-        assert "tau_0" in text and "tau_bar" in text

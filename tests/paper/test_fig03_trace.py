@@ -9,10 +9,8 @@ from repro.experiments.report import FIGURES
 
 
 def test_fig03_trace():
-    # These bounds were set on seed 13; the registry runs the driver's
-    # default seed (3).
     figure = FIGURES["fig3"]
-    result = figure.driver.run(**figure.kwargs("paper"), seed=13)
+    result = figure.run("paper")
     print()
     print(figure.format(result))
 

@@ -6,7 +6,6 @@ import pytest
 from repro.radio.channel import (
     Reflector,
     backscatter_gain,
-    dominant_mode_phases,
     one_way_gain,
     path_loss_amplitude,
 )
@@ -66,17 +65,3 @@ class TestReflector:
     def test_coefficient_bounds(self):
         with pytest.raises(ValueError):
             Reflector((0, 0, 0), coefficient=1.5)
-
-
-class TestDominantModes:
-    def test_mode_count(self):
-        phases = dominant_mode_phases(
-            (0, 0, 0), (3, 0, 0), FREQ, [(1.5, 0.4, 0), (1.5, -0.7, 0)]
-        )
-        assert len(phases) == 3
-
-    def test_modes_distinct(self):
-        phases = dominant_mode_phases(
-            (0, 0, 0), (3, 0, 0), FREQ, [(1.5, 0.4, 0)]
-        )
-        assert abs(phases[0] - phases[1]) > 1e-3

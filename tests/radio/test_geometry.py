@@ -1,16 +1,8 @@
-"""Tests for geometry and Fresnel zones."""
+"""Tests for the geometry helpers."""
 
-import numpy as np
 import pytest
 
-from repro.radio.constants import wavelength
-from repro.radio.geometry import (
-    as_point,
-    distance,
-    fresnel_excess,
-    fresnel_zone_index,
-    point_on_fresnel_boundary,
-)
+from repro.radio.geometry import as_point, distance
 
 
 class TestAsPoint:
@@ -30,36 +22,3 @@ class TestAsPoint:
 class TestDistance:
     def test_pythagoras(self):
         assert distance((0, 0, 0), (3, 4, 0)) == 5.0
-
-
-class TestFresnel:
-    def test_on_axis_zero_excess(self):
-        assert fresnel_excess((0, 0), (4, 0), (2, 0)) == pytest.approx(0.0)
-
-    def test_excess_grows_off_axis(self):
-        near = fresnel_excess((0, 0), (4, 0), (2, 0.1))
-        far = fresnel_excess((0, 0), (4, 0), (2, 1.0))
-        assert far > near
-
-    def test_first_zone_on_axis(self):
-        lam = wavelength(920e6)
-        assert fresnel_zone_index((0, 0), (4, 0), (2, 0.01), lam) == 1
-
-    def test_boundary_point_lands_on_zone_edge(self):
-        lam = wavelength(920e6)
-        for k in (1, 2, 5):
-            p = point_on_fresnel_boundary((0, 0, 0), (4, 0, 0), k, lam)
-            excess = fresnel_excess((0, 0, 0), (4, 0, 0), p)
-            assert excess == pytest.approx(k * lam / 2, rel=1e-6)
-
-    def test_zone_index_invalid_wavelength(self):
-        with pytest.raises(ValueError):
-            fresnel_zone_index((0, 0), (1, 0), (0.5, 0), 0.0)
-
-    def test_boundary_invalid_zone(self):
-        with pytest.raises(ValueError):
-            point_on_fresnel_boundary((0, 0), (1, 0), 0, 0.3)
-
-    def test_boundary_coincident_foci(self):
-        with pytest.raises(ValueError):
-            point_on_fresnel_boundary((0, 0), (0, 0), 1, 0.3)

@@ -1,14 +1,12 @@
 """Tests for multi-tag tracking (the paper's footnote 1)."""
 
-import numpy as np
 import pytest
 
 from repro.gen2.epc import random_epc_population
 from repro.radio.constants import single_channel
 from repro.reader import SimReader
-from repro.site.fusion import TagReport
 from repro.tracking import evaluate_track
-from repro.tracking.fleet import FleetTracker, SiteFleetTracker
+from repro.tracking.fleet import FleetTracker
 from repro.world.motion import CircularPath, Stationary
 from repro.world.scene import Antenna, Scene, TagInstance
 
@@ -85,66 +83,3 @@ class TestAccuracy:
         fleet, _, _, _, _ = two_trains
         with pytest.raises(KeyError):
             fleet.estimates(42)
-
-
-@pytest.fixture()
-def site_fleet():
-    """A site fleet tracker calibrated on one stationary tag."""
-    epcs = random_epc_population(1, rng=91)
-    home = (0.5, 0.5, 0.8)
-    tags = [TagInstance(epc=epcs[0], trajectory=Stationary(home))]
-    antennas = [Antenna((5, 5, 1.5)), Antenna((-5, 5, 1.5))]
-    scene = Scene(antennas, tags, channel_plan=single_channel(), seed=92)
-    reader = SimReader(scene, seed=93)
-    fleet = SiteFleetTracker(
-        [a.position for a in antennas], scene.channel_plan
-    )
-    calibration, _ = reader.run_duration(1.0)
-    fleet.register(epcs[0].value, home, calibration)
-    observations, _ = reader.run_duration(1.0)
-    return fleet, epcs[0], observations
-
-
-class TestSiteFleetTracker:
-    def test_duplicate_reports_feed_trackers_once(self, site_fleet):
-        fleet, epc, observations = site_fleet
-        reports = [
-            TagReport.from_observation(obs, reader_id=0)
-            for obs in observations
-        ]
-        assert fleet.ingest_reports(reports) == len(reports)
-        # Replaying the whole batch (at-least-once transport) is a no-op.
-        assert fleet.ingest_reports(reports) == 0
-        assert fleet.fusion.n_reports == len(reports)
-
-    def test_same_read_from_two_readers_counts_twice(self, site_fleet):
-        fleet, epc, observations = site_fleet
-        obs = observations[0]
-        first = TagReport.from_observation(obs, reader_id=0)
-        second = TagReport.from_observation(obs, reader_id=1)
-        assert fleet.ingest_report(first)
-        # A different reader's sighting is a distinct physical read.
-        assert fleet.ingest_report(second)
-        assert fleet.fusion.record(epc.value).reader_ids == [0, 1]
-
-    def test_reader_filter(self, site_fleet):
-        fleet, epc, observations = site_fleet
-        fleet.accepted_reader_ids = {0}
-        outsider = TagReport.from_observation(observations[0], reader_id=7)
-        assert not fleet.ingest_report(outsider)
-        assert fleet.fusion.n_reports == 0
-
-    def test_unregistered_tags_dedup_but_do_not_route(self, site_fleet):
-        fleet, epc, observations = site_fleet
-        report = TagReport(
-            epc_value=epc.value + 1,
-            reader_id=0,
-            time_s=0.5,
-            antenna_index=0,
-            channel_index=0,
-            phase_rad=1.0,
-            rss_dbm=-60.0,
-        )
-        assert not fleet.ingest_report(report)
-        # The report still entered provenance — only routing declined.
-        assert fleet.fusion.n_reports == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tracking.hologram import PositionEstimate
+from repro.tracking.dah import PositionEstimate
 from repro.tracking.trajectory import evaluate_track
 from repro.world.motion import Stationary
 

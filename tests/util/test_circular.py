@@ -10,7 +10,6 @@ from repro.util.circular import (
     circular_mean,
     circular_signed_difference,
     circular_std,
-    unwrap_stream,
     wrap_phase,
 )
 
@@ -106,10 +105,3 @@ class TestCircularStd:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             circular_std(np.array([]))
-
-
-class TestUnwrapStream:
-    def test_monotone_ramp(self):
-        wrapped = np.mod(np.linspace(0, 4 * np.pi, 50), TWO_PI)
-        unwrapped = unwrap_stream(wrapped)
-        assert np.all(np.diff(unwrapped) >= -1e-9)

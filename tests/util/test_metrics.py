@@ -9,7 +9,6 @@ from repro.util.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merge_registries,
 )
 
 
@@ -154,15 +153,3 @@ def test_export_rounds_floats():
     registry.histogram("h").observe(1 / 3)
     exported = registry.to_dict()["h"]
     assert exported["sum"] == round(1 / 3, 9)
-
-
-def test_merge_registries_later_wins():
-    a = MetricsRegistry()
-    a.counter("shared").inc(1)
-    a.counter("only_a").inc()
-    b = MetricsRegistry()
-    b.counter("shared").inc(5)
-    merged = merge_registries([a, b])
-    assert merged["shared"]["value"] == 5
-    assert merged["only_a"]["value"] == 1
-    assert list(merged) == sorted(merged)

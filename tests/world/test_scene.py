@@ -6,7 +6,7 @@ import pytest
 from repro.gen2.epc import random_epc_population
 from repro.radio.constants import china_920_926, single_channel
 from repro.world.motion import LinearPath, Stationary
-from repro.world.objects import AmbientObject, office_worker, walking_person
+from repro.world.objects import AmbientObject, office_worker
 from repro.world.scene import Antenna, Scene, TagInstance, stationary_grid
 
 
@@ -142,7 +142,6 @@ class TestHelpers:
 
     def test_ambient_objects(self):
         worker = office_worker((-1, -1), (1, 1), 10.0, rng=1)
-        person = walking_person((-1, -1), (1, 1), 10.0, rng=1)
-        assert worker.reflection_coefficient == person.reflection_coefficient
+        assert worker.reflection_coefficient == 0.45
         with pytest.raises(ValueError):
             AmbientObject(Stationary((0, 0, 0)), reflection_coefficient=2.0)
