@@ -56,10 +56,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from contextlib import ExitStack
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from contextlib import ExitStack, nullcontext
+from typing import Callable, Dict, List, Optional, Sequence, Set, TypeVar
 
 from repro.core import TagwatchConfig
 from repro.core.analysis import breakeven_percent, predicted_gain
@@ -67,7 +68,7 @@ from repro.core.cost import PAPER_R420
 from repro.core.scheduler import TargetScheduler
 from repro.experiments import report as figure_report
 from repro.experiments.harness import build_lab
-from repro.gen2.epc import random_epc_population
+from repro.gen2.epc import EPC, random_epc_population
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -88,17 +89,88 @@ T = TypeVar("T")
 
 
 class UsageError(Exception):
-    """A flag value rejected after parsing; :func:`main` reports it through
-    ``parser.error`` (a one-line message, exit status 2)."""
+    """Flag values a config, plan or lab rejected; only :func:`_checked`
+    raises it, and :func:`main` reports it through ``parser.error``."""
 
 
 def _checked(build: Callable[..., T], *args, **kwargs) -> T:
-    """Build a plan, config, lab or prediction from flag values, turning
-    the ``ValueError`` of its validation into a :class:`UsageError`."""
+    """Build a config, plan, lab or prediction from flag values, turning
+    the ``ValueError`` of its cross-flag rules (mobile <= tags) into a
+    :class:`UsageError`.  Never wrap a run: its ``ValueError`` is a bug."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _checked_type(
+    convert: Callable[[str], T], accept: Callable[[T], bool], rule: str
+) -> Callable[[str], T]:
+    """An argparse ``type=``: ``convert`` the flag's text and reject it,
+    naming ``rule``, unless it is finite and ``accept`` holds."""
+
+    def parse(text: str) -> T:
+        try:
+            value = convert(text)
+            ok = -math.inf < value < math.inf and accept(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked_type(int, lambda n: n > 0, "a positive integer")
+#: Counts and seeds.
+_count = _checked_type(int, lambda n: n >= 0, "a non-negative integer")
+_positive_float = _checked_type(float, lambda x: x > 0, "a positive number")
+_non_negative_float = _checked_type(
+    float, lambda x: x >= 0, "a non-negative number"
+)
+_probability = _checked_type(
+    float, lambda p: 0 <= p <= 1, "a probability in [0, 1]"
+)
+
+
+def _comma_list(item: Callable[[str], T]) -> Callable[[str], List[T]]:
+    """An argparse ``type=`` for comma-separated ``item`` values."""
+    return lambda text: [item(part) for part in text.split(",")]
+
+
+def _figure_id(text: str) -> str:
+    """A key of the figure table."""
+    if text not in figure_report.FIGURES:
+        raise argparse.ArgumentTypeError(
+            f"unknown figure {text!r}; try: python -m repro figures"
+        )
+    return text
+
+
+def _parse_blackout(spec: str):
+    from repro.faults import AntennaBlackout
+
+    try:
+        antenna, start, end = spec.split(":")
+        return AntennaBlackout(int(antenna), float(start), float(end))
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"blackout must be ANTENNA:START:END, got {spec!r}"
+        ) from exc
+
+
+def _fault_plan_file(path: str):
+    """``--plan``: the fault plan a JSON file describes."""
+    from repro.faults import FaultPlan
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return FaultPlan.from_dict(json.load(handle))
+    except (OSError, ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot load a fault plan: {exc}"
+        ) from None
 
 
 def cmd_figures(_args: argparse.Namespace) -> int:
@@ -113,11 +185,7 @@ def cmd_figures(_args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Run one figure's experiment and print its report."""
-    figure = figure_report.FIGURES.get(args.id)
-    if figure is None:
-        raise UsageError(
-            f"unknown figure {args.id!r}; try: python -m repro figures"
-        )
+    figure = figure_report.FIGURES[args.id]
     _log.info(figure.render(args.scale, workers=args.workers))
     return 0
 
@@ -128,11 +196,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
         build_lab,
         n_tags=args.tags, n_mobile=args.mobile, seed=args.seed, partition=True,
     )
-    tagwatch = setup.tagwatch(TagwatchConfig(phase2_duration_s=args.phase2))
+    config = _checked(TagwatchConfig, phase2_duration_s=args.phase2)
+    tagwatch = setup.tagwatch(config)
     _log.info(f"warming up ({args.warmup:.0f} s of read-all inventory)...")
-    _checked(tagwatch.warm_up, args.warmup)
+    tagwatch.warm_up(args.warmup)
     rows = []
-    for result in _checked(tagwatch.run, args.cycles):
+    for result in tagwatch.run(args.cycles):
         masks = (
             ", ".join(str(b) for b in result.plan.selection.bitmasks)
             if result.plan
@@ -180,16 +249,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_blackout(spec: str):
-    from repro.faults import AntennaBlackout
-
-    try:
-        antenna, start, end = spec.split(":")
-        return AntennaBlackout(int(antenna), float(start), float(end))
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"blackout must be ANTENNA:START:END, got {spec!r}"
-        ) from exc
+def _lossy_link_config(phase2_s: float) -> TagwatchConfig:
+    """Tagwatch on a lossy link (``faults``, ``health``): a Phase I under
+    half the known tags falls back to read-all; a missed tag stays 2 cycles."""
+    return _checked(
+        TagwatchConfig,
+        phase2_duration_s=phase2_s,
+        min_phase1_fraction=0.5,
+        population_grace_cycles=2,
+    )
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
@@ -198,17 +266,13 @@ def cmd_faults(args: argparse.Namespace) -> int:
     from repro.experiments import fault_sweep
     from repro.faults import FaultPlan
 
-    if args.sweep:
-        rates = _checked(lambda: tuple(float(x) for x in args.sweep.split(",")))
-        for rate in rates:
-            _checked(
-                FaultPlan,
-                report_loss=rate,
-                disconnect_at_s=tuple(args.disconnect_at),
-            )
-        result = _checked(
-            fault_sweep.run,
-            loss_rates=rates,
+    config = _lossy_link_config(args.phase2)
+    if args.sweep is not None:
+        # The sweep points build their labs in workers: build one here so
+        # that a flag combination build_lab rejects is a usage error.
+        _checked(build_lab, args.tags, args.mobile, args.seed)
+        result = fault_sweep.run(
+            loss_rates=args.sweep,
             n_tags=args.tags,
             n_mobile=args.mobile,
             n_cycles=args.cycles,
@@ -225,10 +289,8 @@ def cmd_faults(args: argparse.Namespace) -> int:
             _log.info(f"wrote {args.metrics_out}")
         return 0
 
-    if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = _checked(FaultPlan.from_dict, json.load(handle))
-    else:
+    plan = args.plan
+    if plan is None:
         plan = _checked(
             FaultPlan,
             report_loss=args.loss,
@@ -249,17 +311,11 @@ def cmd_faults(args: argparse.Namespace) -> int:
         partition=True,
         fault_plan=plan,
     )
-    tagwatch = setup.tagwatch(
-        TagwatchConfig(
-            phase2_duration_s=args.phase2,
-            min_phase1_fraction=0.5,
-            population_grace_cycles=2,
-        )
-    )
-    _checked(tagwatch.warm_up, args.warmup)
-    monitor = TagwatchMonitor(window=max(args.cycles, 1))
+    tagwatch = setup.tagwatch(config)
+    tagwatch.warm_up(args.warmup)
+    monitor = TagwatchMonitor(window=args.cycles)
     rows = []
-    for result in _checked(tagwatch.run, args.cycles):
+    for result in tagwatch.run(args.cycles):
         monitor.record(result)
         rows.append(
             [
@@ -333,9 +389,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
         bundle_dir=args.bundle_dir or None,
     )
     if args.runs != 1:
-        reports = _checked(
-            soak.run_many, config, runs=args.runs, workers=args.workers
-        )
+        reports = soak.run_many(config, runs=args.runs, workers=args.workers)
         for report in reports:
             _log.info(soak.format_report(report))
         survived = sum(1 for r in reports if r.ok)
@@ -407,44 +461,37 @@ def _cmd_site_chaos(args: argparse.Namespace) -> int:
         n_channels=_pick(args.channels, 8),
         n_outages=args.outages,
     )
-    _checked(site_soak.build_fault_plan, config)
+    _checked(site_soak.build_site_config, config)
+    outer_tracer = get_tracer()
     differential_ok: Optional[bool] = None
     with tempfile.TemporaryDirectory(prefix="repro-site-chaos-") as tmp:
-        recorder = FlightRecorder() if args.bundle_dir else None
-        outer_tracer = get_tracer()
-        with ExitStack() as stack:
-            if recorder is not None:
-                stack.enter_context(use_tracer(recorder))
-            report = site_soak.run(
-                config,
-                workers=args.workers,
-                recorder=recorder,
-                bundle_dir=args.bundle_dir or None,
-                checkpoint_path=str(Path(tmp) / "site.ckpt"),
-            )
+
+        def run_leg(name: str, workers: Optional[int], bundle_dir):
+            """One chaos run; with a ``bundle_dir``, a flight recorder
+            shadows the ambient tracer to feed the incident bundles."""
+            recorder = FlightRecorder() if bundle_dir else None
+            with use_tracer(recorder) if bundle_dir else nullcontext():
+                report = site_soak.run(
+                    config,
+                    workers=workers,
+                    recorder=recorder,
+                    bundle_dir=bundle_dir,
+                    checkpoint_path=str(Path(tmp) / f"{name}.ckpt"),
+                )
+            return report, recorder
+
+        report, recorder = run_leg("site", args.workers, args.bundle_dir or None)
         if recorder is not None and outer_tracer.enabled:
-            # The recorder shadowed the ambient tracer while it fed the
-            # incident bundles; replay its ring so --trace-out still sees
-            # the run.
+            # Replay the recorder's ring so --trace-out still sees the run.
             outer_tracer.absorb(recorder.records)
         if args.check_differential:
             # The sequential reference mirrors the bundle wiring (bundle
             # names land in the canonical payload) into a throwaway dir.
-            mirror = FlightRecorder() if args.bundle_dir else None
-            with ExitStack() as stack:
-                if mirror is not None:
-                    stack.enter_context(use_tracer(mirror))
-                reference = site_soak.run(
-                    config,
-                    workers=1,
-                    recorder=mirror,
-                    bundle_dir=(
-                        str(Path(tmp) / "mirror-bundles")
-                        if args.bundle_dir
-                        else None
-                    ),
-                    checkpoint_path=str(Path(tmp) / "mirror.ckpt"),
-                )
+            reference, _ = run_leg(
+                "mirror",
+                1,
+                str(Path(tmp) / "mirror-bundles") if args.bundle_dir else None,
+            )
             differential_ok = (
                 reference.canonical_bytes() == report.canonical_bytes()
             )
@@ -599,6 +646,7 @@ def cmd_health(args: argparse.Namespace) -> int:
         seed=args.seed,
         fault_plan=plan,
     )
+    config = _lossy_link_config(args.phase2)
     health = HealthMonitor(
         recorder=recorder,
         incident_dir=args.bundle_dir or None,
@@ -610,13 +658,7 @@ def cmd_health(args: argparse.Namespace) -> int:
         Path(tempfile.mkdtemp(prefix="repro-health-ckpt-")) / "health.ckpt"
     )
     supervisor = Supervisor(
-        lambda: setup.tagwatch(
-            TagwatchConfig(
-                phase2_duration_s=args.phase2,
-                min_phase1_fraction=0.5,
-                population_grace_cycles=2,
-            )
-        ),
+        lambda: setup.tagwatch(config),
         config=SupervisorConfig(watchdog=WatchdogPolicy()),
         store=store,
         health=health,
@@ -654,15 +696,20 @@ def cmd_health(args: argparse.Namespace) -> int:
     return 0
 
 
+def _first_targets(population: Sequence[EPC], n_targets: int) -> Set[int]:
+    """The EPC values of the first ``n_targets`` tags of ``population``."""
+    if n_targets > len(population):
+        raise ValueError("need targets <= population")
+    return {epc.value for epc in population[:n_targets]}
+
+
 def cmd_rospec(args: argparse.Namespace) -> int:
     """Plan a Phase II schedule and dump its ROSpec XML."""
     population = random_epc_population(args.population, rng=args.seed)
-    targets = {epc.value for epc in population[: args.targets]}
+    targets = _checked(_first_targets, population, args.targets)
     scheduler = TargetScheduler(PAPER_R420, rng=args.seed)
     plan = scheduler.plan(population, targets, (0, 1, 2, 3), 5.0)
-    if plan.rospec is None:
-        _log.error("nothing to schedule")
-        return 1
+    assert plan.rospec is not None  # at least one target is in population
     _log.info(
         f"<!-- {len(plan.selection.bitmasks)} bitmask(s), "
         f"{plan.selection.n_collateral} collateral tag(s), "
@@ -674,8 +721,7 @@ def cmd_rospec(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     """Run every figure driver and write one markdown reproduction report."""
-    only = args.only.split(",") if args.only else None
-    results = _checked(figure_report.run, scale=args.scale, only=only)
+    results = figure_report.run(scale=args.scale, only=args.only)
     document = figure_report.to_markdown(results, args.scale)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -723,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_figure = sub.add_parser(
         "figure", help="run one figure's experiment", parents=obs_parents
     )
-    p_figure.add_argument("id", help="figure id, e.g. fig18")
+    p_figure.add_argument("id", type=_figure_id, help="figure id, e.g. fig18")
     p_figure.add_argument(
         "--scale", choices=figure_report.SCALES, default="smoke",
         help="smoke: seconds; paper: the run EXPERIMENTS.md records",
@@ -737,49 +783,51 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser(
         "demo", help="run a live Tagwatch deployment", parents=obs_parents
     )
-    p_demo.add_argument("--tags", type=int, default=40)
-    p_demo.add_argument("--mobile", type=int, default=2)
-    p_demo.add_argument("--cycles", type=int, default=5)
-    p_demo.add_argument("--phase2", type=float, default=2.0)
-    p_demo.add_argument("--warmup", type=float, default=15.0)
-    p_demo.add_argument("--seed", type=int, default=7)
+    p_demo.add_argument("--tags", type=_positive_int, default=40)
+    p_demo.add_argument("--mobile", type=_count, default=2)
+    p_demo.add_argument("--cycles", type=_positive_int, default=5)
+    p_demo.add_argument("--phase2", type=_positive_float, default=2.0)
+    p_demo.add_argument("--warmup", type=_positive_float, default=15.0)
+    p_demo.add_argument("--seed", type=_count, default=7)
 
     p_predict = sub.add_parser(
         "predict", help="analytic gain curve from the cost model",
         parents=obs_parents,
     )
-    p_predict.add_argument("--tags", type=int, default=100)
-    p_predict.add_argument("--phase2", type=float, default=5.0)
+    p_predict.add_argument("--tags", type=_positive_int, default=100)
+    p_predict.add_argument("--phase2", type=_positive_float, default=5.0)
 
     p_rospec = sub.add_parser(
         "rospec", help="plan a schedule and dump its ROSpec XML",
         parents=obs_parents,
     )
-    p_rospec.add_argument("--population", type=int, default=40)
-    p_rospec.add_argument("--targets", type=int, default=3)
-    p_rospec.add_argument("--seed", type=int, default=1)
+    p_rospec.add_argument("--population", type=_positive_int, default=40)
+    p_rospec.add_argument("--targets", type=_positive_int, default=3)
+    p_rospec.add_argument("--seed", type=_count, default=1)
 
     p_faults = sub.add_parser(
         "faults", help="run Tagwatch under injected faults, export metrics",
         parents=[trace_parent],
     )
-    p_faults.add_argument("--tags", type=int, default=20)
-    p_faults.add_argument("--mobile", type=int, default=1)
-    p_faults.add_argument("--cycles", type=int, default=4)
-    p_faults.add_argument("--phase2", type=float, default=1.0)
-    p_faults.add_argument("--warmup", type=float, default=8.0)
-    p_faults.add_argument("--seed", type=int, default=11)
+    p_faults.add_argument("--tags", type=_positive_int, default=20)
+    p_faults.add_argument("--mobile", type=_count, default=1)
+    p_faults.add_argument("--cycles", type=_positive_int, default=4)
+    p_faults.add_argument("--phase2", type=_positive_float, default=1.0)
+    p_faults.add_argument("--warmup", type=_positive_float, default=8.0)
+    p_faults.add_argument("--seed", type=_count, default=11)
     p_faults.add_argument(
-        "--loss", type=float, default=0.2, help="iid report-loss probability"
+        "--loss", type=_probability, default=0.2,
+        help="iid report-loss probability",
     )
-    p_faults.add_argument("--burst-enter", type=float, default=0.0)
-    p_faults.add_argument("--burst-exit", type=float, default=0.5)
-    p_faults.add_argument("--phase-spike", type=float, default=0.0)
-    p_faults.add_argument("--duplicate", type=float, default=0.0)
-    p_faults.add_argument("--reorder", type=float, default=0.0)
-    p_faults.add_argument("--delay", type=float, default=0.0)
+    p_faults.add_argument("--burst-enter", type=_probability, default=0.0)
+    p_faults.add_argument("--burst-exit", type=_probability, default=0.5)
+    p_faults.add_argument("--phase-spike", type=_probability, default=0.0)
+    p_faults.add_argument("--duplicate", type=_probability, default=0.0)
+    p_faults.add_argument("--reorder", type=_probability, default=0.0)
+    p_faults.add_argument("--delay", type=_probability, default=0.0)
     p_faults.add_argument(
-        "--disconnect-at", type=float, action="append", default=[],
+        "--disconnect-at", type=_non_negative_float, action="append",
+        default=[],
         metavar="T", help="simulated time of a reader disconnect (repeatable)",
     )
     p_faults.add_argument(
@@ -787,14 +835,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ANT:START:END", help="antenna outage window (repeatable)",
     )
     p_faults.add_argument(
-        "--plan", default="",
+        "--plan", type=_fault_plan_file, default=None,
         help="JSON file with a FaultPlan (overrides the individual knobs)",
     )
     p_faults.add_argument(
         "--metrics-out", default="", help="write the JSON export here"
     )
     p_faults.add_argument(
-        "--sweep", default="",
+        "--sweep", type=_comma_list(_probability), default=None,
         help="comma-separated loss rates: run the degradation sweep instead",
     )
     p_faults.add_argument(
@@ -813,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="", help="output path (default: stdout)"
     )
     p_reproduce.add_argument(
-        "--only", default="",
+        "--only", type=_comma_list(_figure_id), default=None,
         help="comma-separated figure ids (e.g. fig2,fig18)",
     )
 
@@ -822,24 +870,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos soak the supervised runtime under seeded faults",
         parents=obs_parents,
     )
-    p_soak.add_argument("--cycles", type=int, default=2000)
-    p_soak.add_argument("--seed", type=int, default=0)
-    p_soak.add_argument("--tags", type=int, default=12)
-    p_soak.add_argument("--mobile", type=int, default=2)
+    p_soak.add_argument("--cycles", type=_positive_int, default=2000)
+    p_soak.add_argument("--seed", type=_count, default=0)
+    p_soak.add_argument("--tags", type=_positive_int, default=12)
+    p_soak.add_argument("--mobile", type=_count, default=2)
     p_soak.add_argument(
-        "--crash-every", type=int, default=80,
+        "--crash-every", type=_count, default=80,
         help="one reader crash per this many cycles (0 disables)",
     )
     p_soak.add_argument(
-        "--kill-every", type=int, default=400,
+        "--kill-every", type=_count, default=400,
         help="one middleware kill + warm restart per this many cycles",
     )
     p_soak.add_argument(
-        "--corrupt-every", type=int, default=500,
+        "--corrupt-every", type=_count, default=500,
         help="one checkpoint corruption at rest per this many cycles",
     )
-    p_soak.add_argument("--jam-every", type=int, default=150)
-    p_soak.add_argument("--blackout-every", type=int, default=120)
+    p_soak.add_argument("--jam-every", type=_count, default=150)
+    p_soak.add_argument("--blackout-every", type=_count, default=120)
     p_soak.add_argument(
         "--checkpoint-dir", default="",
         help="checkpoint directory (default: a fresh temp directory)",
@@ -852,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="", help="write the JSON soak report here"
     )
     p_soak.add_argument(
-        "--runs", type=int, default=1,
+        "--runs", type=_positive_int, default=1,
         help="independent soak replicas (seeds spawned from --seed)",
     )
     p_soak.add_argument(
@@ -866,11 +914,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=obs_parents,
     )
     p_site.add_argument(
-        "--readers", type=int, default=None,
+        "--readers", type=_positive_int, default=None,
         help="readers in the site (default: 4; --chaos: 6)",
     )
     p_site.add_argument(
-        "--tags", type=int, default=None,
+        "--tags", type=_positive_int, default=None,
         help="tags in the field (default: 1000; --chaos: 96)",
     )
     p_site.add_argument(
@@ -878,15 +926,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="ring: full overlap (redundancy); line: aisle of partial "
         "overlap (default: ring; --chaos: line)",
     )
-    p_site.add_argument("--duration", type=float, default=0.5)
-    p_site.add_argument("--seed", type=int, default=0)
+    p_site.add_argument("--duration", type=_positive_float, default=0.5)
+    p_site.add_argument("--seed", type=_count, default=0)
     p_site.add_argument(
-        "--loss", type=float, default=None,
+        "--loss", type=_probability, default=None,
         help="per-read loss probability every reader suffers even alone "
         "(default: 0.2; --chaos: 0.15)",
     )
     p_site.add_argument(
-        "--channels", type=int, default=None,
+        "--channels", type=_positive_int, default=None,
         help="channels in the coordinator's plan (fewer = more "
         "interference; default: 16; --chaos: 8)",
     )
@@ -908,19 +956,19 @@ def build_parser() -> argparse.ArgumentParser:
         "failover, channel re-planning, warm rejoin (see docs/site.md)",
     )
     p_site.add_argument(
-        "--epochs", type=int, default=48,
+        "--epochs", type=_positive_int, default=48,
         help="supervision epochs to run (--chaos)",
     )
     p_site.add_argument(
-        "--epoch", type=float, default=0.25,
+        "--epoch", type=_positive_float, default=0.25,
         help="epoch barrier length in seconds (--chaos)",
     )
     p_site.add_argument(
-        "--outages", type=int, default=10,
+        "--outages", type=_count, default=10,
         help="reader deaths the seeded fault plan injects (--chaos)",
     )
     p_site.add_argument(
-        "--mobile", type=int, default=None,
+        "--mobile", type=_count, default=None,
         help="mobile tags orbiting the field across zones "
         "(default: 0; --chaos: 4)",
     )
@@ -934,14 +982,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a supervised deployment and print its SLO health report",
         parents=obs_parents,
     )
-    p_health.add_argument("--cycles", type=int, default=60)
-    p_health.add_argument("--tags", type=int, default=12)
-    p_health.add_argument("--mobile", type=int, default=2)
-    p_health.add_argument("--seed", type=int, default=0)
-    p_health.add_argument("--phase2", type=float, default=1.0)
-    p_health.add_argument("--warmup", type=float, default=10.0)
+    p_health.add_argument("--cycles", type=_positive_int, default=60)
+    p_health.add_argument("--tags", type=_positive_int, default=12)
+    p_health.add_argument("--mobile", type=_count, default=2)
+    p_health.add_argument("--seed", type=_count, default=0)
+    p_health.add_argument("--phase2", type=_positive_float, default=1.0)
+    p_health.add_argument("--warmup", type=_non_negative_float, default=10.0)
     p_health.add_argument(
-        "--loss", type=float, default=0.0,
+        "--loss", type=_probability, default=0.0,
         help="iid report-loss probability running in the background",
     )
     p_health.add_argument(
@@ -953,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cut incident bundles here (validated before exit)",
     )
     p_health.add_argument(
-        "--flight-capacity", type=int, default=32,
+        "--flight-capacity", type=_positive_int, default=32,
         help="cycles of trace history the flight recorder retains",
     )
     p_health.add_argument(

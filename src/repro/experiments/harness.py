@@ -128,6 +128,8 @@ def build_lab(
     do not overlap, and each mobile tag spins on a turntable inside its own
     cluster.
     """
+    if n_mobile < 0:
+        raise ValueError(f"n_mobile must be non-negative, got {n_mobile}")
     if n_mobile > n_tags:
         raise ValueError("more mobile tags than tags")
     streams = RngStream(seed)

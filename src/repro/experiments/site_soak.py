@@ -83,6 +83,13 @@ class SiteSoakConfig:
             raise ValueError("layout must be 'line' or 'ring'")
         if self.n_epochs < 1:
             raise ValueError("need at least one epoch")
+        if self.epoch_s <= 0:
+            raise ValueError(f"epoch_s must be positive, got {self.epoch_s}")
+        if self.n_outages and self.n_epochs < 3:
+            raise ValueError(
+                "n_epochs must be >= 3 when n_outages > 0 (outages fall "
+                f"before the last two epochs), got {self.n_epochs}"
+            )
         if not 0 < self.downtime_min_s <= self.downtime_max_s:
             raise ValueError("downtime bounds must be positive and ordered")
         if self.n_outages < 0 or self.n_degradations < 0 or self.n_jams < 0:

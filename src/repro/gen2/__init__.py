@@ -5,22 +5,14 @@ Implements the link-layer pieces Tagwatch relies on:
 - :mod:`repro.gen2.epc` — EPC words, memory banks, random EPC populations;
 - :mod:`repro.gen2.timing` — slot/command durations derived from link
   parameters (the source of the paper's tau_0 / tau_bar constants);
-- :mod:`repro.gen2.commands` — Select / Query / QueryAdjust / QueryRep / ACK;
+- :mod:`repro.gen2.commands` — the Select command and the session enum;
 - :mod:`repro.gen2.select` — bitmask matching over tag memory;
 - :mod:`repro.gen2.aloha` — FSA, ideal DFSA and Q-adaptive frame control;
 - :mod:`repro.gen2.inventory` — slot-accurate inventory-round engine.
 """
 
 from repro.gen2.aloha import FixedQ, IdealDFSA, QAdaptive
-from repro.gen2.commands import (
-    Ack,
-    Query,
-    QueryAdjust,
-    QueryRep,
-    Select,
-    SelectAction,
-    SelectTarget,
-)
+from repro.gen2.commands import Select, SelectAction, SelectTarget
 from repro.gen2.epc import EPC, MemoryBank, random_epc_population
 from repro.gen2.inventory import (
     InventoryEngine,
@@ -43,7 +35,6 @@ from repro.gen2.sgtin import (
 from repro.gen2.timing import LinkTiming
 
 __all__ = [
-    "Ack",
     "BitMask",
     "EPC",
     "FixedQ",
@@ -53,10 +44,7 @@ __all__ = [
     "LinkTiming",
     "MemoryBank",
     "QAdaptive",
-    "Query",
-    "QueryAdjust",
     "ProductLine",
-    "QueryRep",
     "Sgtin96",
     "Select",
     "Session",

@@ -1,4 +1,4 @@
-"""Gen2 reader commands as typed messages.
+"""The Gen2 Select command as a typed message, and the Gen2 sessions.
 
 Only the fields Tagwatch manipulates are modelled in full (the Select
 command's MemBank/Pointer/Length/Mask quadruple); the remaining mandatory
@@ -76,50 +76,3 @@ class Select:
         if self.length == 0:
             return ""
         return format(self.mask, f"0{self.length}b")
-
-
-@dataclass(frozen=True)
-class Query:
-    """Starts an inventory frame of ``2**q`` slots."""
-
-    q: int
-    session: Session = Session.S0
-    sel_only: bool = True  # only tags with SL asserted participate
-    target_a: bool = True  # inventoried-flag target (A or B)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.q <= 15:
-            raise ValueError(f"Q must be in 0..15, got {self.q}")
-
-    @property
-    def frame_length(self) -> int:
-        return 1 << self.q
-
-
-@dataclass(frozen=True)
-class QueryAdjust:
-    """Adjusts Q mid-round; tags redraw their slot counters."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.q <= 15:
-            raise ValueError(f"Q must be in 0..15, got {self.q}")
-
-
-@dataclass(frozen=True)
-class QueryRep:
-    """Advances to the next slot (tags decrement their slot counters)."""
-
-    session: Session = Session.S0
-
-
-@dataclass(frozen=True)
-class Ack:
-    """Acknowledges the RN16 of the tag that owns the current slot."""
-
-    rn16: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rn16 < (1 << 16):
-            raise ValueError("RN16 must be a 16-bit value")

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.gen2.commands import (
-    Ack,
-    Query,
-    QueryAdjust,
-    Select,
-)
+from repro.gen2.commands import Select
 from repro.gen2.epc import EPC, MemoryBank
 from repro.gen2.select import matches
 
@@ -34,27 +29,3 @@ class TestSelectAll:
         s = Select(MemoryBank.EPC, 0, 0, mask=0)  # zero-length mask
         assert matches(s, EPC.from_bits("1010"))
         assert matches(s, EPC.from_bits("0101"))
-
-
-class TestQuery:
-    def test_frame_length(self):
-        assert Query(q=4).frame_length == 16
-
-    def test_q_range(self):
-        with pytest.raises(ValueError):
-            Query(q=16)
-        with pytest.raises(ValueError):
-            Query(q=-1)
-
-
-class TestQueryAdjust:
-    def test_q_range(self):
-        with pytest.raises(ValueError):
-            QueryAdjust(q=16)
-
-
-class TestAck:
-    def test_rn16_range(self):
-        with pytest.raises(ValueError):
-            Ack(rn16=1 << 16)
-        Ack(rn16=0)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -296,45 +298,125 @@ class TestSiteCommand:
         assert mobile["fusion"] != still["fusion"]
 
 
+#: ``(argv, rule, message)``: a rejected invocation, the rule it breaks
+#: and the text its one ``error:`` line must hold.  A row's test id is
+#: ``argv<index>-<rule>``; the older rows first quoted the rule as their
+#: message, so their ids outlive the move of a check to parse time, where
+#: the message names the flag instead.
+REJECTED = [
+    (["faults", "--loss", "1.5"], "report_loss must be a probability",
+     "argument --loss: must be a probability"),
+    (["faults", "--sweep", "0,2"], "report_loss must be a probability",
+     "argument --sweep: must be a probability"),
+    (["health", "--loss", "3"], "report_loss must be a probability",
+     "argument --loss: must be a probability"),
+    (["site", "--chaos", "--outages", "-1"], "must be non-negative",
+     "argument --outages: must be a non-negative integer"),
+    (["site", "--readers", "0"], "need at least one reader",
+     "argument --readers: must be a positive integer"),
+    (["site", "--loss", "1.5"], "read loss must be a probability",
+     "argument --loss: must be a probability"),
+    (["site", "--tags", "10", "--mobile", "11"],
+     "mobile tag count must lie within the population",
+     "mobile tag count must lie within the population"),
+    (["soak", "--cycles", "0"], "need at least one cycle",
+     "argument --cycles: must be a positive integer"),
+    (["demo", "--tags", "0"], "more mobile tags than tags",
+     "argument --tags: must be a positive integer"),
+    (["demo", "--tags", "5", "--mobile", "9"], "more mobile tags than tags",
+     "more mobile tags than tags"),
+    (["predict", "--tags", "0"], "need 0 <= n_targets <= n_tags",
+     "argument --tags: must be a positive integer"),
+    (["health", "--flight-capacity", "0"],
+     "flight recorder needs capacity >= 1 cycle",
+     "argument --flight-capacity: must be a positive integer"),
+    (["health", "--tags", "0"], "more mobile tags than tags",
+     "argument --tags: must be a positive integer"),
+    (["faults", "--tags", "0"], "more mobile tags than tags",
+     "argument --tags: must be a positive integer"),
+    (["faults", "--cycles", "0"], "need at least one cycle",
+     "argument --cycles: must be a positive integer"),
+    (["faults", "--sweep", "0.1", "--cycles", "0"], "need at least one cycle",
+     "argument --cycles: must be a positive integer"),
+    (["demo", "--cycles", "0"], "need at least one cycle",
+     "argument --cycles: must be a positive integer"),
+    (["demo", "--warmup", "0"], "warm-up duration must be positive",
+     "argument --warmup: must be a positive number"),
+    (["reproduce", "--only", "bogus"], "no figures matched",
+     "argument --only: unknown figure 'bogus'"),
+    (["soak", "--runs", "0"], "need at least one run",
+     "argument --runs: must be a positive integer"),
+    (["figure", "fig99"], "unknown figure 'fig99'",
+     "argument id: unknown figure 'fig99'"),
+    (["site", "--chaos", "--epochs", "1"], "outages need three epochs",
+     "n_epochs must be >= 3 when n_outages > 0"),
+    (["site", "--chaos", "--epoch", "0"], "epoch must be positive",
+     "argument --epoch: must be a positive number"),
+    (["rospec", "--targets", "-1"], "targets must be positive",
+     "argument --targets: must be a positive integer"),
+    (["rospec", "--targets", "50", "--population", "5"],
+     "targets within the population", "need targets <= population"),
+    (["demo", "--mobile", "-1"], "mobile must be non-negative",
+     "argument --mobile: must be a non-negative integer"),
+    (["health", "--cycles", "-1"], "cycles must be positive",
+     "argument --cycles: must be a positive integer"),
+    (["demo", "--phase2", "0"], "phase2 must be positive",
+     "argument --phase2: must be a positive number"),
+    (["faults", "--phase2", "0"], "phase2 must be positive",
+     "argument --phase2: must be a positive number"),
+    (["demo", "--phase2", "0.3"], "phase2 above its adaptive floor",
+     "min_phase2_duration_s must be in (0, phase2_duration_s]"),
+    (["faults", "--sweep", "0.1", "--tags", "5", "--mobile", "9"],
+     "sweep mobile within tags", "more mobile tags than tags"),
+    (["demo", "--warmup", "inf"], "warmup must be finite",
+     "argument --warmup: must be a positive number"),
+]
+
+
+def assert_usage_error(argv, message, capsys):
+    """``main(argv)`` exits 2 with one ``error:`` line holding ``message``;
+    returns that line."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert f"{argv[0]}: " in line and message in line
+    return line
+
+
 class TestCleanFailures:
     @pytest.mark.parametrize(
         "argv, message",
-        [
-            (["faults", "--loss", "1.5"], "report_loss must be a probability"),
-            (["faults", "--sweep", "0,2"], "report_loss must be a probability"),
-            (["health", "--loss", "3"], "report_loss must be a probability"),
-            (["site", "--chaos", "--outages", "-1"], "must be non-negative"),
-            (["site", "--readers", "0"], "need at least one reader"),
-            (["site", "--loss", "1.5"], "read loss must be a probability"),
-            (["site", "--tags", "10", "--mobile", "11"],
-             "mobile tag count must lie within the population"),
-            (["soak", "--cycles", "0"], "need at least one cycle"),
-            (["demo", "--tags", "0"], "more mobile tags than tags"),
-            (["demo", "--tags", "5", "--mobile", "9"],
-             "more mobile tags than tags"),
-            (["predict", "--tags", "0"], "need 0 <= n_targets <= n_tags"),
-            (["health", "--flight-capacity", "0"],
-             "flight recorder needs capacity >= 1 cycle"),
-            (["health", "--tags", "0"], "more mobile tags than tags"),
-            (["faults", "--tags", "0"], "more mobile tags than tags"),
-            (["faults", "--cycles", "0"], "need at least one cycle"),
-            (["faults", "--sweep", "0.1", "--cycles", "0"],
-             "need at least one cycle"),
-            (["demo", "--cycles", "0"], "need at least one cycle"),
-            (["demo", "--warmup", "0"], "warm-up duration must be positive"),
-            (["reproduce", "--only", "bogus"], "no figures matched"),
-            (["soak", "--runs", "0"], "need at least one run"),
-            (["figure", "fig99"], "unknown figure 'fig99'"),
-        ],
+        [(argv, message) for argv, _, message in REJECTED],
+        ids=[f"argv{i}-{rule}" for i, (_, rule, _) in enumerate(REJECTED)],
     )
     def test_rejected_plan_is_a_usage_error(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
-        assert f"{argv[0]}: " in line and message in line
+        assert_usage_error(argv, message, capsys)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file or directory"),
+            ("{not json", "Expecting property name"),
+            ('{"report_loss": 2}', "report_loss must be a probability"),
+            ('{"typo": 1}', "unknown fault plan keys"),
+        ],
+        ids=["missing", "malformed", "invalid", "unknown-key"],
+    )
+    def test_unloadable_plan_file_is_a_usage_error(
+        self, content, message, tmp_path, capsys
+    ):
+        path = tmp_path / "plan.json"
+        if content is not None:
+            path.write_text(content)
+        line = assert_usage_error(
+            ["faults", "--plan", str(path)],
+            "argument --plan: cannot load a fault plan: ",
+            capsys,
+        )
+        assert message in line
 
     def test_closed_stdout_exits_quietly(self):
         import os
@@ -357,3 +439,82 @@ class TestCleanFailures:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == ""
+
+
+class TestValidationLayer:
+    """Flags are checked when parsed; a run's ``ValueError`` is a bug."""
+
+    #: Numeric flags argparse may parse as bare ``int``, because every
+    #: int has a meaning (``resolve_workers``).
+    UNCHECKED = {"--workers"}
+
+    def test_every_numeric_flag_has_a_checked_type(self):
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        unchecked = [
+            f"{name} {'/'.join(action.option_strings) or action.dest}"
+            for name, sub in commands.choices.items()
+            for action in sub._actions
+            if not self.UNCHECKED & set(action.option_strings)
+            and (
+                action.type in (int, float)
+                or action.type is None
+                and type(action.default) in (int, float)
+            )
+        ]
+        assert not unchecked, f"flags without a checked type: {unchecked}"
+
+    def test_health_warmup_zero_stays_valid(self):
+        args = build_parser().parse_args(["health", "--warmup", "0"])
+        assert args.warmup == 0.0
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("repro.core.tagwatch.Tagwatch.warm_up", ["demo"]),
+            ("repro.core.tagwatch.Tagwatch.run",
+             ["demo", "--tags", "8", "--warmup", "1"]),
+            ("repro.core.tagwatch.Tagwatch.warm_up", ["faults"]),
+            ("repro.core.tagwatch.Tagwatch.run",
+             ["faults", "--tags", "8", "--warmup", "1"]),
+            ("repro.experiments.fault_sweep.run", ["faults", "--sweep", "0.1"]),
+            ("repro.experiments.soak.run_many", ["soak", "--runs", "2"]),
+            ("repro.experiments.report.run", ["reproduce"]),
+        ],
+    )
+    def test_value_error_in_a_run_propagates(self, target, argv, monkeypatch):
+        def modelling_bug(*args, **kwargs):
+            raise ValueError("modelling bug")
+
+        monkeypatch.setattr(target, modelling_bug)
+        with pytest.raises(ValueError, match="modelling bug"):
+            main(argv)
+
+    def test_value_error_in_a_run_exits_1_with_its_traceback(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.experiments import report\n"
+            "def modelling_bug(*args, **kwargs):\n"
+            "    raise ValueError('modelling bug')\n"
+            "report.run = modelling_bug\n"
+            "sys.argv = ['repro', 'reproduce']\n"
+            "from repro.cli import run\n"
+            "run()\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert "ValueError: modelling bug" in proc.stderr

@@ -2,10 +2,11 @@
 
 A public (no leading underscore) module-level function or class is *live*
 when another non-``__init__`` module of the package or an ``examples/``
-script names it (a whole-word match, so a mention in prose counts), or
-when a live definition or a module-level statement of its own module
-references it.  Package ``__init__`` re-exports and tests are not callers:
-a name only they use is one that no source path runs.
+script names it in code (a name, an attribute or an import; a mention in
+prose or a string does not count), or when a live definition or a
+module-level statement of its own module references it.  Package
+``__init__`` re-exports and tests are not callers: a name only they use
+is one that no source path runs.
 
 A definition with no caller either goes or earns its place in
 :data:`ALLOWED` with one line saying what it serves: a test oracle, the
@@ -15,7 +16,6 @@ caller or disappears must leave it.
 """
 
 import ast
-import re
 from pathlib import Path
 from typing import Dict, List, Set
 
@@ -34,7 +34,6 @@ ALLOWED: Dict[str, str] = {
     "core/setcover.py:exact_cover": "the exact set-cover oracle of the greedy cover",
     "gen2/aloha.py:IdealDFSA": "genie-aided DFSA: closed-form slot-count oracle of the engine",
     "gen2/aloha.py:make_strategy": "frame-strategy factory by name",
-    "gen2/commands.py:Ack": "Gen2 ACK message; its only runner went (ROADMAP, oracle item)",
     "gen2/epc.py:sequential_epc_population": "deterministic EPC populations for tests",
     "gen2/epc.py:common_prefix_length": "prefix length of an EPC set (SGTIN tests)",
     "gen2/select.py:union_selects": "Select sequence for a union of bitmasks",
@@ -48,6 +47,8 @@ ALLOWED: Dict[str, str] = {
     "gen2/tid.py:tagged_memory": "full tag memory with a TID (docs/tutorial.md)",
     "obs/exporters.py:validate_chrome_trace": "Chrome-trace schema oracle of to_chrome_trace",
     "obs/logging.py:configure": "logging configuration API (docs/observability.md)",
+    "obs/logging.py:reset": "restores configure's defaults (the logging tests' isolation)",
+    "radio/measurement.py:measure": "scalar reference that measure_from_bases matches sample for sample",
     "reader/llrp.py:rospec_from_xml": "round-trip oracle of rospec_to_xml",
     "reader/llrp.py:read_all_rospec": "the unfiltered read-all ROSpec of the LLRP API",
     "traces/io.py:observation_to_record": "JSONL record codec; record_to_observation inverts it",
@@ -58,7 +59,9 @@ ALLOWED: Dict[str, str] = {
     "tracking/fleet.py:FleetTracker": "the paper's footnote-1 multi-tag tracker",
     "tracking/fleet.py:TrackedTag": "per-tag state of FleetTracker",
     "util/circular.py:circular_mean": "circular-statistics API beside circular_std",
+    "util/circular.py:wrap_phase": "the wrap into [0, 2*pi) that core/gmm.py's scalar loop replays",
     "util/stats.py:summarize": "sample summaries of the stats API",
+    "util/stats.py:Summary": "the record summarize returns",
     "util/stats.py:empirical_cdf": "CDF points of the stats API",
     "util/stats.py:ratio_of_medians": "median ratio of the stats API",
     "util/tables.py:format_series": "ASCII series rendering beside format_table",
@@ -71,31 +74,38 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _references(node: ast.AST) -> Set[str]:
-    """Every bare name and attribute name used under ``node``."""
+    """Every bare name, attribute name and imported name used under ``node``."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
     return names
 
 
 def unreached_definitions() -> List[str]:
     """``module.py:name`` of every public top-level definition with no caller."""
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
-    texts = {path: path.read_text() for path in modules}
-    examples = [p.read_text() for p in sorted((ROOT / "examples").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text()) for path in modules}
+    named = {path: _references(tree) for path, tree in trees.items()}
+    in_examples = set().union(
+        *(
+            _references(ast.parse(p.read_text()))
+            for p in (ROOT / "examples").glob("*.py")
+        )
+    )
 
     def named_elsewhere(name: str, home: Path) -> bool:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        return any(
-            word.search(text) for path, text in texts.items() if path != home
-        ) or any(word.search(text) for text in examples)
+        return name in in_examples or any(
+            name in names for path, names in named.items() if path != home
+        )
 
     unreached = []
-    for path, text in texts.items():
-        body = ast.parse(text).body
+    for path, tree in trees.items():
+        body = tree.body
         defs = {node.name: node for node in body if isinstance(node, DEFINITIONS)}
         pending = set()
         for node in body:
