@@ -654,36 +654,36 @@ def cmd_health(args: argparse.Namespace) -> int:
         scene=setup.scene,
         metrics=setup.metrics,
     )
-    store = CheckpointStore(
-        Path(tempfile.mkdtemp(prefix="repro-health-ckpt-")) / "health.ckpt"
-    )
-    supervisor = Supervisor(
-        lambda: setup.tagwatch(config),
-        config=SupervisorConfig(watchdog=WatchdogPolicy()),
-        store=store,
-        health=health,
-    )
-    mode = supervisor.start()
-    if mode == "cold" and args.warmup > 0:
-        assert supervisor.tagwatch is not None
-        supervisor.tagwatch.warm_up(args.warmup)
-    with use_tracer(recorder):
-        for i in range(args.cycles):
-            supervised = supervisor.run_cycle()
-            if args.watch:
-                verdicts = health.engine.verdicts()
-                worst = min(
-                    (v["compliance"] for v in verdicts.values()),
-                    default=1.0,
-                )
-                _log.info(
-                    f"cycle {supervised.index:>4}  "
-                    f"t={setup.reader.time_s:8.1f}s  "
-                    f"status={health.status:<8}  "
-                    f"worst-slo={worst:.4f}  "
-                    f"alerts={health.engine.n_alerts}  "
-                    f"incidents={len(health.incidents)}"
-                )
+    # The checkpoints only serve this run's own restarts.
+    with tempfile.TemporaryDirectory(prefix="repro-health-ckpt-") as tmp:
+        store = CheckpointStore(Path(tmp) / "health.ckpt")
+        supervisor = Supervisor(
+            lambda: setup.tagwatch(config),
+            config=SupervisorConfig(watchdog=WatchdogPolicy()),
+            store=store,
+            health=health,
+        )
+        mode = supervisor.start()
+        if mode == "cold" and args.warmup > 0:
+            assert supervisor.tagwatch is not None
+            supervisor.tagwatch.warm_up(args.warmup)
+        with use_tracer(recorder):
+            for i in range(args.cycles):
+                supervised = supervisor.run_cycle()
+                if args.watch:
+                    verdicts = health.engine.verdicts()
+                    worst = min(
+                        (v["compliance"] for v in verdicts.values()),
+                        default=1.0,
+                    )
+                    _log.info(
+                        f"cycle {supervised.index:>4}  "
+                        f"t={setup.reader.time_s:8.1f}s  "
+                        f"status={health.status:<8}  "
+                        f"worst-slo={worst:.4f}  "
+                        f"alerts={health.engine.n_alerts}  "
+                        f"incidents={len(health.incidents)}"
+                    )
     report = health.report()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -890,7 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_soak.add_argument("--blackout-every", type=_count, default=120)
     p_soak.add_argument(
         "--checkpoint-dir", default="",
-        help="checkpoint directory (default: a fresh temp directory)",
+        help="checkpoint directory (default: a temporary directory "
+        "removed on exit)",
     )
     p_soak.add_argument(
         "--bundle-dir", default="",

@@ -86,7 +86,8 @@ class SoakConfig:
     #: Invariant bounds.
     staleness_healthy_cycles: int = 3
     max_consecutive_unhealthy: int = 12
-    #: Where checkpoint generations live (None: a fresh temp directory).
+    #: Where checkpoint generations live (None: a temporary directory
+    #: removed when the run ends).
     checkpoint_dir: Optional[str] = None
     #: Where incident bundles land (None disables flight recording; SLOs
     #: are still scored and reported).
@@ -279,8 +280,19 @@ def _corrupt_newest(store: CheckpointStore, rng) -> bool:
 
 # ----------------------------------------------------------------------
 def run(config: Optional[SoakConfig] = None) -> SoakReport:
-    """One full soak run; deterministic in ``config.seed``."""
+    """One full soak run; deterministic in ``config.seed``.
+
+    Without ``config.checkpoint_dir`` the checkpoints live in a temporary
+    directory that is removed when the run ends.
+    """
     config = config or SoakConfig()
+    if config.checkpoint_dir:
+        return _run(config, Path(config.checkpoint_dir))
+    with tempfile.TemporaryDirectory(prefix="repro-soak-ckpt-") as tmp:
+        return _run(config, Path(tmp))
+
+
+def _run(config: SoakConfig, checkpoint_dir: Path) -> SoakReport:
     wall_start = time.perf_counter()
     streams = RngStream(config.seed)
     # Generous simulated-time horizon for the pre-run schedules: later
@@ -303,10 +315,6 @@ def run(config: Optional[SoakConfig] = None) -> SoakReport:
         phase2_duration_s=config.phase2_duration_s,
         min_phase1_fraction=0.5,
         population_grace_cycles=2,
-    )
-    checkpoint_dir = Path(
-        config.checkpoint_dir
-        or tempfile.mkdtemp(prefix="repro-soak-ckpt-")
     )
     store = CheckpointStore(checkpoint_dir / "soak.ckpt", retain=config.retain)
     recorder = (

@@ -342,8 +342,11 @@ class InventoryEngine:
                 ids_list = participant_ids
             else:
                 ids_list = np.asarray(participant_ids, dtype=np.int64).tolist()
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the records are ordinary ``TagRead`` instances.
+            new = tuple.__new__
             log.reads = [
-                TagRead(ids_list[p_i], time_s, round_index, slot)
+                new(TagRead, (ids_list[p_i], time_s, round_index, slot))
                 for p_i, slot, time_s in zip(
                     cal.read_pos_np[:n_reads].tolist(),
                     cal.read_slot_np[:n_reads].tolist(),

@@ -9,9 +9,8 @@ motion indicator in Fig 12/13.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -68,18 +67,6 @@ def _quantize(value: float, quantum: float) -> float:
     return round(value / quantum) * quantum
 
 
-def _wrap_two_pi(value: float) -> float:
-    """Scalar ``np.mod(value, TWO_PI)``, via the C library.
-
-    ``math.fmod`` keeps the dividend's sign, so a negative remainder is
-    shifted up by one period; the result is bit-identical to numpy's mod
-    (both reduce to the same correctly-rounded fmod) without the overhead
-    of a numpy scalar ufunc call.
-    """
-    r = math.fmod(value, TWO_PI)
-    return r + TWO_PI if r < 0.0 else r
-
-
 def measurement_bases(
     gain: complex,
     tag_phase_offset_rad: float,
@@ -117,43 +104,6 @@ def measure_from_bases(
     rss = rss_base + gen.normal(0.0, noise.rss_noise_std_db)
     rss = float(_quantize(rss, noise.rss_quantum_db))
     return phase, rss
-
-
-def measure_many_from_bases(
-    bases: Sequence[Tuple[float, float]],
-    noise: NoiseModel,
-    rng: SeedLike = None,
-) -> List[Tuple[float, float]]:
-    """Batch equivalent of :func:`measure_from_bases` for ordered reads.
-
-    Draws all noise samples with one ``standard_normal(2k)`` call.  A scalar
-    ``normal(0, std)`` is exactly ``std * standard_normal()`` and consumes
-    one draw, so both the values and the RNG stream position match ``k``
-    sequential :func:`measure_from_bases` calls bit for bit.
-    """
-    if not bases:
-        return []
-    gen = make_rng(rng)
-    z = gen.standard_normal(2 * len(bases)).tolist()
-    phase_std = noise.phase_noise_std_rad
-    rss_std = noise.rss_noise_std_db
-    phase_q = noise.phase_quantum_rad
-    rss_q = noise.rss_quantum_db
-    out = []
-    append = out.append
-    i = 0
-    for phase_base, rss_base in bases:
-        phase = phase_base + phase_std * z[i]
-        if phase_q > 0:
-            phase = round(phase / phase_q) * phase_q
-        append(
-            (
-                _wrap_two_pi(phase),
-                _quantize(rss_base + rss_std * z[i + 1], rss_q),
-            )
-        )
-        i += 2
-    return out
 
 
 def measure(

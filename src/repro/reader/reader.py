@@ -4,7 +4,10 @@ Binds the slot-accurate :class:`~repro.gen2.inventory.InventoryEngine` to a
 physical :class:`~repro.world.scene.Scene`: every successful slot becomes a
 :class:`~repro.radio.measurement.TagObservation` carrying the phase/RSS the
 channel model produces at the exact simulated read time, on the channel the
-hopper currently occupies, for the antenna running the round.
+hopper currently occupies, for the antenna running the round.  The reader
+hands the round's reads to :meth:`~repro.world.scene.Scene.observe_batch`
+as the engine settled them; the scene drops reads of tags that left
+mid-round and turns the rest into observations in one pass.
 
 The reader owns the simulated clock.  Rounds advance it; frequency hops
 happen at round boundaries once the regulatory dwell has elapsed (COTS
@@ -131,7 +134,8 @@ class SimReader:
         if not selects:
             # No Select => every in-range tag participates (SL unfiltered);
             # skip materialising the memory-bank views entirely.
-            return list(in_range)
+            # ``tags_in_range`` returns a fresh list, so no copy is needed.
+            return in_range
         if self._select_flags_generation != scene.generation:
             self._select_flags = {}
             self._select_flags_generation = scene.generation
@@ -206,18 +210,10 @@ class SimReader:
             max_duration_s=max_duration_s,
         )
         # A tag may leave the scene mid-round (participants are fixed when
-        # the round starts); it simply stops responding, so its pending read
-        # produces no report.
-        scene = self.scene
-        present_ids: List[int] = []
-        present_times: List[float] = []
-        is_present = scene.is_tag_present
-        for read in log.reads:
-            if is_present(read.tag_index, read.time_s):
-                present_ids.append(read.tag_index)
-                present_times.append(read.time_s)
-        observations = scene.observe_batch(
-            present_ids, antenna_index, channel, present_times
+        # the round starts); it simply stops responding, so the scene turns
+        # its pending read into no report.
+        observations = self.scene.observe_batch(
+            log.reads, antenna_index, channel
         )
         if self._report_callbacks:
             for obs in observations:

@@ -232,8 +232,10 @@ class Supervisor:
         self.tagwatch.restore_state(envelope["payload"])  # type: ignore[arg-type]
         self.warm_restarts += 1
         self._metric_inc("runtime.warm_restarts")
+        # The generation's name only, as in the ``checkpoint.load`` trace
+        # event: the directory differs between otherwise identical runs.
         _log.info(
-            f"warm restart from {path} "
+            f"warm restart from {path.name} "
             f"(cycle {envelope.get('cycle_index')}, "
             f"t={float(envelope.get('sim_time_s', 0.0)):.1f}s)"
         )

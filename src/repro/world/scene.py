@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gen2.epc import EPC, TagMemory
+from repro.gen2.inventory import TagRead
 from repro.radio.channel import (
     Reflector,
     backscatter_gain,
@@ -31,7 +32,6 @@ from repro.radio.measurement import (
     NoiseModel,
     TagObservation,
     measure_from_bases,
-    measure_many_from_bases,
     measurement_bases,
 )
 from repro.util.circular import TWO_PI
@@ -174,12 +174,17 @@ class Scene:
             and not tag.blocked_intervals
             for tag in self.tags
         ]
+        #: Every tag is always present, so no read needs a presence check.
+        self._all_present = all(self._always_present)
         self._static_in_range: Dict[int, frozenset] = {}
         #: antenna -> (fixed members, per-t checks, antenna position as
         #: floats); see ``_range_entries``.
         self._range_entries_cache: Dict[int, Tuple[List[int], list, tuple]] = {}
-        #: (tag, antenna, channel) -> deterministic (phase, RSS) bases.
-        self._gain_cache: Dict[Tuple[int, int, int], Tuple[float, float]] = {}
+        #: (antenna, channel) -> {tag: deterministic (phase, RSS) bases};
+        #: holds stationary tags in a static environment only.
+        self._port_bases: Dict[
+            Tuple[int, int], Dict[int, Tuple[float, float]]
+        ] = {}
         #: (tag, antenna) -> channel-independent path geometry; shared by all
         #: channels of the plan, so a hop only re-runs the per-frequency part.
         self._geom_cache: Dict[Tuple[int, int], object] = {}
@@ -380,8 +385,10 @@ class Scene:
             # Tag and every scatterer are stationary: the round-trip gain on
             # one (tag, antenna, channel) never changes, so the deterministic
             # measurement bases derived from it are reused bit for bit.
-            key = (tag_index, antenna_index, channel_index)
-            bases = self._gain_cache.get(key)
+            port = self._port_bases.setdefault(
+                (antenna_index, channel_index), {}
+            )
+            bases = port.get(tag_index)
             if bases is not None:
                 return bases
         tag = self.tags[tag_index]
@@ -426,64 +433,75 @@ class Scene:
             self.noise,
         )
         if cacheable:
-            self._gain_cache[key] = bases
+            port[tag_index] = bases
         return bases
-
-    def is_tag_present(self, tag_index: int, t: float) -> bool:
-        """Presence check with a fast path for never-absent tags."""
-        return self._always_present[tag_index] or self.tags[tag_index].is_present(t)
 
     def observe_batch(
         self,
-        tag_indices: Sequence[int],
+        reads: Sequence[TagRead],
         antenna_index: int,
         channel_index: int,
-        times: Sequence[float],
     ) -> List[TagObservation]:
-        """Observations for several reads of one round, in read order.
+        """The phase/RSS reports of one round's reads, in read order.
 
-        RNG-equivalent to calling :meth:`observe` per read (noise samples are
-        drawn in one batch in the same order).  Callers must have filtered
-        out absent tags; presence is not re-checked here.
+        A read whose tag is absent at its read time (it left the scene or
+        was blocked mid-round) gives no report and draws no noise.  The
+        round's noise is one ``standard_normal(2k)`` draw: a scalar
+        ``normal(0, std)`` is exactly ``std * standard_normal()`` and
+        consumes one draw, so the reports and the generator's end position
+        match ``k`` :meth:`observe` calls bit for bit.  Quantisation keeps
+        the scalar ``round``, which gives +0.0 where ``np.rint`` gives
+        -0.0.
         """
-        bases_for = self._measurement_bases_for
-        if self._environment_static():
-            # Hit path inlined: for a stationary tag in a static environment
-            # the bases are a pure cache lookup (same key and values as
-            # ``_measurement_bases_for``; misses fall through to it).
-            cache = self._gain_cache
-            static = self._tag_static
-            bases_list = [
-                (
-                    cache.get((tag_index, antenna_index, channel_index))
-                    if static[tag_index]
-                    else None
-                )
-                or bases_for(tag_index, antenna_index, channel_index, t)
-                for tag_index, t in zip(tag_indices, times)
-            ]
-        else:
-            bases_list = [
-                bases_for(tag_index, antenna_index, channel_index, t)
-                for tag_index, t in zip(tag_indices, times)
-            ]
-        pairs = measure_many_from_bases(
-            bases_list, self.noise, self._measure_rng
-        )
         tags = self.tags
-        return [
-            TagObservation(
-                tags[tag_index].epc,
-                t,
-                phase,
-                rss,
-                antenna_index,
-                channel_index,
+        if not self._all_present:
+            always = self._always_present
+            reads = [
+                read
+                for read in reads
+                if always[read[0]] or tags[read[0]].is_present(read[1])
+            ]
+        if not reads:
+            return []
+        z = self._measure_rng.standard_normal(2 * len(reads)).tolist()
+        noise = self.noise
+        phase_std = noise.phase_noise_std_rad
+        rss_std = noise.rss_noise_std_db
+        phase_q = noise.phase_quantum_rad
+        rss_q = noise.rss_quantum_db
+        port = self._port_bases.get((antenna_index, channel_index), {})
+        bases_for = self._measurement_bases_for
+        fmod = math.fmod
+        new = tuple.__new__
+        out = []
+        append = out.append
+        i = 0
+        for tag_index, t, _, _ in reads:
+            bases = port.get(tag_index)
+            if bases is None:
+                bases = bases_for(tag_index, antenna_index, channel_index, t)
+            phase = bases[0] + phase_std * z[i]
+            if phase_q > 0:
+                phase = round(phase / phase_q) * phase_q
+            # ``fmod`` then one period up for a negative remainder is
+            # ``np.mod(phase, 2*pi)`` bit for bit.
+            phase = fmod(phase, TWO_PI)
+            if phase < 0.0:
+                phase += TWO_PI
+            rss = bases[1] + rss_std * z[i + 1]
+            if rss_q > 0:
+                rss = round(rss / rss_q) * rss_q
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the record is an ordinary ``TagObservation``.
+            append(
+                new(
+                    TagObservation,
+                    (tags[tag_index].epc, t, phase, rss, antenna_index,
+                     channel_index),
+                )
             )
-            for (tag_index, t), (phase, rss) in zip(
-                zip(tag_indices, times), pairs
-            )
-        ]
+            i += 2
+        return out
 
     # ------------------------------------------------------------------
     def moving_tag_indices(self, t: float) -> List[int]:

@@ -213,6 +213,40 @@ class TestHealthCommand:
         assert out.count("status=ok") >= 3
 
 
+class TestTemporaryCheckpoints:
+    """Without ``--checkpoint-dir``, ``soak`` and ``health`` keep their
+    checkpoints in a temporary directory that is gone when they exit, and
+    print nothing that depends on where it was."""
+
+    # Cycle 24's kill restarts warm from the checkpoint written at cycle 20.
+    SOAK = ["soak", "--cycles", "50", "--tags", "12", "--kill-every", "25",
+            "--seed", "5"]
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_no_checkpoint_directory_left_behind(self, temp_root, capsys):
+        assert main(self.SOAK) == 0
+        assert main(["health", "--cycles", "3"]) == 0
+        assert list(temp_root.glob("repro-*-ckpt-*")) == []
+
+    def test_same_seed_soak_prints_the_same(self, temp_root, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(self.SOAK) == 0
+            # The wall-time row is host timing, the one line allowed to differ.
+            outputs.append([
+                line for line in capsys.readouterr().out.splitlines()
+                if "wall time" not in line
+            ])
+        assert "warm restart from soak.ckpt (cycle 20, t=33.0s)" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
 class TestSiteChaosCommand:
     ARGS = [
         "site", "--chaos", "--readers", "3", "--tags", "24",
