@@ -45,11 +45,7 @@ from repro.core.analysis import (
     predicted_gain,
 )
 from repro.core.monitor import MonitorSnapshot, TagwatchMonitor
-from repro.core.persistence import (
-    load_assessor,
-    restore_assessor,
-    save_assessor,
-)
+from repro.core.persistence import restore_assessor
 from repro.core.motion import MotionAssessor, TagAssessment
 from repro.core.scheduler import SchedulePlan, TargetScheduler
 from repro.core.setcover import (
@@ -91,7 +87,6 @@ __all__ = [
     "greedy_cover",
     "indicator_bitmap",
     "irr_drop",
-    "load_assessor",
     "load_concerned_epcs",
     "make_scorer",
     "naive_selection",
@@ -100,7 +95,6 @@ __all__ = [
     "predict_cycle",
     "predicted_gain",
     "restore_assessor",
-    "save_assessor",
     "save_concerned_epcs",
     "select_bitmasks",
     "unpack_bitmap",

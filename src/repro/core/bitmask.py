@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class CandidateRow:
     @property
     def covered_count(self) -> int:
         return int(np.count_nonzero(self.coverage))
-
-    def covered_indices(self) -> Tuple[int, ...]:
-        """Indices of the covered tags, ascending."""
-        return tuple(int(i) for i in np.flatnonzero(self.coverage))
 
 
 class CandidateTable(Sequence[CandidateRow]):
@@ -332,11 +328,6 @@ class IndexedBitmaskTable:
         )
 
     # ------------------------------------------------------------------
-    def coverage_of(self, bitmask: BitMask) -> np.ndarray:
-        """Coverage bitmap of an arbitrary bitmask over the population."""
-        return np.array(
-            [bitmask.covers(epc) for epc in self.epcs], dtype=bool
-        )
 
 
 def indicator_bitmap(

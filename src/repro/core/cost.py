@@ -80,19 +80,6 @@ class CostModel:
         # A noisy fit can push tau_0 slightly negative; clamp to physical range.
         return cls(tau0_s=max(tau0, 0.0), tau_bar_s=max(tau_bar, 1e-6))
 
-    def relative_error(
-        self, tag_counts: Sequence[int], durations_s: Sequence[float]
-    ) -> float:
-        """Mean relative model error against measurements (for validation)."""
-        errors = [
-            abs(self.inventory_cost(n) - d) / d
-            for n, d in zip(tag_counts, durations_s)
-            if d > 0
-        ]
-        if not errors:
-            raise ValueError("no valid measurements")
-        return float(np.mean(errors))
-
 
 #: The paper's fitted constants for the ImpinJ R420 (Section 6).
 PAPER_R420 = CostModel(tau0_s=19e-3, tau_bar_s=0.18e-3)

@@ -35,10 +35,6 @@ class MotionScorer(abc.ABC):
     def score(self, value: float) -> float:
         """Consume a reading, return motion evidence (larger = moving)."""
 
-    def decide(self, value: float, threshold: float) -> bool:
-        """Convenience: score and threshold in one step."""
-        return self.score(value) > threshold
-
 
 class DifferencingScorer(MotionScorer):
     """Compare each reading with the previous one (Phase/RSS-differencing)."""

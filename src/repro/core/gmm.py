@@ -400,9 +400,5 @@ class GaussianMixtureStack:
         """Modes currently trusted to vouch for stationarity."""
         return [m for m in self.modes if self._is_reliable(m)]
 
-    def total_weight(self) -> float:
-        """Sum of all mode weights (evidence mass)."""
-        return float(sum(m.weight for m in self.modes))
-
     def __len__(self) -> int:
         return len(self.modes)

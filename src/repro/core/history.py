@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.radio.measurement import TagObservation
 
@@ -53,14 +53,6 @@ class ReadingHistory:
         self.total_reads += 1
         if self.max_per_tag is not None and len(bucket) > self.max_per_tag:
             del bucket[: len(bucket) - self.max_per_tag]
-
-    def add_all(self, observations: Iterable[TagObservation]) -> int:
-        """Record several observations; returns how many."""
-        count = 0
-        for obs in observations:
-            self.add(obs)
-            count += 1
-        return count
 
     # ------------------------------------------------------------------
     def epc_values(self) -> List[int]:
@@ -135,14 +127,6 @@ class ReadingHistory:
         return IrrSample(
             epc_value=epc_value, n_reads=len(reads), interval_s=t1 - t0
         )
-
-    def irr_table(
-        self, epc_values: Sequence[int], t0: float, t1: float
-    ) -> Dict[int, float]:
-        """IRR (Hz) for several tags over one interval."""
-        return {
-            epc: self.irr(epc, t0, t1).irr_hz for epc in epc_values
-        }
 
     def clear(self) -> None:
         """Drop everything (a fresh deployment)."""

@@ -17,7 +17,7 @@ dropped to bound memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.gmm import GaussianMixtureStack, GmmParams, UpdateResult
 from repro.radio.measurement import TagObservation
@@ -120,12 +120,6 @@ class MotionAssessor:
         self.stats.n_shards = len(self._stacks)
         return verdicts
 
-    def moving_epc_values(self) -> Set[int]:
-        """Convenience: EPC values judged moving in the pending cycle."""
-        return {
-            epc for epc, verdict in self.assess().items() if verdict.moving
-        }
-
     # ------------------------------------------------------------------
     def expire(self, now_s: float) -> int:
         """Drop models of tags unseen for ``expire_after_s``; returns count."""
@@ -146,13 +140,3 @@ class MotionAssessor:
             self._cycle_flags.pop(epc, None)
         self.stats.n_expired += len(stale)
         return len(stale)
-
-    def known_epc_values(self) -> Set[int]:
-        """Tags with live immobility models."""
-        return set(self._last_seen)
-
-    def shard_count(self, epc_value: Optional[int] = None) -> int:
-        """Number of model shards (for one tag, or overall)."""
-        if epc_value is None:
-            return len(self._stacks)
-        return sum(1 for key in self._stacks if key[0] == epc_value)

@@ -127,20 +127,6 @@ def restore_assessor(state: dict) -> MotionAssessor:
     return assessor
 
 
-def save_assessor(path: PathLike, assessor: MotionAssessor) -> None:
-    """Write the assessor's learning state to a JSON file."""
-    Path(path).write_text(
-        json.dumps(assessor_state(assessor)), encoding="utf-8"
-    )
-
-
-def load_assessor(path: PathLike) -> MotionAssessor:
-    """Read an assessor back from :func:`save_assessor` output."""
-    return restore_assessor(
-        json.loads(Path(path).read_text(encoding="utf-8"))
-    )
-
-
 # ----------------------------------------------------------------------
 # Crash-safe snapshot envelopes
 # ----------------------------------------------------------------------

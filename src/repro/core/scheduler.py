@@ -36,10 +36,6 @@ class SchedulePlan:
     target_epcs: List[EPC]
     planning_wall_s: float  # wall-clock cost of the search (Fig 17)
 
-    @property
-    def predicted_sweep_cost_s(self) -> float:
-        return self.selection.total_cost_s
-
 
 class TargetScheduler:
     """Plans selective reading for a target set over a known population."""

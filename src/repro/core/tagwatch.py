@@ -36,7 +36,7 @@ from repro.obs import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.radio.measurement import TagObservation
 from repro.reader.client import LLRPClient, ReaderConnectionError
-from repro.reader.llrp import AISpec, AISpecStopTrigger, ROSpec
+from repro.reader.llrp import ROSpec, read_all_rospec
 from repro.util.rng import derive_rng
 
 ObservationCallback = Callable[[TagObservation], None]
@@ -187,14 +187,6 @@ class Tagwatch:
             )
         )
 
-    def _read_all_rospec(self, duration_s: Optional[float]) -> ROSpec:
-        stop = AISpecStopTrigger(n_rounds=1)
-        return ROSpec(
-            rospec_id=self._fresh_rospec_id(),
-            ai_specs=(AISpec(tuple(self._antenna_ids()), (), stop),),
-            duration_s=duration_s,
-        )
-
     def _update_population(
         self, observations: Sequence[TagObservation], cycle_index: int = 0
     ) -> None:
@@ -278,7 +270,9 @@ class Tagwatch:
             category="tagwatch",
             duration_s=duration_s,
         )
-        observations, _, _ = self._execute(self._read_all_rospec(duration_s))
+        observations, _, _ = self._execute(
+            read_all_rospec(self._fresh_rospec_id(), self._antenna_ids(), duration_s)
+        )
         self._deliver(observations)
         self.assessor.observe_all(observations)
         self.assessor.assess()  # close the pseudo-cycle, clearing votes
@@ -309,7 +303,7 @@ class Tagwatch:
         prev_population_size = len(self._known_population)
         phase1_span = tracer.begin("phase1", t=phase1_start, category="tagwatch")
         phase1_obs, phase1_log, phase1_ok = self._execute(
-            self._read_all_rospec(None)
+            read_all_rospec(self._fresh_rospec_id(), self._antenna_ids())
         )
         phase1_end = reader.time_s
         tracer.end(
@@ -451,7 +445,11 @@ class Tagwatch:
 
         # ---- Phase II ----------------------------------------------------
         if fallback:
-            phase2_rospec = self._read_all_rospec(self.config.phase2_duration_s)
+            phase2_rospec = read_all_rospec(
+                self._fresh_rospec_id(),
+                self._antenna_ids(),
+                self.config.phase2_duration_s,
+            )
         else:
             assert plan is not None and plan.rospec is not None
             phase2_rospec = plan.rospec

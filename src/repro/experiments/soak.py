@@ -476,7 +476,6 @@ def format_report(report: SoakReport) -> str:
          ", ".join(f"{k}={v}" for k, v in sorted(report.escalations.items()))
          or "-"],
         ["simulated time", f"{report.sim_duration_s:.0f} s"],
-        ["wall time", f"{report.wall_s:.1f} s"],
         ["invariant violations", len(report.violations)],
         ["SLO alerts / incidents",
          f"{report.n_slo_alerts} / {report.n_incidents}"],

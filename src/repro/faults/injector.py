@@ -79,10 +79,6 @@ class FaultInjector:
                 break
         return None
 
-    @property
-    def pending_disconnects(self) -> Sequence[float]:
-        return tuple(self._pending_disconnects)
-
     # ------------------------------------------------------------------
     # Reader crashes
     # ------------------------------------------------------------------
@@ -205,11 +201,6 @@ class FaultInjector:
 
         self.metrics.counter("faults.reports_out").inc(len(out))
         return out
-
-    def flush_held(self) -> List[TagObservation]:
-        """Hand back any still-buffered delayed reports (end of run)."""
-        held, self._held = self._held, []
-        return held
 
     # ------------------------------------------------------------------
     def _blacked_out(self, obs: TagObservation) -> bool:

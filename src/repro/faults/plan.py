@@ -45,7 +45,7 @@ injecting at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -228,17 +228,6 @@ class FaultPlan:
             and not self.crashes
             and not self.jams
         )
-
-    def scaled(self, factor: float) -> "FaultPlan":
-        """A plan with every probability multiplied by ``factor`` (clamped)."""
-        if factor < 0:
-            raise ValueError("scale factor must be non-negative")
-        updates = {
-            name: min(1.0, getattr(self, name) * factor)
-            for name in _PROBABILITY_FIELDS
-            if name != "burst_exit"
-        }
-        return replace(self, **updates)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:

@@ -85,15 +85,7 @@ class FaultyReader(SimReader):
         if self.injector.plan.is_noop and not self._crash_possible():
             return super().inventory_round(antenna_index, selects, max_duration_s)
         round_start_s = self.time_s
-        # Suppress the base class's per-report callbacks: consumers must
-        # only ever see the post-fault report stream.
-        callbacks, self._report_callbacks = self._report_callbacks, []
-        try:
-            result = super().inventory_round(
-                antenna_index, selects, max_duration_s
-            )
-        finally:
-            self._report_callbacks = callbacks
+        result = super().inventory_round(antenna_index, selects, max_duration_s)
 
         crashed = self.injector.take_crash(round_start_s, self.time_s)
         if crashed is not None:
@@ -120,9 +112,6 @@ class FaultyReader(SimReader):
             )
 
         observations: List = self.injector.apply_round(result.observations)
-        for obs in observations:
-            for callback in callbacks:
-                callback(obs)
         return RoundResult(
             observations, result.log, result.antenna_index, result.channel_index
         )

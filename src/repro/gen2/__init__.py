@@ -29,7 +29,6 @@ from repro.gen2.session import (
 from repro.gen2.sgtin import (
     ProductLine,
     Sgtin96,
-    is_sgtin96,
     warehouse_population,
 )
 from repro.gen2.timing import LinkTiming
@@ -56,7 +55,6 @@ __all__ = [
     "TagRead",
     "apply_selects",
     "matches",
-    "is_sgtin96",
     "random_epc_population",
     "warehouse_population",
 ]

@@ -122,15 +122,3 @@ class QAdaptive(FrameStrategy):
 
     def next_frame(self, n_remaining_estimate: int) -> int:
         return 1 << self.q
-
-
-def make_strategy(name: str, **kwargs) -> FrameStrategy:
-    """Factory by name: 'fixed', 'dfsa' or 'q-adaptive'."""
-    lowered = name.lower()
-    if lowered in ("fixed", "fsa"):
-        return FixedQ(**kwargs)
-    if lowered in ("dfsa", "ideal"):
-        return IdealDFSA(**kwargs)
-    if lowered in ("q-adaptive", "qadaptive", "q"):
-        return QAdaptive(**kwargs)
-    raise ValueError(f"unknown anti-collision strategy {name!r}")

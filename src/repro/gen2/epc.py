@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -82,11 +82,6 @@ class EPC:
         return cls(value & ((1 << length) - 1), length)
 
     # -- bit access --------------------------------------------------------
-    def bit(self, index: int) -> int:
-        """Bit at Gen2 address ``index`` (0 = MSB)."""
-        if index < 0 or index >= self.length:
-            raise IndexError(f"bit index {index} out of range 0..{self.length - 1}")
-        return (self.value >> (self.length - 1 - index)) & 1
 
     def bit_slice(self, pointer: int, length: int) -> int:
         """Integer value of bits ``pointer .. pointer+length-1`` (MSB first).
@@ -165,16 +160,3 @@ def sequential_epc_population(
 ) -> List[EPC]:
     """EPCs ``start, start+1, ...`` — useful for deterministic tests."""
     return [EPC(start + i, length) for i in range(n)]
-
-
-def common_prefix_length(epcs: Sequence[EPC]) -> int:
-    """Length of the longest shared prefix (in bits) among ``epcs``."""
-    if not epcs:
-        return 0
-    length = min(e.length for e in epcs)
-    first = epcs[0]
-    for i in range(length):
-        bit = first.bit(i)
-        if any(e.bit(i) != bit for e in epcs[1:]):
-            return i
-    return length

@@ -551,31 +551,3 @@ class InventoryEngine:
         return _finish(t)
 
     # ------------------------------------------------------------------
-    def run_for_duration(
-        self,
-        participant_ids: Sequence[int],
-        start_time_s: float,
-        duration_s: float,
-    ) -> InventoryLog:
-        """Run back-to-back rounds until ``duration_s`` of simulated time passes.
-
-        Each round reports the whole participant set once (the inventoried
-        flags are re-targeted between rounds), which is how a COTS reader in
-        continuous-inventory mode behaves.
-        """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        total = InventoryLog(start_time_s=start_time_s, end_time_s=start_time_s)
-        t = start_time_s
-        deadline = start_time_s + duration_s
-        while t < deadline:
-            round_log = self.run_round(
-                participant_ids,
-                start_time_s=t,
-                max_duration_s=deadline - t,
-            )
-            total.merge(round_log)
-            if round_log.end_time_s <= t:  # pragma: no cover - safety net
-                break
-            t = round_log.end_time_s
-        return total

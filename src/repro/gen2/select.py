@@ -92,8 +92,8 @@ def matches(select: Select, tag: Matchable) -> bool:
 
     ``tag`` may be a bare :class:`EPC` (non-EPC banks then hold their
     all-zero defaults) or a full :class:`TagMemory` (masks against TID/USER
-    compare against real contents — e.g. manufacturer targeting via the
-    TID's MDID field, see :mod:`repro.gen2.tid`).
+    compare against real contents, e.g. manufacturer targeting via the
+    TID's mask-designer field).
     """
     memory = tag if isinstance(tag, TagMemory) else TagMemory(epc=tag)
     bank = memory.bank(select.membank)

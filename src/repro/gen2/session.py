@@ -116,19 +116,11 @@ class SessionedInventory:
         # engine directly (the reader's participant logic already applied
         # range + Select; the session filter composes on top).
         log = reader.engine.run_round(eligible, start_time_s=reader.time_s)
-        observations = []
-        for read in log.reads:
-            tag = reader.scene.tags[read.tag_index]
-            if not tag.is_present(read.time_s):
-                continue
-            obs = reader.scene.observe(
-                read.tag_index,
-                antenna_index,
-                reader.channel_index,
-                read.time_s,
-            )
-            observations.append(obs)
-            store.mark_read(read.tag_index, read.time_s)
+        observations = reader.scene.observe_batch(
+            log.reads, antenna_index, reader.channel_index
+        )
+        for obs in observations:
+            store.mark_read(reader.scene.index_of(obs.epc), obs.time_s)
         reader.time_s = log.end_time_s
         return observations, log
 

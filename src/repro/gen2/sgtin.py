@@ -107,11 +107,6 @@ class Sgtin96:
         )
 
 
-def is_sgtin96(epc: EPC) -> bool:
-    """Quick header check without decoding."""
-    return epc.length == 96 and epc.bit_slice(0, 8) == SGTIN96_HEADER
-
-
 @dataclass(frozen=True)
 class ProductLine:
     """One SKU: a (company prefix, item reference) pair issuing serials."""
@@ -170,9 +165,3 @@ def warehouse_population(
         seen.add(epc.value)
         tags.append(epc)
     return tags, lines
-
-
-def sku_prefix_mask_length(partition: int = 5) -> int:
-    """Bits shared by every tag of one SKU (header through item reference)."""
-    cp_bits, _, ir_bits, _ = PARTITION_TABLE[partition]
-    return 8 + 3 + 3 + cp_bits + ir_bits

@@ -38,10 +38,10 @@ __all__ = [
 LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 #: Environment variable consulted for the *default* level — handy for
-#: cranking a misbehaving run to ``debug`` (or muting a cron job to
-#: ``error``) without plumbing a flag through every entry point.  An
-#: explicit :func:`configure` call always wins; unknown values fall back
-#: to ``info`` rather than erroring, so a typo never kills a run.
+#: muting a cron job to ``error`` without plumbing a flag through every
+#: entry point.  An explicit :func:`configure` call always wins; unknown
+#: values fall back to ``info`` rather than erroring, so a typo never
+#: kills a run.
 ENV_LEVEL = "REPRO_LOG_LEVEL"
 
 
@@ -142,9 +142,6 @@ class StructuredLogger:
             print(text, file=out)
 
     # ------------------------------------------------------------------
-    def debug(self, msg: object = "", **fields: object) -> None:
-        """Diagnostic detail, hidden at the default level."""
-        self._emit(LEVELS["debug"], "debug", msg, fields)
 
     def info(self, msg: object = "", **fields: object) -> None:
         """Normal report output (what ``print()`` used to carry)."""

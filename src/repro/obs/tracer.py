@@ -133,11 +133,6 @@ class Tracer:
         self._next_id += 1
         return next_id
 
-    @property
-    def open_depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._stack)
-
     def begin(self, name: str, t: float, category: str = "", **args: object) -> Span:
         """Open a span at simulated time ``t``; close it with :meth:`end`."""
         # ``args`` is the fresh dict ``**kwargs`` built for this call; the

@@ -45,11 +45,6 @@ class ChannelPlan:
         """Wavelength (m) of a channel."""
         return wavelength(self.frequency(channel_index))
 
-    def channel_at(self, time_s: float, start_channel: int = 0) -> int:
-        """Channel index in force at ``time_s`` under periodic hopping."""
-        hops = int(time_s / self.hop_dwell_s)
-        return (start_channel + hops) % len(self.frequencies_hz)
-
 
 def china_920_926(n_channels: int = 16, hop_dwell_s: float = 0.2) -> ChannelPlan:
     """The 920–926 MHz Chinese UHF band used by the paper (16 channels)."""

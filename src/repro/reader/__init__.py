@@ -20,13 +20,6 @@ from repro.reader.resilience import (
     ResilientLLRPClient,
     RetryPolicy,
 )
-from repro.reader.reports import (
-    ReportTrigger,
-    ROReportContentSelector,
-    ROReportSpec,
-    TagReportEntry,
-    build_reports,
-)
 
 __all__ = [
     "AISpec",
@@ -38,13 +31,8 @@ __all__ = [
     "ReaderConnectionError",
     "ResilientLLRPClient",
     "RetryPolicy",
-    "ROReportContentSelector",
-    "ROReportSpec",
     "ROSpec",
     "ReaderState",
-    "ReportTrigger",
-    "TagReportEntry",
-    "build_reports",
     "SimReader",
     "rospec_from_xml",
     "rospec_to_xml",

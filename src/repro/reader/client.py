@@ -2,24 +2,20 @@
 
 Tagwatch is specified as a pure LLRP client sitting between the reader and
 the application; this class provides the sllurp-like surface (connect,
-add/enable/start/stop/delete ROSpec, tag-report callbacks) over a
-:class:`~repro.reader.reader.SimReader`.  Against real hardware, the same
-call pattern maps 1:1 onto ``sllurp.llrp.LLRPClient``.
+add/enable/start/delete ROSpec) over a :class:`~repro.reader.reader.SimReader`.
+Against real hardware, the same call pattern maps 1:1 onto
+``sllurp.llrp.LLRPClient``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.gen2.inventory import InventoryLog
 from repro.radio.measurement import TagObservation
 from repro.reader.llrp import ROSpec
 from repro.reader.reader import SimReader
-from repro.reader.reports import ROReportSpec, TagReportEntry, build_reports
-
-TagReportCallback = Callable[[List[TagObservation]], None]
-EntryReportCallback = Callable[[List[TagReportEntry]], None]
 
 
 class ReaderState(enum.Enum):
@@ -58,8 +54,6 @@ class LLRPClient:
         self.state = ReaderState.DISCONNECTED
         self._rospecs: Dict[int, ROSpec] = {}
         self._enabled: Dict[int, bool] = {}
-        self._callbacks: List[TagReportCallback] = []
-        self._entry_callbacks: List[EntryReportCallback] = []
 
     # ------------------------------------------------------------------
     def connect(self) -> None:
@@ -68,27 +62,11 @@ class LLRPClient:
             raise LLRPError("already connected")
         self.state = ReaderState.CONNECTED
 
-    def disconnect(self) -> None:
-        """Close the connection (idempotent)."""
-        self.state = ReaderState.DISCONNECTED
-
     def _require_connected(self) -> None:
         if self.state != ReaderState.CONNECTED:
             raise LLRPError("not connected to the reader")
 
     # ------------------------------------------------------------------
-    def add_tag_report_callback(self, callback: TagReportCallback) -> None:
-        """Register a RO_ACCESS_REPORT consumer (raw observations)."""
-        self._callbacks.append(callback)
-
-    def add_entry_report_callback(self, callback: EntryReportCallback) -> None:
-        """Register a consumer of content-selected TagReportEntry batches.
-
-        Only invoked for ROSpecs that carry a ``report_spec``; batching and
-        field selection follow that spec (see repro.reader.reports).
-        """
-        self._entry_callbacks.append(callback)
-
     def add_rospec(self, rospec: ROSpec) -> None:
         """Register a ROSpec with the reader (initially disabled)."""
         self._require_connected()
@@ -104,13 +82,6 @@ class LLRPClient:
             raise LLRPError(f"unknown ROSpec {rospec_id}")
         self._enabled[rospec_id] = True
 
-    def disable_rospec(self, rospec_id: int) -> None:
-        """Prevent a ROSpec from being started."""
-        self._require_connected()
-        if rospec_id not in self._rospecs:
-            raise LLRPError(f"unknown ROSpec {rospec_id}")
-        self._enabled[rospec_id] = False
-
     def delete_rospec(self, rospec_id: int) -> None:
         """Remove a ROSpec from the reader."""
         self._require_connected()
@@ -125,25 +96,14 @@ class LLRPClient:
         """Execute an enabled ROSpec to completion; returns its reports.
 
         The simulated reader is synchronous, so this blocks (in simulated
-        time) until the ROSpec's stop trigger fires, then delivers reports
-        both as the return value and through registered callbacks.
+        time) until the ROSpec's stop trigger fires.
         """
         self._require_connected()
         if rospec_id not in self._rospecs:
             raise LLRPError(f"unknown ROSpec {rospec_id}")
         if not self._enabled[rospec_id]:
             raise LLRPError(f"ROSpec {rospec_id} is not enabled")
-        rospec = self._rospecs[rospec_id]
-        reports, log = self._run_rospec(rospec)
-        for callback in self._callbacks:
-            callback(reports)
-        if rospec.report_spec is not None and self._entry_callbacks:
-            if not isinstance(rospec.report_spec, ROReportSpec):
-                raise LLRPError("report_spec must be a ROReportSpec")
-            for batch in build_reports(reports, rospec.report_spec):
-                for callback in self._entry_callbacks:
-                    callback(batch)
-        return reports, log
+        return self._run_rospec(self._rospecs[rospec_id])
 
     def _run_rospec(
         self, rospec: ROSpec
@@ -166,7 +126,3 @@ class LLRPClient:
         self._rospecs.clear()
         self._enabled.clear()
         return dropped
-
-    def get_rospec(self, rospec_id: int) -> Optional[ROSpec]:
-        """The registered ROSpec with this id, or None."""
-        return self._rospecs.get(rospec_id)

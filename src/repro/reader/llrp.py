@@ -110,18 +110,12 @@ class AISpec:
 
 @dataclass(frozen=True)
 class ROSpec:
-    """A reader-operation spec: ordered AISpecs plus an overall duration.
-
-    ``report_spec`` (optional) controls tag-report batching and content;
-    see :mod:`repro.reader.reports`.  ``None`` keeps the default
-    report-every-read behaviour with all fields enabled.
-    """
+    """A reader-operation spec: ordered AISpecs plus an overall duration."""
 
     rospec_id: int
     ai_specs: Tuple[AISpec, ...]
     duration_s: Optional[float] = None
     priority: int = 0
-    report_spec: Optional["object"] = None  # reports.ROReportSpec
 
     def __post_init__(self) -> None:
         if self.rospec_id < 1:
@@ -215,16 +209,10 @@ def read_all_rospec(
     rospec_id: int,
     antenna_ids: Sequence[int],
     duration_s: Optional[float] = None,
-    rounds_per_antenna: int = 1,
 ) -> ROSpec:
     """A ROSpec with no filters: plain read-everything inventory."""
-    stop = (
-        AISpecStopTrigger(n_rounds=rounds_per_antenna)
-        if duration_s is None
-        else AISpecStopTrigger(n_rounds=rounds_per_antenna)
-    )
     return ROSpec(
         rospec_id=rospec_id,
-        ai_specs=(AISpec(tuple(antenna_ids), (), stop),),
+        ai_specs=(AISpec(tuple(antenna_ids), (), AISpecStopTrigger(n_rounds=1)),),
         duration_s=duration_s,
     )

@@ -30,9 +30,6 @@ from repro.reader.llrp import AISpec, ROSpec
 from repro.util.rng import RngStream
 from repro.world.scene import Scene
 
-ReportCallback = Callable[[TagObservation], None]
-
-
 @dataclass
 class RoundResult:
     """Observations plus the link-layer log of one inventory round."""
@@ -88,14 +85,11 @@ class SimReader:
         self.time_s = 0.0
         self._channel_index = 0
         self._last_hop_s = 0.0
-        self._report_callbacks: List[ReportCallback] = []
-        # (scene generation, Select tuple) -> {tag index: SL flag}.  A tag's
-        # flag is a pure function of the Select sequence and its static
-        # memory contents, so it is computed once per (selects, tag) instead
-        # of once per round; the generation guard drops the cache whenever
-        # the scene's tag list changes.
+        # Select tuple -> {tag index: SL flag}.  A tag's flag is a pure
+        # function of the Select sequence and its static memory contents,
+        # and the scene's tag list is fixed, so it is computed once per
+        # (selects, tag) instead of once per round.
         self._select_flags: dict = {}
-        self._select_flags_generation = -1
 
     # ------------------------------------------------------------------
     # Clock and channel management
@@ -103,10 +97,6 @@ class SimReader:
     @property
     def channel_index(self) -> int:
         return self._channel_index
-
-    def add_report_callback(self, callback: ReportCallback) -> None:
-        """Register a callback invoked for every tag report."""
-        self._report_callbacks.append(callback)
 
     def _maybe_hop(self) -> None:
         plan = self.scene.channel_plan
@@ -136,9 +126,6 @@ class SimReader:
             # skip materialising the memory-bank views entirely.
             # ``tags_in_range`` returns a fresh list, so no copy is needed.
             return in_range
-        if self._select_flags_generation != scene.generation:
-            self._select_flags = {}
-            self._select_flags_generation = scene.generation
         key = tuple(selects)
         flags = self._select_flags.get(key)
         if flags is None:
@@ -215,10 +202,6 @@ class SimReader:
         observations = self.scene.observe_batch(
             log.reads, antenna_index, channel
         )
-        if self._report_callbacks:
-            for obs in observations:
-                for callback in self._report_callbacks:
-                    callback(obs)
         self.time_s = log.end_time_s
         if round_span is not None:
             tracer.end(

@@ -195,12 +195,6 @@ class SiteChaosReport:
         return min(r["coverage"] for r in self.epoch_records)
 
     @property
-    def failover_ok(self) -> bool:
-        """Every scored failover episode met the SLO (no errors recorded)."""
-        verdict = self.slo.get("failover_time")
-        return verdict is None or verdict["errors"] == 0
-
-    @property
     def ok(self) -> bool:
         return not self.violations and self.health_status == "ok"
 

@@ -1,11 +1,6 @@
 """Warehouse trace generation and analysis (the Section 2.4 case study)."""
 
 from repro.traces.analysis import TraceStats, analyze_trace, reads_per_second
-from repro.traces.io import (
-    iter_observations,
-    load_observations,
-    save_observations,
-)
 from repro.traces.trackpoint import (
     TraceEvent,
     TrackPointParams,
@@ -18,8 +13,5 @@ __all__ = [
     "TrackPointParams",
     "analyze_trace",
     "generate_trackpoint_trace",
-    "iter_observations",
-    "load_observations",
     "reads_per_second",
-    "save_observations",
 ]

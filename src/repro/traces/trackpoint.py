@@ -73,11 +73,6 @@ class TrackPointParams:
     def n_tags(self) -> int:
         return self.n_parked + self.n_conveyed
 
-    @property
-    def stuck_tag_id(self) -> int:
-        """The tag playing the role of the paper's #271 (always tag 0)."""
-        return 0
-
 
 def _parked_counts(
     params: TrackPointParams, gen: np.random.Generator

@@ -43,20 +43,6 @@ def circular_signed_difference(a: ArrayLike, b: ArrayLike) -> ArrayLike:
     return out
 
 
-def circular_mean(angles: np.ndarray) -> float:
-    """Mean direction of a set of angles, in [0, 2*pi).
-
-    Uses the standard resultant-vector estimator, which is immune to
-    wrap-around (unlike the arithmetic mean).
-    """
-    angles = np.asarray(angles, dtype=float)
-    if angles.size == 0:
-        raise ValueError("circular_mean of empty array")
-    s = np.sin(angles).sum()
-    c = np.cos(angles).sum()
-    return float(np.mod(np.arctan2(s, c), TWO_PI))
-
-
 def circular_std(angles: np.ndarray) -> float:
     """Circular standard deviation (radians).
 

@@ -56,10 +56,6 @@ class Gauge:
         """Move the gauge up."""
         self.value += amount
 
-    def dec(self, amount: Number = 1) -> None:
-        """Move the gauge down."""
-        self.value -= amount
-
     def to_dict(self) -> Dict[str, Number]:
         """Export shape: type tag plus current value."""
         return {"type": "gauge", "value": self.value}

@@ -2,57 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    p90: float
-    maximum: float
-
-    def as_row(self) -> List[float]:
-        """The summary as a flat list (for table rendering)."""
-        return [
-            self.count,
-            self.mean,
-            self.std,
-            self.minimum,
-            self.p25,
-            self.median,
-            self.p75,
-            self.p90,
-            self.maximum,
-        ]
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Summarise a sample; raises on empty input (silence hides bugs)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("summarize() of empty sample")
-    return Summary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        p25=float(np.percentile(arr, 25)),
-        median=float(np.percentile(arr, 50)),
-        p75=float(np.percentile(arr, 75)),
-        p90=float(np.percentile(arr, 90)),
-        maximum=float(arr.max()),
-    )
 
 
 def percentile(values: Iterable[float], q: float) -> float:
@@ -63,15 +15,6 @@ def percentile(values: Iterable[float], q: float) -> float:
     return float(np.percentile(arr, q))
 
 
-def empirical_cdf(values: Iterable[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (sorted values, cumulative probabilities) for plotting a CDF."""
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    if arr.size == 0:
-        raise ValueError("empirical_cdf() of empty sample")
-    probs = np.arange(1, arr.size + 1) / arr.size
-    return arr, probs
-
-
 def cdf_points(
     values: Iterable[float], probs: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9)
 ) -> List[Tuple[float, float]]:
@@ -80,12 +23,3 @@ def cdf_points(
     if arr.size == 0:
         raise ValueError("cdf_points() of empty sample")
     return [(float(p), float(np.percentile(arr, 100.0 * p))) for p in probs]
-
-
-def ratio_of_medians(numerators: Iterable[float], denominators: Iterable[float]) -> float:
-    """Median(numerators) / median(denominators); guards zero denominators."""
-    num = percentile(numerators, 50)
-    den = percentile(denominators, 50)
-    if den == 0:
-        raise ZeroDivisionError("median of denominators is zero")
-    return num / den

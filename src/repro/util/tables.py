@@ -53,20 +53,6 @@ def format_table(
     return "\n".join(out)
 
 
-def format_series(
-    xs: Sequence[Cell],
-    ys: Sequence[Cell],
-    x_label: str = "x",
-    y_label: str = "y",
-    precision: int = 3,
-    title: str = "",
-) -> str:
-    """Render a 1-D series (one figure line) as a two-column table."""
-    if len(xs) != len(ys):
-        raise ValueError("series x and y lengths differ")
-    return format_table([x_label, y_label], zip(xs, ys), precision, title)
-
-
 def sparkline(values: Sequence[float], width: int = 40) -> str:
     """A crude unicode sparkline (for quick visual sanity in bench logs)."""
     if not values:

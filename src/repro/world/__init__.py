@@ -4,7 +4,6 @@ from repro.world.motion import (
     CircularPath,
     ConveyorPath,
     LinearPath,
-    RandomWaypointWalk,
     Stationary,
     StepDisplacement,
     Trajectory,
@@ -21,7 +20,6 @@ __all__ = [
     "office_worker",
     "ConveyorPath",
     "LinearPath",
-    "RandomWaypointWalk",
     "Scene",
     "Stationary",
     "StepDisplacement",

@@ -1,11 +1,9 @@
 """Trajectories: position as a function of simulated time.
 
-Each trajectory exposes ``position(t) -> (3,) array`` and a convenience
-``is_moving_at(t)`` ground-truth flag used to score motion detection.  The
-concrete classes cover every rig the paper's evaluation uses: stationary
-placement, the toy train's circular track, a conveyor pass, a spinning
-turntable, discrete displacement steps (sensitivity study), and a random
-waypoint walk (ambient people).
+Each trajectory exposes ``position(t) -> (3,) array``.  The concrete
+classes cover every rig the paper's evaluation uses: stationary placement,
+the toy train's circular track, a conveyor pass, a spinning turntable,
+discrete displacement steps (sensitivity study) and waypoint paths.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import abc
 import bisect
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +36,6 @@ class Trajectory(abc.ABC):
         x, y, z = self.position(t).tolist()
         return x, y, z
 
-    def is_moving_at(self, t: float, eps: float = 1e-4) -> bool:
-        """Ground-truth motion flag: is the object displacing around ``t``?"""
-        before = self.position(max(0.0, t - 0.05))
-        after = self.position(t + 0.05)
-        return float(np.linalg.norm(after - before)) > eps
-
     def distance_bounds(
         self, point: PointLike
     ) -> Optional[Tuple[float, float]]:
@@ -58,16 +50,6 @@ class Trajectory(abc.ABC):
         """
         return None
 
-    def instantaneous_speed(self, t: float, dt: float = 0.01) -> float:
-        """Finite-difference speed estimate at time ``t`` (m/s).
-
-        Named distinctly from the ``speed`` *parameter* some trajectories
-        carry (e.g. :class:`CircularPath`), which would otherwise shadow it.
-        """
-        a = self.position(t)
-        b = self.position(t + dt)
-        return float(np.linalg.norm(b - a)) / dt
-
 
 class Stationary(Trajectory):
     """An object that never moves."""
@@ -81,9 +63,6 @@ class Stationary(Trajectory):
     def position_xyz(self, t: float) -> Tuple[float, float, float]:
         x, y, z = self._position.tolist()
         return x, y, z
-
-    def is_moving_at(self, t: float, eps: float = 1e-4) -> bool:
-        return False
 
     def distance_bounds(self, point: PointLike) -> Tuple[float, float]:
         d = float(np.linalg.norm(as_point(point) - self._position))
@@ -150,9 +129,6 @@ class CircularPath(Trajectory):
             cz + 0.0,
         )
 
-    def is_moving_at(self, t: float, eps: float = 1e-4) -> bool:
-        return self.speed != 0.0 and t > self.start_time
-
     def distance_bounds(self, point: PointLike) -> Tuple[float, float]:
         # Every reachable position lies on the circle, so the distance from
         # ``point`` ranges over [hypot(|rho - r|, dz), hypot(rho + r, dz)]
@@ -218,9 +194,6 @@ class ConveyorPath(Trajectory):
         frac = (t - self.enter_time) / self.travel_time
         return self.start + (self.end - self.start) * frac
 
-    def is_moving_at(self, t: float, eps: float = 1e-4) -> bool:
-        return self.enter_time < t < self.exit_time
-
     def distance_bounds(self, point: PointLike) -> Tuple[float, float]:
         # Distance along a straight segment is convex: max at an endpoint.
         p = as_point(point)
@@ -269,9 +242,6 @@ class StepDisplacement(Trajectory):
     def position(self, t: float) -> np.ndarray:
         return (self.after if t >= self.step_time else self.before).copy()
 
-    def is_moving_at(self, t: float, eps: float = 1e-4) -> bool:
-        return abs(t - self.step_time) <= 0.05
-
     def distance_bounds(self, point: PointLike) -> Tuple[float, float]:
         p = as_point(point)
         d0 = float(np.linalg.norm(p - self.before))
@@ -306,46 +276,3 @@ class WaypointPath(Trajectory):
         p = as_point(point)
         hi = max(float(np.linalg.norm(p - q)) for q in self.points)
         return 0.0, hi
-
-
-class RandomWaypointWalk(WaypointPath):
-    """A person wandering inside a rectangular region (office workers).
-
-    Alternates dwell pauses and straight walks to uniformly drawn waypoints,
-    pre-generated for ``duration_s`` of simulated time.
-    """
-
-    def __init__(
-        self,
-        region_min: PointLike,
-        region_max: PointLike,
-        duration_s: float,
-        speed: float = 1.0,
-        dwell_s: float = 2.0,
-        rng: SeedLike = None,
-        z: float = 1.0,
-    ) -> None:
-        if duration_s <= 0 or speed <= 0:
-            raise ValueError("duration and speed must be positive")
-        gen = make_rng(rng)
-        lo = as_point(region_min)
-        hi = as_point(region_max)
-        waypoints: List[Tuple[float, np.ndarray]] = []
-        t = 0.0
-        pos = np.array(
-            [gen.uniform(lo[0], hi[0]), gen.uniform(lo[1], hi[1]), z]
-        )
-        waypoints.append((t, pos))
-        while t < duration_s:
-            # Dwell in place, then walk to the next waypoint.
-            dwell = gen.exponential(dwell_s) + 1e-3
-            t += dwell
-            waypoints.append((t, pos))
-            target = np.array(
-                [gen.uniform(lo[0], hi[0]), gen.uniform(lo[1], hi[1]), z]
-            )
-            walk_time = float(np.linalg.norm(target - pos)) / speed + 1e-3
-            t += walk_time
-            waypoints.append((t, target))
-            pos = target
-        super().__init__(waypoints)

@@ -23,7 +23,6 @@ from repro.radio.channel import (
 )
 from repro.radio.constants import ChannelPlan, single_channel
 from repro.radio.geometry import (
-    PointLike,
     as_point,
     distance,
     squared_distance_xyz,
@@ -101,10 +100,6 @@ class TagInstance:
             and not self.is_blocked(t)
         )
 
-    def is_moving_at(self, t: float) -> bool:
-        """Ground-truth motion flag at time ``t``."""
-        return self.trajectory.is_moving_at(t)
-
 
 class Scene:
     """Physical truth for one deployment."""
@@ -136,16 +131,7 @@ class Scene:
         # Plain-float mirror for the hot lookup (same values; ``tolist``
         # preserves every bit of the float64 entries).
         self._lo_float = self._lo_offsets.tolist()
-        self._epc_to_index: Dict[int, int] = {}
-        #: Bumped whenever the tag list changes; lets callers key caches of
-        #: per-tag derived state (e.g. Select match flags) safely.
-        self.generation = 0
-        self._reindex()
-
-    # ------------------------------------------------------------------
-    def _reindex(self) -> None:
-        self.generation += 1
-        self._epc_to_index = {
+        self._epc_to_index: Dict[int, int] = {
             tag.epc.value: i for i, tag in enumerate(self.tags)
         }
         if len(self._epc_to_index) != len(self.tags):
@@ -155,14 +141,12 @@ class Scene:
     def _invalidate_caches(self) -> None:
         """Drop derived per-tag state (rebuilt lazily).
 
-        Tag trajectories, antennas and ambient objects are fixed after
-        construction (only the tag *list* changes, via add_tag/remove_tag,
-        which lands here through ``_reindex``), so geometry that does not
-        depend on ``t`` — which stationary tags each antenna can reach, the
-        round-trip gain of a stationary tag on a given (antenna, channel) —
-        is computed once and reused.  Cached values are produced by exactly
-        the same code path as the uncached ones, so results are
-        bit-identical either way.
+        Tags, antennas and ambient objects are fixed after construction,
+        so geometry that does not depend on ``t`` — which stationary tags
+        each antenna can reach, the round-trip gain of a stationary tag on
+        a given (antenna, channel) — is computed once and reused.  Cached
+        values are produced by exactly the same code path as the uncached
+        ones, so results are bit-identical either way.
         """
         self._tag_static = [
             isinstance(tag.trajectory, Stationary) for tag in self.tags
@@ -195,18 +179,6 @@ class Scene:
         self._antenna_xyz = [
             tuple(antenna.position.tolist()) for antenna in self.antennas
         ]
-
-    def add_tag(self, tag: TagInstance) -> int:
-        """Add a tag; returns its index."""
-        self.tags.append(tag)
-        self._reindex()
-        return len(self.tags) - 1
-
-    def remove_tag(self, index: int) -> TagInstance:
-        """Remove and return the tag at ``index``."""
-        tag = self.tags.pop(index)
-        self._reindex()
-        return tag
 
     def index_of(self, epc: EPC) -> int:
         """Index of the tag carrying ``epc``; raises ``KeyError`` if absent."""
@@ -264,7 +236,7 @@ class Scene:
 
     def _range_entries(self, antenna_index: int) -> Tuple[List[int], list]:
         """Split one antenna's tag list into t-independent and t-dependent
-        parts (cached; tags/antennas are fixed between ``_reindex`` calls).
+        parts (cached; tags and antennas are fixed after construction).
 
         Returns ``(fixed, checks, apos_xyz)``: ``fixed`` are indices of
         never-absent tags provably inside the antenna's range at every
@@ -504,33 +476,7 @@ class Scene:
         return out
 
     # ------------------------------------------------------------------
-    def moving_tag_indices(self, t: float) -> List[int]:
-        """Ground truth: indices of tags in motion at time ``t``."""
-        return [
-            i
-            for i, tag in enumerate(self.tags)
-            if tag.is_present(t) and tag.is_moving_at(t)
-        ]
 
     def epcs(self) -> List[EPC]:
         """All tag identities in scene order."""
         return [tag.epc for tag in self.tags]
-
-
-def stationary_grid(
-    n: int,
-    epcs: Sequence[EPC],
-    origin: PointLike = (0.0, 0.0, 0.8),
-    spacing: float = 0.25,
-    columns: int = 10,
-) -> List[TagInstance]:
-    """Lay out ``n`` stationary tags on a grid (the paper's tag walls)."""
-    if n > len(epcs):
-        raise ValueError("not enough EPCs for the requested grid")
-    base = as_point(origin)
-    tags = []
-    for i in range(n):
-        row, col = divmod(i, columns)
-        pos = base + np.array([col * spacing, row * spacing, 0.0])
-        tags.append(TagInstance(epc=epcs[i], trajectory=Stationary(pos)))
-    return tags

@@ -34,7 +34,7 @@ class TestCandidateRows:
         table = IndexedBitmaskTable(POPULATION)
         rows = table.candidate_rows([0, 1, 2])
         singles = [r for r in rows if r.covered_count == 1]
-        covered = {r.covered_indices()[0] for r in singles}
+        covered = {int(np.flatnonzero(r.coverage)[0]) for r in singles}
         assert {0, 1, 2} <= covered
 
     def test_multi_target_masks_found(self):
@@ -42,7 +42,7 @@ class TestCandidateRows:
         table = IndexedBitmaskTable(POPULATION)
         rows = table.candidate_rows([0, 1])
         multi = [
-            r for r in rows if set(r.covered_indices()) >= {0, 1}
+            r for r in rows if set(np.flatnonzero(r.coverage)) >= {0, 1}
         ]
         assert multi  # at least one shared-window mask exists
 
@@ -104,13 +104,6 @@ class TestPopulationUpdate:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             IndexedBitmaskTable([EPC.from_bits("10"), EPC.from_bits("100")])
-
-    def test_coverage_of_arbitrary_mask(self):
-        table = IndexedBitmaskTable(POPULATION)
-        from repro.gen2.select import BitMask
-
-        coverage = table.coverage_of(BitMask.from_bits("10", 4))
-        assert list(coverage) == [True, True, False, True]
 
     def test_invalid_max_length(self):
         with pytest.raises(ValueError):

@@ -88,8 +88,3 @@ class TestFit:
     def test_degenerate_counts(self):
         with pytest.raises(ValueError):
             CostModel.fit([5, 5, 5], [0.1, 0.1, 0.1])
-
-    def test_relative_error(self):
-        model = CostModel(tau0_s=0.02, tau_bar_s=0.0002)
-        durations = [model.inventory_cost(n) for n in (1, 10, 20)]
-        assert model.relative_error([1, 10, 20], durations) < 1e-9

@@ -174,7 +174,7 @@ def test_full_epc_rows_cover_exactly_one_tag(instance):
     assert len(full_rows) == len(targets)
     for row in full_rows:
         assert row.covered_count == 1
-        (index,) = row.covered_indices()
+        (index,) = np.flatnonzero(row.coverage)
         assert row.bitmask.covers(population[index])
 
 

@@ -54,11 +54,6 @@ class TestMoG:
             scorer.score(float(np.mod(1.0 + rng.normal(0, 0.1), TWO_PI)))
         assert scorer.score(3.5) > 3.0
 
-    def test_decide_thresholds_score(self):
-        scorer = DifferencingScorer()
-        scorer.score(0.0)
-        assert scorer.decide(1.0, threshold=0.5)
-
 
 class TestFactory:
     def test_kinds_and_signals(self):

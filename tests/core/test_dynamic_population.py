@@ -105,7 +105,7 @@ class TestLeaver:
     def test_leaver_models_expired(self, run):
         tagwatch, results, epcs = run
         leaver = epcs[6].value
-        assert leaver not in tagwatch.assessor.known_epc_values()
+        assert leaver not in tagwatch.assessor._last_seen
 
     def test_leaver_absent_from_late_assessments(self, run):
         _, results, epcs = run

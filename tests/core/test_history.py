@@ -32,11 +32,6 @@ class TestStorage:
         assert history.count(epcs[0].value) == 2
         assert history.total_reads == 3
 
-    def test_add_all(self, epcs):
-        history = ReadingHistory()
-        n = history.add_all([obs(epcs[0], t) for t in (0.0, 0.1, 0.2)])
-        assert n == 3
-
     def test_unknown_tag_zero(self, epcs):
         history = ReadingHistory()
         assert history.count(epcs[0].value) == 0
@@ -79,13 +74,6 @@ class TestIrr:
         history = ReadingHistory()
         with pytest.raises(ValueError):
             history.reads_in_window(epcs[0].value, 2.0, 1.0)
-
-    def test_irr_table(self, epcs):
-        history = ReadingHistory()
-        history.add(obs(epcs[0], 0.5))
-        table = history.irr_table([e.value for e in epcs], 0.0, 1.0)
-        assert table[epcs[0].value] == pytest.approx(1.0)
-        assert table[epcs[1].value] == 0.0
 
     def test_zero_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.motion import MotionAssessor
-from repro.core.persistence import (
-    assessor_state,
-    load_assessor,
-    restore_assessor,
-    save_assessor,
-)
+from repro.core.persistence import assessor_state, restore_assessor
 from repro.experiments.harness import build_lab
 
 
@@ -27,15 +22,8 @@ class TestRoundTrip:
     def test_state_round_trip(self, trained):
         _, assessor = trained
         restored = restore_assessor(assessor_state(assessor))
-        assert restored.known_epc_values() == assessor.known_epc_values()
-        assert restored.shard_count() == assessor.shard_count()
-
-    def test_file_round_trip(self, trained, tmp_path):
-        _, assessor = trained
-        path = tmp_path / "state.json"
-        save_assessor(path, assessor)
-        restored = load_assessor(path)
-        assert restored.shard_count() == assessor.shard_count()
+        assert restored._last_seen == assessor._last_seen
+        assert restored._stacks.keys() == assessor._stacks.keys()
 
     def test_mode_contents_preserved(self, trained):
         _, assessor = trained

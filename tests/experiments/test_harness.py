@@ -30,8 +30,9 @@ class TestBuilders:
     def test_build_lab_mobile_first(self):
         setup = build_lab(n_tags=10, n_mobile=2, seed=1)
         assert setup.mobile_indices == [0, 1]
-        assert setup.scene.tags[0].is_moving_at(1.0)
-        assert not setup.scene.tags[5].is_moving_at(1.0)
+        mover, still = (setup.scene.tags[i].trajectory for i in (0, 5))
+        assert not np.allclose(mover.position(1.0), mover.position(1.1))
+        assert np.allclose(still.position(1.0), still.position(1.1))
 
     def test_build_lab_rejects_excess_mobile(self):
         with pytest.raises(ValueError):

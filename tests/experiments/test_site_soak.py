@@ -56,7 +56,7 @@ class TestAcceptance:
         assert report.n_deaths >= 10
         assert report.n_rejoins >= 10
         assert report.violations == []
-        assert report.failover_ok
+        assert report.slo["failover_time"]["errors"] == 0
         assert report.min_coverage >= config.coverage_floor
         assert report.health_status == "ok"
         assert report.ok

@@ -34,7 +34,7 @@ def test_zero_plan_is_strict_noop():
     out = injector.apply_round(observations)
     assert len(out) == len(observations)
     assert all(a is b for a, b in zip(out, observations))
-    assert injector.flush_held() == []
+    assert injector.apply_round([]) == []
     assert injector.take_disconnect(0.0, 1e9) is None
 
 
@@ -153,9 +153,9 @@ def test_delay_holds_reports_until_next_batch():
     assert injector.apply_round(first) == []
     # Round 1's held reports flush now; round 2's are held in turn.
     assert injector.apply_round(second) == first
-    held = injector.flush_held()
-    assert held == second
-    assert injector.flush_held() == []
+    # An empty round delivers what is still held, once.
+    assert injector.apply_round([]) == second
+    assert injector.apply_round([]) == []
     assert injector.metrics.value("faults.delayed") == 8
 
 
@@ -193,7 +193,7 @@ def test_disconnects_fire_once_each_in_order():
     assert injector.take_disconnect(1.0, 3.0) == 2.0
     assert injector.take_disconnect(1.0, 3.0) is None  # consumed
     assert injector.take_disconnect(3.0, 10.0) == 5.0
-    assert injector.pending_disconnects == ()
+    assert injector.take_disconnect(0.0, 1e9) is None  # none left
     assert injector.metrics.value("faults.disconnects") == 2
 
 
@@ -242,16 +242,15 @@ def test_channels_are_independent():
 
 
 def test_metrics_conservation():
-    """Every report is delivered once, dropped once, or still held."""
+    """Every report is delivered once or dropped once; an empty round
+    delivers the ones still held."""
     plan = FaultPlan(report_loss=0.2, duplicate=0.1, delay=0.1)
     injector = FaultInjector(plan, seed=13)
     for t0 in range(5):
         injector.apply_round(batch(200, t0=float(t0)))
     m = injector.metrics
-    held_now = len(injector.flush_held())
+    held_now = len(injector.apply_round([]))
     assert m.value("faults.reports_in") + m.value("faults.duplicates") == (
-        m.value("faults.reports_out")
-        + m.value("faults.dropped_loss")
-        + held_now
+        m.value("faults.reports_out") + m.value("faults.dropped_loss")
     )
     assert held_now <= m.value("faults.delayed")

@@ -79,16 +79,3 @@ def test_round_trip_exact():
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown fault plan keys"):
         FaultPlan.from_dict({"report_loss": 0.1, "typo_field": 1})
-
-
-def test_scaled_clamps_and_preserves_structure():
-    plan = FaultPlan(report_loss=0.4, duplicate=0.6, burst_exit=0.5)
-    doubled = plan.scaled(2.0)
-    assert doubled.report_loss == 0.8
-    assert doubled.duplicate == 1.0  # clamped
-    assert doubled.burst_exit == 0.5  # exit probability is not a fault rate
-    halved = plan.scaled(0.5)
-    assert halved.report_loss == pytest.approx(0.2)
-    assert plan.scaled(0.0).is_noop
-    with pytest.raises(ValueError):
-        plan.scaled(-1.0)

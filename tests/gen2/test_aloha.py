@@ -7,7 +7,6 @@ from repro.gen2.aloha import (
     IdealDFSA,
     QAdaptive,
     SlotOutcome,
-    make_strategy,
 )
 
 
@@ -85,14 +84,3 @@ class TestQAdaptive:
         s.on_slot(SlotOutcome.COLLISION)
         s.start_round(10)
         assert s.qfp == 4.0
-
-
-class TestFactory:
-    def test_names(self):
-        assert isinstance(make_strategy("fixed", q=3), FixedQ)
-        assert isinstance(make_strategy("dfsa"), IdealDFSA)
-        assert isinstance(make_strategy("q-adaptive"), QAdaptive)
-
-    def test_unknown_raises(self):
-        with pytest.raises(ValueError):
-            make_strategy("tree")

@@ -7,7 +7,6 @@ from repro.gen2.epc import (
     EPC,
     MemoryBank,
     TagMemory,
-    common_prefix_length,
     random_epc_population,
     sequential_epc_population,
 )
@@ -50,12 +49,8 @@ class TestBitAddressing:
 
     def test_bit_zero_is_msb(self):
         epc = EPC.from_bits("100000")
-        assert epc.bit(0) == 1
-        assert epc.bit(5) == 0
-
-    def test_bit_out_of_range(self):
-        with pytest.raises(IndexError):
-            EPC.from_bits("10").bit(2)
+        assert epc.bit_slice(0, 1) == 1
+        assert epc.bit_slice(5, 1) == 0
 
     def test_bit_slice_paper_example(self):
         # Fig 9(a): tag 001110 has bits 4..5 == "10".
@@ -106,23 +101,6 @@ class TestPopulations:
     def test_sequential(self):
         epcs = sequential_epc_population(3, start=5)
         assert [e.value for e in epcs] == [5, 6, 7]
-
-
-class TestCommonPrefix:
-    def test_identical(self):
-        epcs = [EPC.from_bits("1010"), EPC.from_bits("1010")]
-        assert common_prefix_length(epcs) == 4
-
-    def test_divergent_at_first_bit(self):
-        epcs = [EPC.from_bits("1010"), EPC.from_bits("0010")]
-        assert common_prefix_length(epcs) == 0
-
-    def test_partial(self):
-        epcs = [EPC.from_bits("1010"), EPC.from_bits("1001")]
-        assert common_prefix_length(epcs) == 2
-
-    def test_empty(self):
-        assert common_prefix_length([]) == 0
 
 
 class TestTagMemory:

@@ -88,27 +88,6 @@ class TestDurationScaling:
         assert d_large > 2 * d_small
 
 
-class TestRunForDuration:
-    def test_time_budget_respected(self):
-        # A round whose Select already went out is committed, so the budget
-        # may overshoot by at most one start-up plus one slot.
-        log = engine().run_for_duration(range(10), 0.0, 0.5)
-        slack = R420_PROFILE.startup_cost + R420_PROFILE.success_slot_duration
-        assert log.end_time_s <= 0.5 + slack
-
-    def test_multiple_rounds_merged(self):
-        log = engine().run_for_duration(range(5), 0.0, 1.0)
-        assert log.n_rounds > 1
-        per_tag = {}
-        for read in log.reads:
-            per_tag[read.tag_index] = per_tag.get(read.tag_index, 0) + 1
-        assert all(count > 1 for count in per_tag.values())
-
-    def test_invalid_duration(self):
-        with pytest.raises(ValueError):
-            engine().run_for_duration(range(5), 0.0, 0.0)
-
-
 class TestInventoryLogMerge:
     def test_merge_accumulates(self):
         a = InventoryLog(n_empty=1, n_single=2, n_rounds=1, end_time_s=1.0)

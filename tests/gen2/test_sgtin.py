@@ -5,14 +5,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gen2.sgtin import (
     PARTITION_TABLE,
+    SGTIN96_HEADER,
     ProductLine,
     Sgtin96,
-    is_sgtin96,
-    sku_prefix_mask_length,
     warehouse_population,
 )
-from repro.gen2.epc import EPC, common_prefix_length
+from repro.gen2.epc import EPC
 from repro.gen2.select import BitMask
+
+#: Bits every tag of one SKU shares at partition 5: header (8), filter (3),
+#: partition (3), company prefix (24) and item reference (20).
+SKU_PREFIX_BITS = 58
 
 
 class TestEncodeDecode:
@@ -29,10 +32,6 @@ class TestEncodeDecode:
     def test_header_in_place(self):
         epc = Sgtin96(1, 5, 1, 2, 3).encode()
         assert epc.bit_slice(0, 8) == 0x30
-        assert is_sgtin96(epc)
-
-    def test_random_epc_is_not_sgtin(self):
-        assert not is_sgtin96(EPC(0, 96))
 
     def test_decode_rejects_bad_header(self):
         with pytest.raises(ValueError):
@@ -80,19 +79,19 @@ class TestProductLine:
     def test_same_sku_shares_long_prefix(self):
         line = ProductLine(company_prefix=614141, item_reference=7)
         a, b = line.tag(1), line.tag(2**30)
-        assert common_prefix_length([a, b]) >= sku_prefix_mask_length()
+        assert a.bit_slice(0, SKU_PREFIX_BITS) == b.bit_slice(0, SKU_PREFIX_BITS)
 
     def test_sku_mask_covers_all_serials(self):
         line = ProductLine(company_prefix=614141, item_reference=7)
         tags = [line.tag(s) for s in (0, 1, 2**37, 2**38 - 1)]
-        prefix_len = sku_prefix_mask_length()
+        prefix_len = SKU_PREFIX_BITS
         mask = BitMask(tags[0].bit_slice(0, prefix_len), 0, prefix_len)
         assert all(mask.covers(t) for t in tags)
 
     def test_other_sku_not_covered(self):
         a = ProductLine(company_prefix=614141, item_reference=7)
         b = ProductLine(company_prefix=614141, item_reference=8)
-        prefix_len = sku_prefix_mask_length()
+        prefix_len = SKU_PREFIX_BITS
         mask = BitMask(a.tag(0).bit_slice(0, prefix_len), 0, prefix_len)
         assert not mask.covers(b.tag(0))
 
@@ -108,7 +107,8 @@ class TestWarehousePopulation:
 
     def test_all_sgtin(self):
         tags, _ = warehouse_population(20, rng=2)
-        assert all(is_sgtin96(t) for t in tags)
+        assert all(t.length == 96 for t in tags)
+        assert all(t.bit_slice(0, 8) == SGTIN96_HEADER for t in tags)
 
     def test_reproducible(self):
         a, _ = warehouse_population(10, rng=3)

@@ -1,54 +1,46 @@
-"""Tests for TID-bank contents and manufacturer-targeted Select."""
+"""Tests for Select over the TID bank (manufacturer targeting).
+
+Every Gen2 tag's TID bank opens with the class identifier 0xE2, then a
+12-bit mask-designer ID (MDID) and a 12-bit tag model number; a Select on
+bits 8..19 of that bank targets one manufacturer regardless of EPC.
+"""
 
 import pytest
 
+from repro.gen2.commands import Select, SelectAction, SelectTarget
 from repro.gen2.epc import EPC, MemoryBank, TagMemory, random_epc_population
 from repro.gen2.select import apply_selects, matches
-from repro.gen2.tid import (
-    MDID_ALIEN,
-    MDID_IMPINJ,
-    decode_mdid,
-    make_tid,
-    select_manufacturer,
-    tagged_memory,
-)
 from repro.radio.constants import single_channel
 from repro.reader import SimReader
 from repro.world.motion import Stationary
 from repro.world.scene import Antenna, Scene, TagInstance
 
+MDID_IMPINJ = 0x001
+MDID_ALIEN = 0x003
 
-class TestTidLayout:
-    def test_class_identifier(self):
-        tid = make_tid(MDID_ALIEN, 0x412, serial=7)
-        assert tid.bit_slice(0, 8) == 0xE2
 
-    def test_decode_mdid(self):
-        tid = make_tid(MDID_IMPINJ, 0x10C)
-        assert decode_mdid(tid) == MDID_IMPINJ
+def tid_memory(epc: EPC, mdid: int, serial: int = 0) -> TagMemory:
+    """Tag memory with a 64-bit serialized TID: 0xE2 | MDID | model | serial."""
+    tid = (((0xE2 << 12) | mdid) << 12 | 0x412) << 32 | serial
+    return TagMemory(epc=epc, tid=EPC(tid, 64))
 
-    def test_decode_rejects_non_tid(self):
-        with pytest.raises(ValueError):
-            decode_mdid(EPC(0, 64))
 
-    def test_field_bounds(self):
-        with pytest.raises(ValueError):
-            make_tid(1 << 12, 0)
-        with pytest.raises(ValueError):
-            make_tid(0, 1 << 12)
-        with pytest.raises(ValueError):
-            make_tid(0, 0, serial=1 << 32)
-
-    def test_select_manufacturer_bounds(self):
-        with pytest.raises(ValueError):
-            select_manufacturer(1 << 12)
+def select_manufacturer(mdid: int) -> Select:
+    return Select(
+        membank=MemoryBank.TID,
+        pointer=8,
+        length=12,
+        mask=mdid,
+        target=SelectTarget.SL,
+        action=SelectAction.ASSERT_DEASSERT,
+    )
 
 
 class TestManufacturerSelect:
     def test_matches_only_the_vendor(self):
         epcs = random_epc_population(2, rng=1)
-        alien = tagged_memory(epcs[0], mdid=MDID_ALIEN)
-        impinj = tagged_memory(epcs[1], mdid=MDID_IMPINJ)
+        alien = tid_memory(epcs[0], mdid=MDID_ALIEN)
+        impinj = tid_memory(epcs[1], mdid=MDID_IMPINJ)
         select = select_manufacturer(MDID_ALIEN)
         assert matches(select, alien)
         assert not matches(select, impinj)
@@ -61,10 +53,10 @@ class TestManufacturerSelect:
     def test_apply_selects_with_memories(self):
         epcs = random_epc_population(4, rng=2)
         memories = [
-            tagged_memory(epcs[0], mdid=MDID_ALIEN),
-            tagged_memory(epcs[1], mdid=MDID_ALIEN),
-            tagged_memory(epcs[2], mdid=MDID_IMPINJ),
-            tagged_memory(epcs[3], mdid=MDID_IMPINJ),
+            tid_memory(epcs[0], mdid=MDID_ALIEN),
+            tid_memory(epcs[1], mdid=MDID_ALIEN),
+            tid_memory(epcs[2], mdid=MDID_IMPINJ),
+            tid_memory(epcs[3], mdid=MDID_IMPINJ),
         ]
         flags = apply_selects([select_manufacturer(MDID_IMPINJ)], memories)
         assert flags == [False, False, True, True]
@@ -75,7 +67,7 @@ class TestManufacturerSelect:
             TagInstance(
                 epc=epcs[0],
                 trajectory=Stationary((0, 1, 0.8)),
-                memory=tagged_memory(epcs[1]),
+                memory=tid_memory(epcs[1], mdid=MDID_ALIEN),
             )
 
 
@@ -89,7 +81,7 @@ class TestVendorFilteredInventory:
                 TagInstance(
                     epc=epc,
                     trajectory=Stationary((0.3 * i, 1.2, 0.8)),
-                    memory=tagged_memory(epc, mdid=mdid, serial=i),
+                    memory=tid_memory(epc, mdid=mdid, serial=i),
                 )
             )
         scene = Scene(

@@ -43,10 +43,11 @@ def test_error_goes_to_stderr(capsys):
 
 def test_level_filtering(capsys):
     log = get_logger("t")
-    log.debug("hidden")
+    configure(level="warning")
+    log.info("hidden")
     assert capsys.readouterr().out == ""
-    configure(level="debug")
-    log.debug("shown")
+    configure(level="info")
+    log.info("shown")
     assert capsys.readouterr().out == "shown\n"
     configure(level="error")
     log.info("hidden again")
@@ -99,7 +100,6 @@ def test_env_level_invalid_falls_back_to_info(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_LOG_LEVEL", "chatty")
     reset()
     log = get_logger("repro.test")
-    log.debug("hidden")
     log.info("shown")
     assert capsys.readouterr().out == "shown\n"
 
@@ -107,8 +107,8 @@ def test_env_level_invalid_falls_back_to_info(capsys, monkeypatch):
 def test_explicit_configure_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("REPRO_LOG_LEVEL", "error")
     reset()
-    configure(level="debug")
-    get_logger("repro.test").debug("shown")
+    configure(level="info")
+    get_logger("repro.test").info("shown")
     assert capsys.readouterr().out == "shown\n"
 
 

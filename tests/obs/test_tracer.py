@@ -40,7 +40,7 @@ def test_end_closes_dangling_children():
     tracer.end(outer, t=2.0)  # must not raise; closes "leaked" first
     assert [s.name for s in tracer.spans()] == ["leaked", "outer"]
     assert tracer.spans("leaked")[0].end_s == 2.0
-    assert tracer.open_depth == 0
+    assert tracer.begin("next", t=3.0).depth == 0
 
 
 def test_span_context_manager_reads_clock():

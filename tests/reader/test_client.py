@@ -70,24 +70,4 @@ class TestROSpecLifecycle:
         client.add_rospec(read_all_rospec(1, (0,)))
         client.delete_rospec(1)
         assert client.rospec_ids() == []
-        assert client.get_rospec(1) is None
 
-    def test_disable(self, client):
-        client.connect()
-        client.add_rospec(read_all_rospec(1, (0,)))
-        client.enable_rospec(1)
-        client.disable_rospec(1)
-        with pytest.raises(LLRPError):
-            client.start_rospec(1)
-
-
-class TestCallbacks:
-    def test_reports_delivered(self, client):
-        client.connect()
-        received = []
-        client.add_tag_report_callback(received.append)
-        client.add_rospec(read_all_rospec(1, (0,)))
-        client.enable_rospec(1)
-        client.start_rospec(1)
-        assert len(received) == 1
-        assert len(received[0]) == 3

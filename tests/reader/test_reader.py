@@ -57,13 +57,6 @@ class TestInventoryRound:
         for obs in result.observations:
             assert t0 < obs.time_s <= reader.time_s
 
-    def test_report_callback_invoked(self):
-        reader, _ = make_setup()
-        seen = []
-        reader.add_report_callback(seen.append)
-        reader.inventory_round(0)
-        assert len(seen) == 6
-
 
 class TestFrequencyHopping:
     def test_hops_after_dwell(self):

@@ -1,23 +1,34 @@
-"""Dead-code guard: every public top-level definition in ``src/repro`` has a caller.
+"""Dead-code guard: every public definition in ``src/repro`` has a caller.
 
-A public (no leading underscore) module-level function or class is *live*
-when another non-``__init__`` module of the package or an ``examples/``
-script names it in code (a name, an attribute or an import; a mention in
-prose or a string does not count), or when a live definition or a
-module-level statement of its own module references it.  Package
-``__init__`` re-exports and tests are not callers: a name only they use
-is one that no source path runs.
+The guard checks public (no leading underscore) module-level functions and
+classes, and the public methods and properties of module-level classes.
 
-A definition with no caller either goes or earns its place in
-:data:`ALLOWED` with one line saying what it serves: a test oracle, the
-inverse of a live function, or library API that a document or a test
-drives.  The second test keeps the list current, so a name that gains a
-caller or disappears must leave it.
+A module-level definition is *live* when another non-``__init__`` module
+of the package or an ``examples/`` script names it in code (a name, an
+attribute or an import; a mention in prose or a string does not count), or
+when a live definition or a module-level statement of its own module
+references it.
+
+A method is live on the same terms, with more callers: the benchmark and
+perf-gate scripts drive the program through methods, so non-test code
+under ``bench/`` and ``ci/`` counts as a caller too, and so does each
+``"module:Class.method"`` wrap target in ``bench/spans.py``.  Names are
+matched without types: a method is named wherever an attribute of that
+name is.  A class's own references are its bases, decorators, class-level
+statements and dunder methods; its other methods count only once live.  A
+method of a class that is itself unreached is not reported on its own.
+
+Package ``__init__`` re-exports and tests are never callers: a name only
+they use is one that no source path runs.  Such a definition either goes
+or earns its place in :data:`ALLOWED` with one line naming what it serves:
+a test oracle, the inverse of a live function, a recovery path, or a
+paper claim that a test checks.  The second test keeps the list current,
+so an entry that gains a caller or disappears must leave it.
 """
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -26,104 +37,133 @@ SRC = ROOT / "src" / "repro"
 ALLOWED: Dict[str, str] = {
     "core/bitmask.py:pack_bitmap": "bitmap codec; unpack_bitmap is its inverse",
     "core/bitmask.py:unpack_bitmap": "inverse of pack_bitmap (round-trip test)",
-    "core/config.py:load_concerned_epcs": "reads the concerned-tags file (docs/tutorial.md)",
+    "core/bitmask.py:CandidateRow.covered_count": "row size the dense greedy oracle (tests/core/oracles.py) prices",
+    "core/config.py:load_concerned_epcs": "reads the Section 5 concerned-tags file",
     "core/config.py:save_concerned_epcs": "inverse of load_concerned_epcs",
     "core/cost.py:irr_drop": "the paper's 84% IRR-drop headline from the cost model",
-    "core/persistence.py:save_assessor": "assessor snapshot to JSON; load_assessor is its inverse",
-    "core/persistence.py:load_assessor": "inverse of save_assessor (round-trip test)",
     "core/setcover.py:exact_cover": "the exact set-cover oracle of the greedy cover",
     "gen2/aloha.py:IdealDFSA": "genie-aided DFSA: closed-form slot-count oracle of the engine",
-    "gen2/aloha.py:make_strategy": "frame-strategy factory by name",
-    "gen2/epc.py:sequential_epc_population": "deterministic EPC populations for tests",
-    "gen2/epc.py:common_prefix_length": "prefix length of an EPC set (SGTIN tests)",
-    "gen2/select.py:union_selects": "Select sequence for a union of bitmasks",
+    "gen2/epc.py:sequential_epc_population": "the sequential-EPC population of tests/paper/test_ablations.py",
+    "gen2/select.py:union_selects": "union-cover Selects test_properties checks apply_selects with",
     "gen2/session.py:SessionFlagStore": "S1 flag persistence behind SessionedInventory",
-    "gen2/session.py:SessionedInventory": "the S1 session model: why Phase II runs S0",
-    "gen2/sgtin.py:is_sgtin96": "SGTIN-96 header check of the codec",
-    "gen2/sgtin.py:sku_prefix_mask_length": "SKU bitmask length of the SGTIN-96 codec",
-    "gen2/tid.py:make_tid": "builds TID banks for tagged_memory",
-    "gen2/tid.py:decode_mdid": "inverse of make_tid's mask-designer field",
-    "gen2/tid.py:select_manufacturer": "manufacturer-targeted Select over the TID bank",
-    "gen2/tid.py:tagged_memory": "full tag memory with a TID (docs/tutorial.md)",
+    "gen2/session.py:SessionedInventory": "the S1 session model: why Phase II runs S0 (EXPERIMENTS.md)",
+    "gen2/timing.py:LinkTiming.mean_slot_duration": "the profile's tau_bar against the paper's fit (test_timing)",
     "obs/exporters.py:validate_chrome_trace": "Chrome-trace schema oracle of to_chrome_trace",
-    "obs/logging.py:configure": "logging configuration API (docs/observability.md)",
-    "obs/logging.py:reset": "restores configure's defaults (the logging tests' isolation)",
+    "obs/logging.py:configure": "logging configuration (docs/observability.md); reset restores it",
+    "obs/logging.py:reset": "inverse of configure (the logging tests' isolation)",
     "radio/measurement.py:measure": "scalar reference that measure_from_bases matches sample for sample",
+    "reader/llrp.py:C1G2Filter.to_bitmask": "inverse of C1G2Filter.from_bitmask (round-trip test)",
     "reader/llrp.py:rospec_from_xml": "round-trip oracle of rospec_to_xml",
-    "reader/llrp.py:read_all_rospec": "the unfiltered read-all ROSpec of the LLRP API",
-    "traces/io.py:observation_to_record": "JSONL record codec; record_to_observation inverts it",
-    "traces/io.py:record_to_observation": "inverse of observation_to_record",
-    "traces/io.py:save_observations": "JSONL observation logs (docs/tutorial.md)",
-    "traces/io.py:load_observations": "inverse of save_observations",
-    "traces/io.py:iter_observations": "streaming reader of save_observations logs",
-    "tracking/fleet.py:FleetTracker": "the paper's footnote-1 multi-tag tracker",
+    "site/supervisor.py:SiteSupervisor.restore": "warm start from the site checkpoint (recovery path)",
+    "tracking/fleet.py:FleetTracker": "the paper's footnote-1 multi-tag tracker (tests/paper/test_fleet_tracking.py)",
     "tracking/fleet.py:TrackedTag": "per-tag state of FleetTracker",
-    "util/circular.py:circular_mean": "circular-statistics API beside circular_std",
     "util/circular.py:wrap_phase": "the wrap into [0, 2*pi) that core/gmm.py's scalar loop replays",
-    "util/stats.py:summarize": "sample summaries of the stats API",
-    "util/stats.py:Summary": "the record summarize returns",
-    "util/stats.py:empirical_cdf": "CDF points of the stats API",
-    "util/stats.py:ratio_of_medians": "median ratio of the stats API",
-    "util/tables.py:format_series": "ASCII series rendering beside format_table",
-    "world/motion.py:LinearPath": "constant-velocity trajectory of the world model",
-    "world/motion.py:RandomWaypointWalk": "random-waypoint trajectory of the world model",
-    "world/scene.py:stationary_grid": "grid of stationary tags (the paper's tag walls)",
+    "world/motion.py:LinearPath": "moving tags of the observe_batch and scalar-identity oracle tests",
 }
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
-def _references(node: ast.AST) -> Set[str]:
-    """Every bare name, attribute name and imported name used under ``node``."""
+def _references(nodes: Iterable[ast.AST]) -> Set[str]:
+    """Every bare name, attribute name and imported name used under ``nodes``."""
     names = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.name.rpartition(".")[2])
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name.rpartition(".")[2])
     return names
 
 
+def _wrap_targets(tree: ast.AST) -> Set[str]:
+    """Names in ``"repro.module:Class.method"`` strings (bench/spans.py)."""
+    names = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            module, colon, qualname = sub.value.partition(":")
+            if colon and module.startswith("repro."):
+                names.update(qualname.split("."))
+    return names
+
+
+def _method_callers() -> Set[str]:
+    """Names the benchmark and perf-gate scripts use (``bench/tests`` excluded)."""
+    names = set()
+    for path in [*(ROOT / "bench").glob("*.py"), *(ROOT / "ci").glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        names |= _references([tree]) | _wrap_targets(tree)
+    return names
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _units(tree: ast.Module) -> Tuple[Dict[str, Set[str]], Set[str]]:
+    """Each definition's own references, keyed ``name`` or ``Class.method``,
+    plus the references of the module-level statements."""
+    units: Dict[str, Set[str]] = {}
+    module_refs: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            methods = [
+                item for item in node.body
+                if isinstance(item, FUNCTIONS) and not _is_dunder(item.name)
+            ]
+            for method in methods:
+                units[f"{node.name}.{method.name}"] = _references([method])
+            own = [item for item in node.body if item not in methods]
+            units[node.name] = _references(
+                [*node.bases, *node.keywords, *node.decorator_list, *own]
+            )
+        elif isinstance(node, DEFINITIONS):
+            units[node.name] = _references([node])
+        else:
+            module_refs |= _references([node])
+    return units, module_refs
+
+
 def unreached_definitions() -> List[str]:
-    """``module.py:name`` of every public top-level definition with no caller."""
+    """``module.py:name`` / ``module.py:Class.method`` of each public
+    definition with no caller."""
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
     trees = {path: ast.parse(path.read_text()) for path in modules}
-    named = {path: _references(tree) for path, tree in trees.items()}
-    in_examples = set().union(
-        *(
-            _references(ast.parse(p.read_text()))
-            for p in (ROOT / "examples").glob("*.py")
-        )
+    named = {path: _references([tree]) for path, tree in trees.items()}
+    in_examples = _references(
+        ast.parse(p.read_text()) for p in (ROOT / "examples").glob("*.py")
     )
-
-    def named_elsewhere(name: str, home: Path) -> bool:
-        return name in in_examples or any(
-            name in names for path, names in named.items() if path != home
-        )
+    method_callers = _method_callers()
 
     unreached = []
     for path, tree in trees.items():
-        body = tree.body
-        defs = {node.name: node for node in body if isinstance(node, DEFINITIONS)}
-        pending = set()
-        for node in body:
-            if not isinstance(node, DEFINITIONS):
-                pending |= _references(node)
-        pending |= {name for name in defs if named_elsewhere(name, path)}
-        live = set()
+        elsewhere = in_examples.union(*(n for p, n in named.items() if p != path))
+        method_elsewhere = elsewhere | method_callers
+        units, pending = _units(tree)
+        live = {
+            unit for unit in units
+            if unit.rpartition(".")[2]
+            in (method_elsewhere if "." in unit else elsewhere)
+        }
+        for unit in live:
+            pending |= units[unit]
         while pending:
             name = pending.pop()
-            if name in defs and name not in live:
-                live.add(name)
-                pending |= _references(defs[name])
+            for unit, refs in units.items():
+                if unit not in live and unit.rpartition(".")[2] == name:
+                    live.add(unit)
+                    pending |= refs
         module = path.relative_to(SRC).as_posix()
-        unreached += [
-            f"{module}:{name}"
-            for name in defs
-            if not name.startswith("_") and name not in live
-        ]
+        for unit in units:
+            owner, dot, name = unit.rpartition(".")
+            if unit in live or name.startswith("_") or owner.startswith("_"):
+                continue
+            if dot and owner not in live:
+                continue  # reported with its class
+            unreached.append(f"{module}:{unit}")
     return unreached
 
 

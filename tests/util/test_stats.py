@@ -3,31 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.stats import (
-    Summary,
-    cdf_points,
-    empirical_cdf,
-    percentile,
-    ratio_of_medians,
-    summarize,
-)
-
-
-class TestSummarize:
-    def test_basic_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-        assert s.median == pytest.approx(2.5)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_as_row_length(self):
-        assert len(summarize([1.0]).as_row()) == 9
+from repro.util.stats import cdf_points, percentile
 
 
 class TestPercentile:
@@ -39,17 +15,6 @@ class TestPercentile:
             percentile([], 50)
 
 
-class TestEmpiricalCdf:
-    def test_sorted_output(self):
-        values, probs = empirical_cdf([3.0, 1.0, 2.0])
-        assert list(values) == [1.0, 2.0, 3.0]
-        assert probs[-1] == pytest.approx(1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-
 class TestCdfPoints:
     def test_default_probs(self):
         points = cdf_points(range(101))
@@ -58,12 +23,3 @@ class TestCdfPoints:
     def test_custom_probs(self):
         points = cdf_points([1.0, 2.0], probs=(0.5,))
         assert len(points) == 1
-
-
-class TestRatioOfMedians:
-    def test_basic(self):
-        assert ratio_of_medians([4, 4], [2, 2]) == pytest.approx(2.0)
-
-    def test_zero_denominator_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            ratio_of_medians([1], [0])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_series, format_table, sparkline
+from repro.util.tables import format_table, sparkline
 
 
 class TestFormatTable:
@@ -28,16 +28,6 @@ class TestFormatTable:
     def test_bool_and_str_cells(self):
         out = format_table(["v"], [[True], ["x"]])
         assert "True" in out and "x" in out
-
-
-class TestFormatSeries:
-    def test_round_trip(self):
-        out = format_series([1, 2], [3.0, 4.0], "n", "irr")
-        assert "n" in out and "irr" in out
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            format_series([1], [1, 2])
 
 
 class TestSparkline:

@@ -7,7 +7,6 @@ from repro.world.motion import (
     CircularPath,
     ConveyorPath,
     LinearPath,
-    RandomWaypointWalk,
     Stationary,
     StepDisplacement,
     TurntablePath,
@@ -19,7 +18,6 @@ class TestStationary:
     def test_never_moves(self):
         s = Stationary((1, 2, 3))
         assert np.allclose(s.position(0.0), s.position(100.0))
-        assert not s.is_moving_at(5.0)
 
     def test_position_is_copy(self):
         s = Stationary((1, 2, 3))
@@ -34,7 +32,8 @@ class TestLinearPath:
 
     def test_speed(self):
         path = LinearPath((0, 0, 0), (3, 4, 0))
-        assert path.instantaneous_speed(1.0) == pytest.approx(5.0, rel=1e-3)
+        step = path.position(1.01) - path.position(1.0)
+        assert np.linalg.norm(step) / 0.01 == pytest.approx(5.0, rel=1e-3)
 
 
 class TestCircularPath:
@@ -46,13 +45,13 @@ class TestCircularPath:
 
     def test_constant_speed(self):
         path = CircularPath((0, 0, 0.8), radius=0.2, speed=0.7)
-        assert path.instantaneous_speed(1.0) == pytest.approx(0.7, rel=1e-2)
+        step = path.position(1.01) - path.position(1.0)
+        assert np.linalg.norm(step) / 0.01 == pytest.approx(0.7, rel=1e-2)
 
     def test_start_time_hold(self):
         path = CircularPath((0, 0, 0.8), 0.2, 0.7, start_time=2.0)
         assert np.allclose(path.position(0.0), path.position(1.9))
-        assert not path.is_moving_at(1.0)
-        assert path.is_moving_at(3.0)
+        assert not np.allclose(path.position(3.0), path.position(3.1))
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
@@ -79,12 +78,6 @@ class TestConveyor:
         path = ConveyorPath((0, 0, 0), (10, 0, 0), speed=1.0, enter_time=0.0)
         assert path.position(5.0)[0] == pytest.approx(5.0)
 
-    def test_moving_only_during_transit(self):
-        path = ConveyorPath((0, 0, 0), (10, 0, 0), speed=1.0, enter_time=5.0)
-        assert not path.is_moving_at(1.0)
-        assert path.is_moving_at(10.0)
-        assert not path.is_moving_at(20.0)
-
     def test_exit_time(self):
         path = ConveyorPath((0, 0, 0), (10, 0, 0), speed=2.0, enter_time=1.0)
         assert path.exit_time == pytest.approx(6.0)
@@ -109,11 +102,6 @@ class TestStepDisplacement:
         step = StepDisplacement.random_direction((0, 0, 0), 0.03, 1.0, rng=4)
         assert step.after[2] == step.before[2]
 
-    def test_moving_only_near_step(self):
-        step = StepDisplacement((0, 0, 0), (0.05, 0, 0), step_time=1.0)
-        assert step.is_moving_at(1.0)
-        assert not step.is_moving_at(2.0)
-
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
             StepDisplacement.random_direction((0, 0, 0), -0.1, 1.0)
@@ -136,27 +124,3 @@ class TestWaypointPath:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             WaypointPath([])
-
-
-class TestRandomWaypointWalk:
-    def test_stays_in_region(self):
-        walk = RandomWaypointWalk((-2, -2), (2, 2), duration_s=30.0, rng=7)
-        for t in np.linspace(0, 30, 100):
-            p = walk.position(t)
-            assert -2.01 <= p[0] <= 2.01
-            assert -2.01 <= p[1] <= 2.01
-
-    def test_actually_moves(self):
-        walk = RandomWaypointWalk((-2, -2), (2, 2), duration_s=30.0, rng=7)
-        positions = [walk.position(t) for t in np.linspace(0, 30, 50)]
-        spread = np.ptp([p[0] for p in positions])
-        assert spread > 0.1
-
-    def test_reproducible(self):
-        a = RandomWaypointWalk((-2, -2), (2, 2), 10.0, rng=3)
-        b = RandomWaypointWalk((-2, -2), (2, 2), 10.0, rng=3)
-        assert np.allclose(a.position(5.0), b.position(5.0))
-
-    def test_invalid_duration(self):
-        with pytest.raises(ValueError):
-            RandomWaypointWalk((-1, -1), (1, 1), 0.0)

@@ -15,9 +15,11 @@ import pickle
 from repro.gen2.aloha import QAdaptive
 from repro.gen2.epc import random_epc_population
 from repro.gen2.inventory import InventoryEngine, TagRead
+from repro.gen2.session import Session, SessionedInventory
 from repro.gen2.timing import R420_PROFILE
-from repro.radio.constants import china_920_926
+from repro.radio.constants import china_920_926, single_channel
 from repro.radio.measurement import NoiseModel, TagObservation
+from repro.reader.reader import SimReader
 from repro.world.motion import LinearPath, Stationary
 from repro.world.objects import AmbientObject
 from repro.world.scene import Antenna, Scene, TagInstance
@@ -206,6 +208,44 @@ def test_engine_settled_reads():
         return Scene(ANTENNAS, tags, seed=14)
 
     assert_matches_per_read(build, rounds)
+
+
+def test_sessioned_rounds_match_per_read_loop():
+    """``SessionedInventory`` rounds report, bit for bit, what a per-read
+    ``observe`` loop that skips absent tags reports on a same-seed twin."""
+
+    def build():
+        tags = _static_tags(4) + [
+            TagInstance(
+                epc=EPCS[4], trajectory=Stationary((1.5, 2.0, 0.8)), exit_time=0.3
+            )
+        ]
+        scene = Scene(ANTENNAS, tags, channel_plan=single_channel(), seed=21)
+        return SessionedInventory(SimReader(scene, seed=22), Session.S1, seed=23)
+
+    sessioned, twin = build(), build()
+    reader, store = twin.reader, twin.flags
+    n_reports = 0
+    for _ in range(40):
+        got, _ = sessioned.inventory_round(0)
+        eligible = store.filter_participants(
+            reader.participants(0, []), reader.time_s
+        )
+        log = reader.engine.run_round(eligible, start_time_s=reader.time_s)
+        want = []
+        for read in log.reads:
+            if not reader.scene.tags[read.tag_index].is_present(read.time_s):
+                continue
+            want.append(
+                reader.scene.observe(
+                    read.tag_index, 0, reader.channel_index, read.time_s
+                )
+            )
+            store.mark_read(read.tag_index, read.time_s)
+        reader.time_s = log.end_time_s
+        assert _bits(got) == _bits(want)
+        n_reports += len(got)
+    assert n_reports >= 5
 
 
 def test_phase_base_just_below_zero_quantises_to_positive_zero():

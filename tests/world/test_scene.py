@@ -5,9 +5,9 @@ import pytest
 
 from repro.gen2.epc import random_epc_population
 from repro.radio.constants import china_920_926, single_channel
-from repro.world.motion import LinearPath, Stationary
+from repro.world.motion import Stationary
 from repro.world.objects import AmbientObject, office_worker
-from repro.world.scene import Antenna, Scene, TagInstance, stationary_grid
+from repro.world.scene import Antenna, Scene, TagInstance
 
 
 def simple_scene(n=3, seed=0, plan=None):
@@ -44,17 +44,6 @@ class TestSceneBasics:
     def test_index_of(self):
         scene, epcs = simple_scene()
         assert scene.index_of(epcs[1]) == 1
-
-    def test_add_and_remove_tag(self):
-        scene, _ = simple_scene()
-        new_epc = random_epc_population(4, rng=2)[3]
-        index = scene.add_tag(
-            TagInstance(epc=new_epc, trajectory=Stationary((0, 2, 0)))
-        )
-        assert scene.index_of(new_epc) == index
-        scene.remove_tag(index)
-        with pytest.raises(KeyError):
-            scene.index_of(new_epc)
 
 
 class TestRange:
@@ -116,30 +105,7 @@ class TestObserve:
         assert a.lo_offset(0, 0) == b.lo_offset(0, 0)
 
 
-class TestMovingTags:
-    def test_ground_truth(self):
-        epcs = random_epc_population(2, rng=1)
-        tags = [
-            TagInstance(epc=epcs[0], trajectory=Stationary((1, 0, 0))),
-            TagInstance(
-                epc=epcs[1], trajectory=LinearPath((2, 0, 0), (0.5, 0, 0))
-            ),
-        ]
-        scene = Scene([Antenna((0, 0, 0))], tags)
-        assert scene.moving_tag_indices(1.0) == [1]
-
-
 class TestHelpers:
-    def test_stationary_grid(self):
-        epcs = random_epc_population(6, rng=1)
-        tags = stationary_grid(6, epcs, columns=3)
-        assert len(tags) == 6
-        assert not tags[0].is_moving_at(0.0)
-
-    def test_grid_needs_enough_epcs(self):
-        with pytest.raises(ValueError):
-            stationary_grid(5, random_epc_population(2, rng=1))
-
     def test_ambient_objects(self):
         worker = office_worker((-1, -1), (1, 1), 10.0, rng=1)
         assert worker.reflection_coefficient == 0.45
