@@ -1089,7 +1089,3 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    run()

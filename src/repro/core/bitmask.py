@@ -224,7 +224,6 @@ class IndexedBitmaskTable:
         self,
         epcs: Sequence[EPC],
         max_mask_length: int = 24,
-        include_dominated: bool = False,
     ) -> None:
         if not 1 <= max_mask_length <= MAX_WINDOW_BITS:
             raise ValueError(
@@ -233,7 +232,6 @@ class IndexedBitmaskTable:
             )
         self.epcs = list(epcs)
         self.max_mask_length = max_mask_length
-        self.include_dominated = include_dominated
         self._bits = _bit_matrix(self.epcs)
         # Sliding-window values per mask length, computed lazily.
         self._window_cache: Dict[int, np.ndarray] = {}
@@ -289,16 +287,12 @@ class IndexedBitmaskTable:
             values = self._window_values(length)
             ordered = np.sort(values[:, targets], axis=1)  # (pointers, targets)
             repeat = ordered[:, 1:] == ordered[:, :-1]
-            if self.include_dominated:
-                keep = np.ones(ordered.shape, dtype=bool)  # every distinct value
-                keep[:, 1:] = ~repeat
-            else:
-                # The first of each run of two or more equal values: the
-                # windows shared by at least two targets.
-                keep = repeat.copy()
-                keep[:, 1:] &= ~repeat[:, :-1]
+            # The first of each run of two or more equal values: the
+            # windows shared by at least two targets.
+            keep = repeat.copy()
+            keep[:, 1:] &= ~repeat[:, :-1]
             pointer, column = np.nonzero(keep)  # pointer-major, values ascending
-            if not pointer.size and not self.include_dominated:
+            if not pointer.size:
                 break  # no longer window can be shared by two targets
             found.append((length, values, pointer, ordered[pointer, column]))
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import FrozenSet, Iterable, Optional, Tuple, Union
+from typing import FrozenSet, Iterable, Union
 
 from repro.core.bitmask import MAX_WINDOW_BITS
 from repro.core.cost import CostModel, PAPER_R420
@@ -41,27 +41,14 @@ class TagwatchConfig:
     expire_after_s: float = 60.0
     #: Shard immobility models per channel (needed under frequency hopping).
     key_by_channel: bool = True
-    #: Antennas Tagwatch drives; ``None`` means all of the reader's.
-    antenna_ids: Optional[Tuple[int, ...]] = None
     #: Bitmask selection algorithm: "greedy" (the paper's set cover, with
     #: its fall-back to naive) or "naive" (one full-EPC mask per target —
     #: the comparison baseline of Fig 15/16/18).
     selection_method: str = "greedy"
-    #: Optional adaptive Phase II sizing (the paper: "upper applications can
-    #: adjust the length of Phase II according to their requirements").
-    #: When set, each cycle's Phase II lasts long enough for roughly this
-    #: many reads per target (one per sweep), clamped to
-    #: [min_phase2_duration_s, phase2_duration_s].
-    phase2_reads_target: Optional[int] = None
-    min_phase2_duration_s: float = 0.5
     #: Phase II LLRP realisation: "per-bitmask" (the paper's default — one
     #: AISpec/round per mask) or "single" (all masks as C1G2Filters of one
     #: AISpec: each sweep is one union round with one start-up cost).
     aispec_mode: str = "per-bitmask"
-    #: Seed for the scheduler's tie-breaking draws.  Always set: an unseeded
-    #: scheduler makes greedy set-cover ties (and hence whole ROSpecs)
-    #: irreproducible, which silently breaks fault-plan replay.
-    scheduler_seed: int = 0
     #: Graceful degradation: when Phase I returns fewer than this fraction
     #: of the previously known population (lossy reports, reader stall),
     #: the cycle is treated as low-confidence and Phase II falls back to
@@ -92,12 +79,6 @@ class TagwatchConfig:
             )
         if self.aispec_mode not in ("per-bitmask", "single"):
             raise ValueError(f"unknown AISpec mode {self.aispec_mode!r}")
-        if self.phase2_reads_target is not None and self.phase2_reads_target < 1:
-            raise ValueError("phase2_reads_target must be >= 1 when set")
-        if not 0 < self.min_phase2_duration_s <= self.phase2_duration_s:
-            raise ValueError(
-                "min_phase2_duration_s must be in (0, phase2_duration_s]"
-            )
         if not 0.0 <= self.min_phase1_fraction <= 1.0:
             raise ValueError("min_phase1_fraction must be in [0, 1]")
         if self.population_grace_cycles < 0:

@@ -93,10 +93,10 @@ class Tagwatch:
             max_mask_length=config.max_mask_length,
             method=config.selection_method,
             aispec_mode=config.aispec_mode,
-            # An unseeded scheduler breaks end-to-end replay: greedy
-            # set-cover ties are resolved by random draw, so fresh entropy
-            # here makes whole ROSpecs differ between same-seed runs.
-            rng=derive_rng(config.scheduler_seed, "tagwatch.scheduler"),
+            # A fixed seed keeps end-to-end replay: greedy set-cover ties
+            # are resolved by random draw, so fresh entropy here would make
+            # whole ROSpecs differ between same-seed runs.
+            rng=derive_rng(0, "tagwatch.scheduler"),
         )
         self._subscribers: List[ObservationCallback] = []
         self._next_rospec_id = 1
@@ -120,8 +120,6 @@ class Tagwatch:
                 callback(obs)
 
     def _antenna_ids(self) -> Sequence[int]:
-        if self.config.antenna_ids is not None:
-            return self.config.antenna_ids
         return tuple(range(len(self.client.reader.scene.antennas)))
 
     def _fresh_rospec_id(self) -> int:
@@ -174,19 +172,6 @@ class Tagwatch:
             self.client.delete_rospec(rospec.rospec_id)
 
     # ------------------------------------------------------------------
-    def _phase2_duration(self, sweep_cost_s: Optional[float]) -> float:
-        """Phase II length: fixed, or sized for ~reads_target sweeps."""
-        config = self.config
-        if config.phase2_reads_target is None or sweep_cost_s is None:
-            return config.phase2_duration_s
-        wanted = config.phase2_reads_target * sweep_cost_s
-        return float(
-            min(
-                config.phase2_duration_s,
-                max(config.min_phase2_duration_s, wanted),
-            )
-        )
-
     def _update_population(
         self, observations: Sequence[TagObservation], cycle_index: int = 0
     ) -> None:
@@ -410,7 +395,7 @@ class Tagwatch:
                 self._known_population,
                 targets,
                 self._antenna_ids(),
-                self._phase2_duration(None),
+                self.config.phase2_duration_s,
                 rospec_id=self._fresh_rospec_id(),
                 antenna_hints=antenna_hints,
             )
@@ -422,23 +407,6 @@ class Tagwatch:
                 n_collateral=plan.selection.n_collateral,
                 method=plan.selection.method,
             )
-            if (
-                self.config.phase2_reads_target is not None
-                and plan.rospec is not None
-            ):
-                # Adaptive Phase II: long enough for ~reads_target sweeps.
-                duration = self._phase2_duration(
-                    plan.selection.total_cost_s
-                )
-                plan.rospec = TargetScheduler.build_rospec(
-                    plan.selection,
-                    self._antenna_ids(),
-                    duration,
-                    plan.rospec.rospec_id,
-                    target_epcs=plan.target_epcs,
-                    antenna_hints=antenna_hints,
-                    aispec_mode=self.config.aispec_mode,
-                )
             if plan.rospec is None:  # pragma: no cover - targets were present
                 fallback = True
                 fallback_reason = "scheduler produced no bitmasks"

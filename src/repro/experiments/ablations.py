@@ -25,9 +25,6 @@ from repro.experiments.harness import build_lab
 from repro.experiments.parallel import parallel_map
 from repro.radio.constants import china_920_926
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.ablations")
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +215,3 @@ def format_phase2_sweep(result: Phase2SweepResult) -> str:
             "trade IRR against transition latency)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run all ablations at default scale and print them."""
-    _log.info(format_channel_keying(run_channel_keying()))
-    _log.info("")
-    _log.info(format_vote_rule(run_vote_rule()))
-    _log.info("")
-    _log.info(format_phase2_sweep(run_phase2_sweep()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -89,16 +89,10 @@ def run_point(
     phase2_duration_s: float = 1.0,
     seed: int = 11,
     disconnect_at_s: Sequence[float] = (),
-    burst_enter: float = 0.0,
-    burst_exit: float = 0.5,
-    config: Optional[TagwatchConfig] = None,
 ) -> SweepPoint:
     """Run one faulted deployment and fold its behaviour into a point."""
     plan = FaultPlan(
-        report_loss=report_loss,
-        burst_enter=burst_enter,
-        burst_exit=burst_exit,
-        disconnect_at_s=tuple(disconnect_at_s),
+        report_loss=report_loss, disconnect_at_s=tuple(disconnect_at_s)
     )
     setup = build_lab(
         n_tags=n_tags,
@@ -108,8 +102,7 @@ def run_point(
         fault_plan=plan,
     )
     tagwatch = setup.tagwatch(
-        config
-        or TagwatchConfig(
+        TagwatchConfig(
             phase2_duration_s=phase2_duration_s,
             min_phase1_fraction=0.5,
             population_grace_cycles=2,

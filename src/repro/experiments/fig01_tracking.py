@@ -38,7 +38,6 @@ from repro.core.tagwatch import Tagwatch
 from repro.experiments.harness import corner_antennas
 from repro.util.rng import RngStream
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
 from repro.world import (
     AmbientObject,
     CircularPath,
@@ -46,8 +45,6 @@ from repro.world import (
     Stationary,
     TagInstance,
 )
-
-_log = get_logger("repro.experiments.fig01_tracking")
 
 
 @dataclass
@@ -239,12 +236,3 @@ def format_report(result: Fig01Result) -> str:
         "(paper: 1.8 / 6 / 10.6 cm read-all at 0/2/4; 3.34 cm Tagwatch at 4)"
     )
     return format_table(headers, rows, precision=1, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,9 +22,6 @@ from repro.experiments.parallel import parallel_map
 from repro.gen2.aloha import QAdaptive
 from repro.radio.constants import china_920_926
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig02_irr")
 
 
 @dataclass
@@ -138,27 +135,3 @@ def format_report(result: Fig02Result) -> str:
         f"{result.drop_fraction * 100:.0f}% (paper: 84%)"
     )
     return format_table(headers, rows, precision=1, title=title)
-
-
-def format_plot(result: Fig02Result) -> str:
-    """Terminal rendering of the Fig 2 curves."""
-    from repro.util.plots import ascii_plot
-
-    series = {
-        f"Q0={c.initial_q}": (c.tag_counts, c.irr_hz) for c in result.curves
-    }
-    series["model"] = (result.tag_counts, result.model_irr_hz)
-    return ascii_plot(
-        series, x_label="tags", y_label="IRR Hz", title="Fig 2 (shape)"
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print report and plot."""
-    result = run()
-    _log.info(format_report(result))
-    _log.info(format_plot(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

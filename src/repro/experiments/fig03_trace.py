@@ -21,9 +21,6 @@ from repro.traces import (
 from repro.traces.analysis import count_cdf, per_tag_counts, reads_per_second
 from repro.traces.trackpoint import expected_reads_if_fair
 from repro.util.tables import format_table, sparkline
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig03_trace")
 
 
 @dataclass
@@ -94,12 +91,3 @@ def format_report(result: Fig03Result) -> str:
     table = format_table(headers, rows, title="Fig 3/4 — TrackPoint trace")
     timeline = sparkline(list(result.timeline[1]))
     return f"{table}\nreads/s timeline (Fig 3): {timeline}"
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -20,9 +20,6 @@ from repro.core.gmm import GaussianMixtureStack, GmmParams
 from repro.experiments.harness import build_lab
 from repro.util.circular import TWO_PI, circular_std
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig08_gmm")
 
 
 @dataclass
@@ -93,12 +90,3 @@ def format_report(result: Fig08Result) -> str:
         f"a single Gaussian would need std={result.single_gaussian_std:.2f} rad"
     )
     return format_table(headers, rows, precision=3, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

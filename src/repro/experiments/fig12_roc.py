@@ -27,9 +27,7 @@ SCORE_CAP = 1e3
 from repro.experiments.harness import build_lab
 from repro.radio.measurement import TagObservation
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
 
-_log = get_logger("repro.experiments.fig12_roc")
 
 DETECTORS = (
     ("phase", "mog"),
@@ -202,30 +200,3 @@ def format_report(result: Fig12Result) -> str:
         "Phase-MoG/diff >=0.99 @ 0.2; RSS-MoG 0.53, RSS-diff 0.12 @ 0.2)"
     )
     return format_table(headers, rows, precision=3, title=title)
-
-
-def format_plot(result: Fig12Result) -> str:
-    """Terminal rendering of the ROC curves."""
-    from repro.util.plots import ascii_plot
-
-    series = {}
-    for name, curve in result.curves.items():
-        order = np.argsort(curve.fpr)
-        series[name] = (
-            list(curve.fpr[order]), list(curve.tpr[order])
-        )
-    return ascii_plot(
-        series, x_label="FPR", y_label="TPR", title="Fig 12 (shape)",
-        height=14,
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print report and plot."""
-    result = run()
-    _log.info(format_report(result))
-    _log.info(format_plot(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,9 +25,6 @@ from repro.reader import SimReader
 from repro.util.rng import RngStream
 from repro.util.tables import format_table
 from repro.world import Scene, StepDisplacement, TagInstance
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig13_sensitivity")
 
 
 @dataclass
@@ -149,12 +146,3 @@ def format_report(result: Fig13Result) -> str:
         "paper: phase 80%/87%/99% at 1/2/3 cm, RSS 9%/18% at 1/2 cm)"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -22,9 +22,6 @@ from repro.core.gmm import GaussianMixtureStack, GmmParams
 from repro.experiments.harness import build_lab
 from repro.radio.measurement import TagObservation
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig14_learning")
 
 
 @dataclass
@@ -108,12 +105,3 @@ def format_report(result: Fig14Result) -> str:
         f"({extra}; paper: 70% @ ~67 reads / 1.49 s, 90% @ ~130 reads / 2.9 s)"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -27,9 +27,6 @@ from repro.core.scheduler import TargetScheduler
 from repro.core.setcover import CoverSelection
 from repro.experiments.harness import LabSetup, build_lab, irr_by_tag
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig15_feasibility")
 
 
 @dataclass
@@ -170,14 +167,3 @@ def format_report(result: Fig15Result) -> str:
         "(paper: Tagwatch 13->47 Hz for 2/40; naive below read-all at 5/40)"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run(n_targets=2)))
-    _log.info("")
-    _log.info(format_report(run(n_targets=5)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

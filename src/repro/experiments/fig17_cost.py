@@ -19,9 +19,6 @@ from repro.core import TagwatchConfig
 from repro.experiments.harness import build_lab
 from repro.util.stats import cdf_points, percentile
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig17_cost")
 
 
 @dataclass
@@ -89,25 +86,3 @@ def format_report(result: Fig17Result) -> str:
         f"{result.cycle_duration_s:.1f} s cycles; paper: <4 ms p50, <6 ms p90)"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def format_plot(result: Fig17Result) -> str:
-    """Terminal CDF of the per-cycle overheads."""
-    from repro.util.plots import cdf_plot
-
-    return cdf_plot(
-        {"overhead": result.overheads_ms},
-        x_label="ms",
-        title="Fig 17 (shape)",
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print report and plot."""
-    result = run()
-    _log.info(format_report(result))
-    _log.info(format_plot(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,9 +23,6 @@ from repro.experiments.harness import build_lab, irr_by_tag, read_all_irr
 from repro.experiments.parallel import parallel_map
 from repro.util.stats import percentile
 from repro.util.tables import format_table
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.fig18_gain")
 
 
 @dataclass
@@ -193,35 +190,3 @@ def format_report(result: Fig18Result) -> str:
         "(paper medians: Tagwatch 3.2/1.9/~1.5 at 5/10/20%; naive 2.6/1.5/0.8)"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def format_plot(result: Fig18Result) -> str:
-    """Terminal rendering of the gain-vs-percent curves."""
-    from repro.util.plots import ascii_plot
-
-    series = {
-        "tagwatch": (
-            result.percents,
-            [result.median_gain(p, "greedy") for p in result.percents],
-        ),
-        "naive": (
-            result.percents,
-            [result.median_gain(p, "naive") for p in result.percents],
-        ),
-        "read-all": (result.percents, [1.0] * len(result.percents)),
-    }
-    return ascii_plot(
-        series, x_label="% mobile", y_label="gain", title="Fig 18 (shape)",
-        height=12,
-    )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print report and plot."""
-    result = run()
-    _log.info(format_report(result))
-    _log.info(format_plot(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,13 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.logging import get_logger
 from repro.site.channels import ChannelCoordinator
 from repro.site.site import SiteConfig, SiteRun, simulate_site
 from repro.site.topology import ring_site
 from repro.util.tables import format_table
-
-_log = get_logger("repro.experiments.fig_redundancy")
 
 
 @dataclass
@@ -194,12 +191,3 @@ def format_report(result: RedundancyResult) -> str:
         f"throughput cost monotone: {result.monotone_throughput_cost}"
     )
     return format_table(headers, rows, precision=2, title=title)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at full scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

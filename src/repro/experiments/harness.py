@@ -11,7 +11,7 @@ from repro.core import Tagwatch, TagwatchConfig
 from repro.faults import FaultPlan, FaultyReader
 from repro.gen2.epc import EPC, random_epc_population
 from repro.radio.constants import ChannelPlan, china_920_926, single_channel
-from repro.radio.measurement import NoiseModel, TagObservation
+from repro.radio.measurement import TagObservation
 from repro.reader import (
     LLRPClient,
     ResilientLLRPClient,
@@ -106,7 +106,6 @@ def build_lab(
     people_duration_s: float = 120.0,
     turntable_period_s: float = 4.0,
     turntable_center: Tuple[float, float, float] = (0.0, 0.0, 0.8),
-    noise: Optional[NoiseModel] = None,
     partition: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -191,7 +190,6 @@ def build_lab(
         tags,
         ambient_objects=ambient,
         channel_plan=channel_plan or single_channel(),
-        noise=noise,
         seed=streams.child_seed("scene"),
     )
     if fault_plan is not None:

@@ -22,9 +22,6 @@ from repro.reader import LLRPClient, SimReader
 from repro.util.rng import RngStream
 from repro.util.tables import format_table
 from repro.world import Antenna, CircularPath, Scene, Stationary, TagInstance
-from repro.obs.logging import get_logger
-
-_log = get_logger("repro.experiments.latency")
 
 
 @dataclass
@@ -112,12 +109,3 @@ def format_report(result: LatencyResult) -> str:
             f"({result.n_trials} trials/point; bounded by the cycle length)"
         ),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    """Run at default scale and print the report."""
-    _log.info(format_report(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

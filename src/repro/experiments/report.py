@@ -172,6 +172,19 @@ FIGURES: Dict[str, Figure] = {
         runner="run_channel_keying",
         formatter="format_channel_keying",
     ),
+    "vote-rule": Figure(
+        "Ablation — per-tag vote aggregation",
+        "ablations",
+        runner="run_vote_rule",
+        formatter="format_vote_rule",
+    ),
+    "phase2-sweep": Figure(
+        "Ablation — Phase II length vs transition latency",
+        "ablations",
+        workers=True,
+        runner="run_phase2_sweep",
+        formatter="format_phase2_sweep",
+    ),
 }
 
 

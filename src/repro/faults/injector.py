@@ -188,6 +188,9 @@ class FaultInjector:
                 else:
                     kept.append(obs)
             out = kept
+            # Held reports reach no counter until a later round flushes
+            # them; the gauge accounts for the ones still waiting.
+            self.metrics.gauge("faults.held").set(len(self._held))
         if flushed:
             # Flush older reports ahead of the fresh batch.
             out = flushed + out

@@ -21,11 +21,7 @@ from repro.gen2.inventory import (
     TagRead,
 )
 from repro.gen2.select import BitMask, apply_selects, matches
-from repro.gen2.session import (
-    Session,
-    SessionedInventory,
-    SessionFlagStore,
-)
+from repro.gen2.session import Session, SessionFlagStore
 from repro.gen2.sgtin import (
     ProductLine,
     Sgtin96,
@@ -48,7 +44,6 @@ __all__ = [
     "Select",
     "Session",
     "SessionFlagStore",
-    "SessionedInventory",
     "SelectAction",
     "SelectTarget",
     "SlotOutcome",

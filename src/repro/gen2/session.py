@@ -9,15 +9,16 @@ decays.  S2/S3 flags persist indefinitely while powered (modelled here as a
 long fixed persistence).  S0 decays immediately, which is why continuous
 re-reading — the behaviour rate-adaptive reading *wants* — uses S0.
 
-The :class:`SessionFlagStore` is attached to a reader via
-``SessionedInventory`` to answer: which of these candidate tags will
-actually participate in the next round, and what flags does the round flip?
+The :class:`SessionFlagStore` is attached to a reader by
+:class:`~repro.reader.sessioned.SessionedReader` to answer: which of these
+candidate tags will actually participate in the next round, and what flags
+does the round flip?
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.gen2.commands import Session
 from repro.util.rng import SeedLike, make_rng
@@ -82,57 +83,3 @@ class SessionFlagStore:
     def reset(self) -> None:
         """Force all flags back to A (a Select with the right action)."""
         self._b_until.clear()
-
-    def flags_b(self, now_s: float) -> int:
-        """How many tags currently sit on B."""
-        return sum(1 for until in self._b_until.values() if until > now_s)
-
-
-class SessionedInventory:
-    """Wrap a :class:`~repro.reader.reader.SimReader` with session flags.
-
-    Rounds run single-target (A): only tags whose flag has decayed
-    participate, and every reported read flips its tag to B.  This yields
-    the classic S1 burst pattern — and demonstrates why Tagwatch's Phase II
-    must run S0: under S1 a target is read roughly once per persistence
-    period no matter how long the reader dwells.
-    """
-
-    def __init__(
-        self, reader, session: Session = Session.S1, seed: SeedLike = None
-    ) -> None:
-        self.reader = reader
-        self.flags = SessionFlagStore(session=session, rng_seed=seed)
-
-    def inventory_round(self, antenna_index: int, selects: Sequence = ()):
-        """One A-targeted round under this session's flag discipline."""
-        store = self.flags
-        reader = self.reader
-        eligible = store.filter_participants(
-            reader.participants(antenna_index, list(selects)),
-            reader.time_s,
-        )
-        # Temporarily narrow the scene to the eligible tags by running the
-        # engine directly (the reader's participant logic already applied
-        # range + Select; the session filter composes on top).
-        log = reader.engine.run_round(eligible, start_time_s=reader.time_s)
-        observations = reader.scene.observe_batch(
-            log.reads, antenna_index, reader.channel_index
-        )
-        for obs in observations:
-            store.mark_read(reader.scene.index_of(obs.epc), obs.time_s)
-        reader.time_s = log.end_time_s
-        return observations, log
-
-    def run_duration(self, duration_s: float, antenna_index: int = 0):
-        """Back-to-back sessioned rounds for ``duration_s``."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        deadline = self.reader.time_s + duration_s
-        all_obs = []
-        n_rounds = 0
-        while self.reader.time_s < deadline:
-            observations, _ = self.inventory_round(antenna_index)
-            all_obs.extend(observations)
-            n_rounds += 1
-        return all_obs, n_rounds

@@ -31,7 +31,7 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.logging import StructuredLogger, configure, get_logger
+from repro.obs.logging import StructuredLogger, get_logger
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -52,7 +52,6 @@ __all__ = [
     "StructuredLogger",
     "TraceEvent",
     "Tracer",
-    "configure",
     "get_logger",
     "get_metrics",
     "get_tracer",

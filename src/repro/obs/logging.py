@@ -1,15 +1,12 @@
-"""Structured logging that stays byte-compatible with ``print()``.
+"""Named loggers whose output is byte-identical to ``print()``.
 
 The experiments and the CLI historically wrote reports with bare
 ``print()``; golden-trace tests and shell pipelines depend on that exact
-output.  This logger keeps the default ("plain") format *identical to
-print* — the message string, nothing else — while adding what print cannot
-do: levels, named loggers, a machine-readable JSON line format, and
-stream redirection, all configured in one place.
-
-The JSON format omits wall-clock timestamps unless explicitly enabled, so
-two same-seed runs produce byte-identical logs — the same property the
-metrics and trace exports guarantee.
+output.  A logger writes the message string and nothing else, so it
+changes no byte of that output.  What it adds over print is a level:
+``$REPRO_LOG_LEVEL`` mutes a run's reports (say, a cron job at ``error``)
+without a flag plumbed through every entry point.  Error records go to
+stderr, the rest to stdout.
 
 >>> log = get_logger("repro.demo")
 >>> log.info("warming up (15 s)...")        # exactly what print() wrote
@@ -18,142 +15,57 @@ warming up (15 s)...
 
 from __future__ import annotations
 
-import json
 import os
 import sys
-import time
-from dataclasses import dataclass, field
-from typing import Dict, IO, Optional
+from typing import Dict
 
 __all__ = [
     "ENV_LEVEL",
     "LEVELS",
     "StructuredLogger",
-    "configure",
     "get_logger",
-    "reset",
 ]
 
 #: Symbolic level names to numeric severities (stdlib-compatible values).
-LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30, "error": 40}
+LEVELS: Dict[str, int] = {"info": 20, "warning": 30, "error": 40}
 
-#: Environment variable consulted for the *default* level — handy for
-#: muting a cron job to ``error`` without plumbing a flag through every
-#: entry point.  An explicit :func:`configure` call always wins; unknown
-#: values fall back to ``info`` rather than erroring, so a typo never
-#: kills a run.
+#: Environment variable naming the lowest level that is written.  It is
+#: read when a record is emitted; an unknown value falls back to ``info``
+#: rather than erroring, so a typo never kills a run.
 ENV_LEVEL = "REPRO_LOG_LEVEL"
 
+_loggers: Dict[str, "StructuredLogger"] = {}
 
-def _env_level() -> int:
-    """Default severity: ``$REPRO_LOG_LEVEL`` if valid, else ``info``."""
+
+def _threshold() -> int:
+    """Lowest severity written: ``$REPRO_LOG_LEVEL`` if valid, else ``info``."""
     name = os.environ.get(ENV_LEVEL, "").strip().lower()
     return LEVELS.get(name, LEVELS["info"])
 
 
-@dataclass
-class _Config:
-    """Process-wide logging configuration (see :func:`configure`)."""
-
-    format: str = "plain"  # "plain" | "json"
-    level: int = field(default_factory=_env_level)
-    #: Destination for < error records; ``None`` = current ``sys.stdout``.
-    stream: Optional[IO[str]] = None
-    #: Destination for error records; ``None`` = current ``sys.stderr``.
-    err_stream: Optional[IO[str]] = None
-    #: Include a wall-clock ``ts`` field in JSON records (off by default so
-    #: logs of seeded runs stay byte-identical).
-    timestamps: bool = False
-
-
-_config = _Config()
-_loggers: Dict[str, "StructuredLogger"] = {}
-
-
-def configure(
-    format: Optional[str] = None,
-    level: Optional[str] = None,
-    stream: Optional[IO[str]] = None,
-    err_stream: Optional[IO[str]] = None,
-    timestamps: Optional[bool] = None,
-) -> None:
-    """Update the global logging configuration (None = keep current)."""
-    if format is not None:
-        if format not in ("plain", "json"):
-            raise ValueError(f"unknown log format {format!r}")
-        _config.format = format
-    if level is not None:
-        if level not in LEVELS:
-            raise ValueError(f"unknown log level {level!r}")
-        _config.level = LEVELS[level]
-    if stream is not None:
-        _config.stream = stream
-    if err_stream is not None:
-        _config.err_stream = err_stream
-    if timestamps is not None:
-        _config.timestamps = timestamps
-
-
-def reset() -> None:
-    """Restore defaults (plain format, std streams, env-derived level).
-
-    The level is re-read from ``$REPRO_LOG_LEVEL`` at reset time, so tests
-    that monkeypatch the environment see the change take effect.
-    """
-    global _config
-    _config = _Config()
-
-
 class StructuredLogger:
-    """A named logger writing plain or JSON lines.
-
-    In plain format the message is emitted verbatim (fields, if any, are
-    appended as sorted ``key=value`` pairs); in JSON format every record is
-    one sorted-keys JSON object per line.
-    """
+    """A named logger that writes each message verbatim, one per line."""
 
     def __init__(self, name: str) -> None:
         self.name = name
 
-    # ------------------------------------------------------------------
-    def _emit(self, levelno: int, levelname: str, msg: object, fields: dict) -> None:
-        if levelno < _config.level:
+    def _emit(self, levelno: int, msg: object) -> None:
+        if levelno < _threshold():
             return
-        if levelno >= LEVELS["error"]:
-            out = _config.err_stream or sys.stderr
-        else:
-            out = _config.stream or sys.stdout
-        if _config.format == "json":
-            payload: Dict[str, object] = {
-                "level": levelname,
-                "logger": self.name,
-                "msg": str(msg),
-            }
-            if fields:
-                payload["fields"] = fields
-            if _config.timestamps:
-                payload["ts"] = round(time.time(), 6)
-            print(json.dumps(payload, sort_keys=True), file=out)
-        else:
-            text = str(msg)
-            if fields:
-                pairs = " ".join(f"{k}={fields[k]}" for k in sorted(fields))
-                text = f"{text} [{pairs}]" if text else f"[{pairs}]"
-            print(text, file=out)
+        out = sys.stderr if levelno >= LEVELS["error"] else sys.stdout
+        print(msg, file=out)
 
-    # ------------------------------------------------------------------
-
-    def info(self, msg: object = "", **fields: object) -> None:
+    def info(self, msg: object = "") -> None:
         """Normal report output (what ``print()`` used to carry)."""
-        self._emit(LEVELS["info"], "info", msg, fields)
+        self._emit(LEVELS["info"], msg)
 
-    def warning(self, msg: object = "", **fields: object) -> None:
+    def warning(self, msg: object = "") -> None:
         """Something degraded but the run continues."""
-        self._emit(LEVELS["warning"], "warning", msg, fields)
+        self._emit(LEVELS["warning"], msg)
 
-    def error(self, msg: object = "", **fields: object) -> None:
-        """Failure output; routed to stderr in plain format."""
-        self._emit(LEVELS["error"], "error", msg, fields)
+    def error(self, msg: object = "") -> None:
+        """Failure output; written to stderr."""
+        self._emit(LEVELS["error"], msg)
 
 
 def get_logger(name: str) -> StructuredLogger:

@@ -15,6 +15,7 @@ from repro.reader.llrp import (
     rospec_to_xml,
 )
 from repro.reader.reader import SimReader
+from repro.reader.sessioned import SessionedReader
 from repro.reader.resilience import (
     CircuitOpenError,
     ResilientLLRPClient,
@@ -33,6 +34,7 @@ __all__ = [
     "RetryPolicy",
     "ROSpec",
     "ReaderState",
+    "SessionedReader",
     "SimReader",
     "rospec_from_xml",
     "rospec_to_xml",

@@ -67,22 +67,14 @@ class C1G2Filter:
 
 @dataclass(frozen=True)
 class AISpecStopTrigger:
-    """When an AISpec yields control back to the ROSpec.
+    """When an AISpec yields control back to the ROSpec: after ``n_rounds``
+    inventory rounds per antenna."""
 
-    ``n_rounds`` stops after that many inventory rounds per antenna;
-    ``duration_s`` stops on a timer.  Exactly one must be set.
-    """
-
-    n_rounds: Optional[int] = 1
-    duration_s: Optional[float] = None
+    n_rounds: int = 1
 
     def __post_init__(self) -> None:
-        if (self.n_rounds is None) == (self.duration_s is None):
-            raise ValueError("set exactly one of n_rounds / duration_s")
-        if self.n_rounds is not None and self.n_rounds < 1:
+        if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -146,12 +138,8 @@ def rospec_to_xml(rospec: ROSpec) -> str:
             ai_el, "AntennaIDs"
         ).text = " ".join(str(a) for a in ai.antenna_ids)
         stop_el = ET.SubElement(ai_el, "AISpecStopTrigger")
-        if ai.stop.duration_s is not None:
-            stop_el.set("type", "Duration")
-            stop_el.set("durationMs", str(int(round(ai.stop.duration_s * 1000))))
-        else:
-            stop_el.set("type", "NRounds")
-            stop_el.set("n", str(ai.stop.n_rounds))
+        stop_el.set("type", "NRounds")
+        stop_el.set("n", str(ai.stop.n_rounds))
         inv = ET.SubElement(ai_el, "InventoryParameterSpec")
         for f in ai.filters:
             f_el = ET.SubElement(inv, "C1G2Filter")
@@ -176,14 +164,8 @@ def rospec_from_xml(document: str) -> ROSpec:
         antenna_text = ai_el.findtext("AntennaIDs", default="").strip()
         antenna_ids = tuple(int(x) for x in antenna_text.split()) or (0,)
         stop_el = ai_el.find("AISpecStopTrigger")
-        if stop_el is not None and stop_el.get("type") == "Duration":
-            trigger = AISpecStopTrigger(
-                n_rounds=None,
-                duration_s=int(stop_el.get("durationMs", "0")) / 1000.0,
-            )
-        else:
-            n = int(stop_el.get("n", "1")) if stop_el is not None else 1
-            trigger = AISpecStopTrigger(n_rounds=n)
+        n = int(stop_el.get("n", "1")) if stop_el is not None else 1
+        trigger = AISpecStopTrigger(n_rounds=n)
         filters = []
         for f_el in ai_el.findall("./InventoryParameterSpec/C1G2Filter"):
             mask_el = f_el.find("C1G2TagInventoryMask")

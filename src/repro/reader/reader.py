@@ -271,24 +271,7 @@ class SimReader:
         selects = ai_spec.selects()
         all_obs: List[TagObservation] = []
         total = InventoryLog(start_time_s=self.time_s, end_time_s=self.time_s)
-        if ai_spec.stop.duration_s is not None:
-            budget = ai_spec.stop.duration_s
-            if remaining_s is not None:
-                budget = min(budget, remaining_s)
-            deadline = self.time_s + budget
-            cursor = 0
-            while self.time_s < deadline:
-                result = self.inventory_round(
-                    ai_spec.antenna_ids[cursor % len(ai_spec.antenna_ids)],
-                    selects,
-                    max_duration_s=deadline - self.time_s,
-                )
-                all_obs.extend(result.observations)
-                total.merge(result.log)
-                cursor += 1
-            return all_obs, total
-
-        for _ in range(ai_spec.stop.n_rounds or 1):
+        for _ in range(ai_spec.stop.n_rounds):
             for antenna in ai_spec.antenna_ids:
                 budget = (
                     None if remaining_s is None else remaining_s - total.duration_s

@@ -112,7 +112,6 @@ class ResilientLLRPClient(LLRPClient):
         policy: Optional[RetryPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         seed: int = 0,
-        reader_id: Optional[int] = None,
     ) -> None:
         super().__init__(reader)
         self.policy = policy or RetryPolicy()
@@ -121,19 +120,7 @@ class ResilientLLRPClient(LLRPClient):
             # one export shows faults and recovery side by side.
             metrics = getattr(reader, "metrics", None) or MetricsRegistry()
         self.metrics = metrics
-        # Fleet deployments pass their reader_id so each client jitters its
-        # backoff from its own stream: same-seed clients recovering from one
-        # site-wide fault would otherwise draw identical backoffs and retry
-        # in lockstep (a thundering herd against the middleware).  The
-        # default namespace is unchanged, so single-reader runs stay
-        # bit-identical.
-        namespace = (
-            "client.backoff"
-            if reader_id is None
-            else f"client.backoff.r{reader_id}"
-        )
-        self.reader_id = reader_id
-        self._rng = derive_rng(int(seed), namespace)
+        self._rng = derive_rng(int(seed), "client.backoff")
         self._consecutive_failures = 0
         self._breaker_open_until: Optional[float] = None
         self._last_ok_s = reader.time_s

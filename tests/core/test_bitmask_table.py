@@ -9,6 +9,7 @@ from repro.core.bitmask import (
     indicator_bitmap,
 )
 from repro.gen2.epc import EPC, random_epc_population
+from tests.core.oracles import candidate_rows_reference
 
 # Fig 9/10's six-bit population.
 POPULATION = [
@@ -67,13 +68,13 @@ class TestCandidateRows:
         epcs = random_epc_population(12, rng=3, length=16)
         targets = [0, 1, 2, 3]
         pruned = IndexedBitmaskTable(epcs, max_mask_length=16)
-        full = IndexedBitmaskTable(
-            epcs, max_mask_length=16, include_dominated=True
+        full = candidate_rows_reference(
+            epcs, targets, max_mask_length=16, include_dominated=True
         )
         pruned_covers = {
             row.coverage.tobytes() for row in pruned.candidate_rows(targets)
         }
-        for row in full.candidate_rows(targets):
+        for row in full:
             n_targets_covered = sum(row.coverage[t] for t in targets)
             if n_targets_covered >= 2:
                 assert row.coverage.tobytes() in pruned_covers

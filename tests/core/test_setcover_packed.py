@@ -14,7 +14,6 @@ the packed ``exact_cover`` against a bool-mask reimplementation.
 import itertools
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import bitmask
@@ -107,10 +106,9 @@ def _row_keys(rows):
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.sampled_from([1, 63, 64, 65, 130]),
-    include_dominated=st.booleans(),
     data=st.data(),
 )
-def test_candidate_rows_match_per_row_walk(n, include_dominated, data):
+def test_candidate_rows_match_per_row_walk(n, data):
     """Same (mask, pointer, length, coverage) rows, in the same order, on
     populations whose packed words cross 64-tag boundaries."""
     seed = data.draw(st.integers(0, 2**31 - 1))
@@ -119,21 +117,16 @@ def test_candidate_rows_match_per_row_walk(n, include_dominated, data):
         st.lists(st.integers(0, n - 1), min_size=0, max_size=min(n, 40))
     )
     max_len = data.draw(st.integers(1, 16))
-    table = IndexedBitmaskTable(
-        population, max_mask_length=max_len, include_dominated=include_dominated
-    )
+    table = IndexedBitmaskTable(population, max_mask_length=max_len)
     rows = table.candidate_rows(targets)
-    oracle = candidate_rows_reference(
-        population, targets, max_len, include_dominated
-    )
+    oracle = candidate_rows_reference(population, targets, max_len)
     assert len(rows) == len(oracle)
     assert _row_keys(rows) == _row_keys(oracle)
     assert _row_keys(rows[1:3]) == _row_keys(oracle[1:3])
     assert rows.covered_counts.tolist() == [r.covered_count for r in oracle]
 
 
-@pytest.mark.parametrize("include_dominated", [False, True])
-def test_candidate_rows_survive_hash_collisions(monkeypatch, include_dominated):
+def test_candidate_rows_survive_hash_collisions(monkeypatch):
     """With every row hashed alike, the merge falls back to grouping on the
     words themselves and still keeps the first row of each coverage."""
     monkeypatch.setattr(
@@ -141,10 +134,8 @@ def test_candidate_rows_survive_hash_collisions(monkeypatch, include_dominated):
     )
     population = random_epc_population(130, rng=4, length=16)
     targets = list(range(0, 130, 3))
-    table = IndexedBitmaskTable(
-        population, max_mask_length=12, include_dominated=include_dominated
-    )
-    oracle = candidate_rows_reference(population, targets, 12, include_dominated)
+    table = IndexedBitmaskTable(population, max_mask_length=12)
+    oracle = candidate_rows_reference(population, targets, 12)
     assert _row_keys(table.candidate_rows(targets)) == _row_keys(oracle)
 
 

@@ -252,33 +252,3 @@ def test_shared_registry_between_injector_and_client():
     client = setup.client()
     assert isinstance(client, ResilientLLRPClient)
     assert client.metrics is setup.metrics
-
-
-class TestPerReaderBackoffJitter:
-    """Fleet clients must not retry in lockstep (thundering herd)."""
-
-    def draws(self, reader_id, seed=23, n=6):
-        from repro.experiments.harness import build_lab
-
-        setup = build_lab(n_tags=4, n_mobile=0, seed=seed, partition=False)
-        client = ResilientLLRPClient(
-            setup.reader, seed=seed, reader_id=reader_id
-        )
-        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
-        return [policy.backoff_s(i + 1, client._rng) for i in range(n)]
-
-    def test_same_seed_different_readers_jitter_apart(self):
-        assert self.draws(reader_id=0) != self.draws(reader_id=1)
-
-    def test_per_reader_streams_are_reproducible(self):
-        assert self.draws(reader_id=3) == self.draws(reader_id=3)
-
-    def test_default_namespace_is_unchanged(self):
-        """No reader_id means the historical stream: single-reader runs
-        (and every committed golden) stay bit-identical."""
-        from repro.util.rng import derive_rng
-
-        legacy = derive_rng(23, "client.backoff")
-        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
-        expected = [policy.backoff_s(i + 1, legacy) for i in range(6)]
-        assert self.draws(reader_id=None) == expected

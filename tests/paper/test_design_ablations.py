@@ -1,7 +1,6 @@
 """Design-choice ablations at full scale (channel keying, vote rule,
 Phase II length).  These back the claims in DESIGN.md's decision list."""
 
-from repro.experiments import ablations
 from repro.experiments.report import FIGURES
 
 
@@ -15,20 +14,20 @@ def test_channel_keying():
 
 
 def test_vote_rule():
-    result = ablations.run_vote_rule(n_tags=20, n_cycles=6)
+    figure = FIGURES["vote-rule"]
+    result = figure.run("paper")
     print()
-    print(ablations.format_vote_rule(result))
+    print(figure.format(result))
     for _, targeting_rate, false_rate in result.rows:
         assert targeting_rate >= 0.8
         assert false_rate < 3.0
 
 
 def test_phase2_sweep():
-    result = ablations.run_phase2_sweep(
-        durations_s=(0.5, 1.0, 2.0, 5.0), n_tags=20,
-    )
+    figure = FIGURES["phase2-sweep"]
+    result = figure.run("paper")
     print()
-    print(ablations.format_phase2_sweep(result))
+    print(figure.format(result))
     assert result.mobile_irr_hz[-1] >= result.mobile_irr_hz[0]
     assert result.detection_latency_s == sorted(result.detection_latency_s)
 

@@ -24,7 +24,7 @@ def sample_rospec():
             AISpec(
                 (0,),
                 (C1G2Filter(0, "0101"), C1G2Filter(9, "1")),
-                AISpecStopTrigger(n_rounds=None, duration_s=1.5),
+                AISpecStopTrigger(n_rounds=3),
             ),
         ),
         duration_s=5.0,
@@ -64,17 +64,9 @@ class TestAISpec:
 
 
 class TestStopTrigger:
-    def test_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            AISpecStopTrigger(n_rounds=1, duration_s=1.0)
-        with pytest.raises(ValueError):
-            AISpecStopTrigger(n_rounds=None, duration_s=None)
-
     def test_positive_values(self):
         with pytest.raises(ValueError):
             AISpecStopTrigger(n_rounds=0)
-        with pytest.raises(ValueError):
-            AISpecStopTrigger(n_rounds=None, duration_s=0.0)
 
 
 class TestROSpec:

@@ -9,6 +9,10 @@ attribute or an import; a mention in prose or a string does not count), or
 when a live definition or a module-level statement of its own module
 references it.
 
+The figure table in ``experiments/report.py`` calls drivers by name, so
+the ``runner=`` and ``formatter=`` strings of its ``Figure(...)`` entries
+count as references too.
+
 A method is live on the same terms, with more callers: the benchmark and
 perf-gate scripts drive the program through methods, so non-test code
 under ``bench/`` and ``ci/`` counts as a caller too, and so does each
@@ -24,6 +28,10 @@ or earns its place in :data:`ALLOWED` with one line naming what it serves:
 a test oracle, the inverse of a live function, a recovery path, or a
 paper claim that a test checks.  The second test keeps the list current,
 so an entry that gains a caller or disappears must leave it.
+
+A third test keeps ``python -m repro`` the one entry point: no other
+module may carry an ``if __name__ == "__main__"`` block, a second way in
+that the CLI, the examples and the benchmark never take.
 """
 
 import ast
@@ -45,15 +53,12 @@ ALLOWED: Dict[str, str] = {
     "gen2/aloha.py:IdealDFSA": "genie-aided DFSA: closed-form slot-count oracle of the engine",
     "gen2/epc.py:sequential_epc_population": "the sequential-EPC population of tests/paper/test_ablations.py",
     "gen2/select.py:union_selects": "union-cover Selects test_properties checks apply_selects with",
-    "gen2/session.py:SessionFlagStore": "S1 flag persistence behind SessionedInventory",
-    "gen2/session.py:SessionedInventory": "the S1 session model: why Phase II runs S0 (EXPERIMENTS.md)",
     "gen2/timing.py:LinkTiming.mean_slot_duration": "the profile's tau_bar against the paper's fit (test_timing)",
     "obs/exporters.py:validate_chrome_trace": "Chrome-trace schema oracle of to_chrome_trace",
-    "obs/logging.py:configure": "logging configuration (docs/observability.md); reset restores it",
-    "obs/logging.py:reset": "inverse of configure (the logging tests' isolation)",
     "radio/measurement.py:measure": "scalar reference that measure_from_bases matches sample for sample",
     "reader/llrp.py:C1G2Filter.to_bitmask": "inverse of C1G2Filter.from_bitmask (round-trip test)",
     "reader/llrp.py:rospec_from_xml": "round-trip oracle of rospec_to_xml",
+    "reader/sessioned.py:SessionedReader": "the S1 session model: why Phase II runs S0 (EXPERIMENTS.md)",
     "site/supervisor.py:SiteSupervisor.restore": "warm start from the site checkpoint (recovery path)",
     "tracking/fleet.py:FleetTracker": "the paper's footnote-1 multi-tag tracker (tests/paper/test_fleet_tracking.py)",
     "tracking/fleet.py:TrackedTag": "per-tag state of FleetTracker",
@@ -88,6 +93,22 @@ def _wrap_targets(tree: ast.AST) -> Set[str]:
             if colon and module.startswith("repro."):
                 names.update(qualname.split("."))
     return names
+
+
+def _figure_table_names() -> Set[str]:
+    """The ``runner=``/``formatter=`` strings of the figure table's
+    ``Figure(...)`` entries: driver functions it calls by name."""
+    tree = ast.parse((SRC / "experiments" / "report.py").read_text())
+    return {
+        keyword.value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Figure"
+        for keyword in node.keywords
+        if keyword.arg in ("runner", "formatter")
+        and isinstance(keyword.value, ast.Constant)
+    }
 
 
 def _method_callers() -> Set[str]:
@@ -135,7 +156,7 @@ def unreached_definitions() -> List[str]:
     named = {path: _references([tree]) for path, tree in trees.items()}
     in_examples = _references(
         ast.parse(p.read_text()) for p in (ROOT / "examples").glob("*.py")
-    )
+    ) | _figure_table_names()
     method_callers = _method_callers()
 
     unreached = []
@@ -178,3 +199,28 @@ def test_every_public_definition_has_a_caller():
 def test_allowlist_is_current():
     stale = sorted(set(ALLOWED) - set(unreached_definitions()))
     assert not stale, f"ALLOWED entries that now have a caller or are gone: {stale}"
+
+
+def _is_main_block(node: ast.stmt) -> bool:
+    """``if __name__ == "__main__":`` at module level."""
+    if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+        return False
+    operands = [node.test.left, *node.test.comparators]
+    return any(
+        isinstance(o, ast.Name) and o.id == "__name__" for o in operands
+    ) and any(
+        isinstance(o, ast.Constant) and o.value == "__main__" for o in operands
+    )
+
+
+def test_only_the_package_runs_as_a_script():
+    scripts = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "__main__.py"
+        and any(_is_main_block(node) for node in ast.parse(path.read_text()).body)
+    ]
+    assert not scripts, (
+        "`python -m repro` is the one entry point; delete the "
+        f"`if __name__ == \"__main__\"` blocks of: {scripts}"
+    )

@@ -15,11 +15,11 @@ import pickle
 from repro.gen2.aloha import QAdaptive
 from repro.gen2.epc import random_epc_population
 from repro.gen2.inventory import InventoryEngine, TagRead
-from repro.gen2.session import Session, SessionedInventory
 from repro.gen2.timing import R420_PROFILE
 from repro.radio.constants import china_920_926, single_channel
 from repro.radio.measurement import NoiseModel, TagObservation
 from repro.reader.reader import SimReader
+from repro.reader.sessioned import SessionedReader
 from repro.world.motion import LinearPath, Stationary
 from repro.world.objects import AmbientObject
 from repro.world.scene import Antenna, Scene, TagInstance
@@ -211,7 +211,7 @@ def test_engine_settled_reads():
 
 
 def test_sessioned_rounds_match_per_read_loop():
-    """``SessionedInventory`` rounds report, bit for bit, what a per-read
+    """``SessionedReader`` rounds report, bit for bit, what a per-read
     ``observe`` loop that skips absent tags reports on a same-seed twin."""
 
     def build():
@@ -221,15 +221,15 @@ def test_sessioned_rounds_match_per_read_loop():
             )
         ]
         scene = Scene(ANTENNAS, tags, channel_plan=single_channel(), seed=21)
-        return SessionedInventory(SimReader(scene, seed=22), Session.S1, seed=23)
+        return SessionedReader(scene, flag_seed=23, seed=22)
 
-    sessioned, twin = build(), build()
-    reader, store = twin.reader, twin.flags
+    sessioned, reader = build(), build()
+    store = reader.flags
     n_reports = 0
     for _ in range(40):
-        got, _ = sessioned.inventory_round(0)
+        got = sessioned.inventory_round(0).observations
         eligible = store.filter_participants(
-            reader.participants(0, []), reader.time_s
+            SimReader.participants(reader, 0, []), reader.time_s
         )
         log = reader.engine.run_round(eligible, start_time_s=reader.time_s)
         want = []
