@@ -36,7 +36,6 @@ from repro.core.gmm import (
     GaussianMixtureStack,
     GaussianMode,
     GmmParams,
-    UpdateResult,
 )
 from repro.core.history import IrrSample, ReadingHistory
 from repro.core.analysis import (
@@ -81,7 +80,6 @@ __all__ = [
     "TagwatchConfig",
     "TagwatchMonitor",
     "TargetScheduler",
-    "UpdateResult",
     "breakeven_percent",
     "exact_cover",
     "greedy_cover",

@@ -16,7 +16,7 @@ greedy scheduler weighs each candidate bitmask by C(number of tags covered).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

@@ -36,16 +36,12 @@ Stauffer-Grimson):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
-from repro.util.circular import (
-    TWO_PI,
-    circular_distance,
-    circular_signed_difference,
-)
+from repro.util.circular import TWO_PI
 
 #: Same constant ``pdf`` always used (``np.sqrt(2 * np.pi)``), hoisted.
 _SQRT_TWO_PI = float(np.sqrt(2.0 * np.pi))
@@ -175,20 +171,6 @@ class GmmParams:
             raise ValueError("invalid std bounds")
 
 
-class UpdateResult(NamedTuple):
-    """Outcome of feeding one reading into the stack.
-
-    A named tuple (not a dataclass): one is built per observation in the
-    motion-assessment hot loop and tuple construction is several times
-    cheaper, with identical field access.
-    """
-
-    matched: bool  # a mode matched (any weight)
-    stationary: bool  # matched AND the mode was reliable
-    mode_index: Optional[int]  # which mode matched (post-sort index)
-    distance: float  # circular distance to the matched/nearest mode
-
-
 class GaussianMixtureStack:
     """The per-tag immobility model.
 
@@ -248,8 +230,8 @@ class GaussianMixtureStack:
         return sorted(self.modes, key=lambda m: m.priority, reverse=True)
 
     # ------------------------------------------------------------------
-    def update(self, value: float) -> UpdateResult:
-        """Feed one reading; learn; report whether it looked stationary."""
+    def update(self, value: float) -> bool:
+        """Feed one reading; learn; return whether it looked stationary."""
         p = self.params
         self.n_updates += 1
         circular = self.circular
@@ -262,12 +244,11 @@ class GaussianMixtureStack:
         modes = self.modes
         k = len(modes)
         matched_mode: Optional[GaussianMode] = None
-        matched_rank: Optional[int] = None
         if k:
             pris = [
                 (m.weight / m.std if m.std > 0 else float("inf")) for m in modes
             ]
-            for rank in range(k):
+            for _ in range(k):
                 best_i = 0
                 best_p = pris[0]
                 for i in range(1, k):
@@ -282,7 +263,6 @@ class GaussianMixtureStack:
                 )
                 if d < threshold * mode.std:
                     matched_mode = mode
-                    matched_rank = rank
                     break
                 pris[best_i] = -1.0  # consumed (real priorities are > 0)
 
@@ -291,13 +271,7 @@ class GaussianMixtureStack:
             for mode in self.modes:
                 mode.current_run = 0
             self._push_mode(value)
-            nearest = min(
-                (self._distance(value, m.mean) for m in self.modes[:-1]),
-                default=float("inf"),
-            )
-            return UpdateResult(
-                matched=False, stationary=False, mode_index=None, distance=nearest
-            )
+            return False
 
         # Case 1: matched => stationary (if the mode has earned trust).
         reliable_weight = p.reliable_weight
@@ -345,10 +319,7 @@ class GaussianMixtureStack:
             else:
                 mode.weight = decay * mode.weight
                 mode.current_run = 0
-
-        # ``deviation`` is literally the distance to the updated mean, so the
-        # result reuses it rather than recomputing the same expression.
-        return UpdateResult(True, was_reliable, matched_rank, deviation)
+        return was_reliable
 
     def _is_reliable(self, mode: GaussianMode) -> bool:
         """A mode may vouch for stationarity only when it is both

@@ -9,7 +9,7 @@ monitor never alters scheduling decisions.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Set
 
 import numpy as np

@@ -77,7 +77,7 @@ def assessor_state(
     resumes mid-stream and converges on the uninterrupted run's verdicts.
     """
     shards = []
-    for (epc_value, antenna, channel), stack in assessor._stacks.items():
+    for (epc_value, antenna, channel), stack in assessor.shards():
         shard = stack.state_dict()
         shard.update(
             epc=f"{epc_value:x}", antenna=antenna, channel=channel
@@ -118,7 +118,7 @@ def restore_assessor(state: dict) -> MotionAssessor:
     for shard in state["shards"]:
         stack = GaussianMixtureStack.from_state(shard, params, circular=True)
         key = (int(shard["epc"], 16), int(shard["antenna"]), int(shard["channel"]))
-        assessor._stacks[key] = stack
+        assessor.load_shard(key, stack)
     assessor._last_seen = {
         int(epc, 16): float(t) for epc, t in state["last_seen"].items()
     }

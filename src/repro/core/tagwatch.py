@@ -22,12 +22,12 @@ readings keep training the immobility models, which is what removes the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import TagwatchConfig
 from repro.core.history import ReadingHistory
-from repro.core.motion import MotionAssessor, TagAssessment
+from repro.core.motion import MotionAssessor
 from repro.core.persistence import assessor_state, restore_assessor
 from repro.core.scheduler import SchedulePlan, TargetScheduler
 from repro.gen2.epc import EPC

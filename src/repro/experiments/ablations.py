@@ -16,11 +16,11 @@ Each driver isolates one decision DESIGN.md documents:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import MotionAssessor, Tagwatch, TagwatchConfig
+from repro.core import MotionAssessor, TagwatchConfig
 from repro.experiments.harness import build_lab
 from repro.experiments.parallel import parallel_map
 from repro.radio.constants import china_920_926
@@ -64,9 +64,7 @@ def run_channel_keying(
         assessor.observe_all(warmup_obs)
         assessor.assess()
         test_obs, _ = setup.reader.run_duration(duration_s - warmup_s)
-        flags = [
-            not assessor.observe(obs).stationary for obs in test_obs
-        ]
+        flags = [not stationary for stationary in assessor.observe_all(test_obs)]
         fprs[keyed] = float(np.mean(flags))
         n_readings = len(flags)
     return ChannelKeyingResult(

@@ -9,7 +9,7 @@ of per-tag read counts (Fig 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

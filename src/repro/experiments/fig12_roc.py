@@ -13,12 +13,12 @@ phase beats RSS; MoG beats differencing at controlled FPR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.detectors import UNSCORED, make_scorer
+from repro.core.detectors import make_scorer
 
 #: Scores are capped here so that "no reliable model" (infinite evidence)
 #: still participates in the threshold sweep — inf > inf is False, which

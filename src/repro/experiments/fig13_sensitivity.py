@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
 
 from repro.core.gmm import GaussianMixtureStack, GmmParams
 from repro.experiments.harness import corner_antennas
@@ -91,9 +90,9 @@ def _run_trial(
             break
         used += 1
         phase_stack, rss_stack = stacks_for(obs.antenna_index)
-        if not phase_stack.update(obs.phase_rad).stationary:
+        if not phase_stack.update(obs.phase_rad):
             detected["phase"] = True
-        if not rss_stack.update(obs.rss_dbm).stationary:
+        if not rss_stack.update(obs.rss_dbm):
             detected["rss"] = True
     return detected
 

@@ -14,13 +14,11 @@ readings at their rate) and ~90% after ~2.9 s (~130 readings), i.e. one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
-import numpy as np
 
 from repro.core.gmm import GaussianMixtureStack, GmmParams
 from repro.experiments.harness import build_lab
-from repro.radio.measurement import TagObservation
 from repro.util.tables import format_table
 
 

@@ -13,13 +13,12 @@ Paper findings to reproduce: Tagwatch's median gain ~3.2x at 5% mobile,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-import numpy as np
 
 from repro.core import TagwatchConfig
-from repro.experiments.harness import build_lab, irr_by_tag, read_all_irr
+from repro.experiments.harness import build_lab, read_all_irr
 from repro.experiments.parallel import parallel_map
 from repro.util.stats import percentile
 from repro.util.tables import format_table

@@ -10,7 +10,7 @@ import numpy as np
 from repro.core import Tagwatch, TagwatchConfig
 from repro.faults import FaultPlan, FaultyReader
 from repro.gen2.epc import EPC, random_epc_population
-from repro.radio.constants import ChannelPlan, china_920_926, single_channel
+from repro.radio.constants import ChannelPlan, single_channel
 from repro.radio.measurement import TagObservation
 from repro.reader import (
     LLRPClient,
@@ -21,9 +21,7 @@ from repro.reader import (
 from repro.util.metrics import MetricsRegistry
 from repro.util.rng import RngStream
 from repro.world import (
-    AmbientObject,
     Antenna,
-    CircularPath,
     Scene,
     Stationary,
     TagInstance,

@@ -13,11 +13,16 @@ consumed disconnects) and must not be shared between readers.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.plan import FaultPlan, ReaderCrash
+from repro.faults.plan import (
+    AntennaBlackout,
+    ChannelJam,
+    FaultPlan,
+    ReaderCrash,
+)
 from repro.radio.measurement import TagObservation
 from repro.util.circular import TWO_PI
 from repro.util.metrics import MetricsRegistry
@@ -151,12 +156,15 @@ class FaultInjector:
         # delay fault holds below wait for the round after this one.
         flushed, self._held = self._held, []
         self.metrics.counter("faults.reports_in").inc(len(observations))
+        blackouts, jams = self._windows_in_round(observations)
 
         for obs in observations:
-            if self._blacked_out(obs):
+            if blackouts and any(
+                b.covers(obs.antenna_index, obs.time_s) for b in blackouts
+            ):
                 self.metrics.counter("faults.dropped_blackout").inc()
                 continue
-            if self._jammed(obs):
+            if jams and any(j.covers(obs.channel_index, obs.time_s) for j in jams):
                 self.metrics.counter("faults.dropped_jamming").inc()
                 continue
             if plan.burst_enter > 0 and self._burst_drop():
@@ -206,14 +214,23 @@ class FaultInjector:
         return out
 
     # ------------------------------------------------------------------
-    def _blacked_out(self, obs: TagObservation) -> bool:
-        return any(
-            b.covers(obs.antenna_index, obs.time_s) for b in self.plan.blackouts
-        )
+    def _windows_in_round(
+        self, observations: Sequence[TagObservation]
+    ) -> Tuple[List[AntennaBlackout], List[ChannelJam]]:
+        """The blackout and jam windows overlapping the round's read times.
 
-    def _jammed(self, obs: TagObservation) -> bool:
-        return any(
-            j.covers(obs.channel_index, obs.time_s) for j in self.plan.jams
+        A window ``[start_s, end_s)`` can cover a report of the round only
+        if it overlaps ``[min t, max t]``; the rest are dropped once here
+        instead of being tested against every report.
+        """
+        plan = self.plan
+        if not observations or not (plan.blackouts or plan.jams):
+            return [], []
+        times = [obs.time_s for obs in observations]
+        first, last = min(times), max(times)
+        return (
+            [b for b in plan.blackouts if b.start_s <= last and b.end_s > first],
+            [j for j in plan.jams if j.start_s <= last and j.end_s > first],
         )
 
     def _burst_drop(self) -> bool:

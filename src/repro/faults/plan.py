@@ -45,8 +45,9 @@ injecting at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -218,9 +219,10 @@ class FaultPlan:
         """The empty plan: injecting it is a strict no-op."""
         return cls()
 
-    @property
+    @cached_property
     def is_noop(self) -> bool:
-        """True when no fault can ever fire under this plan."""
+        """True when no fault can ever fire under this plan (computed once:
+        the plan is frozen, and the reader asks every round)."""
         return (
             all(getattr(self, f) == 0.0 for f in _PROBABILITY_FIELDS if f != "burst_exit")
             and not self.disconnect_at_s

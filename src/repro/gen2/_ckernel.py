@@ -1,4 +1,8 @@
-"""Lazily compiled C micro-kernel for the calendar inventory engine.
+"""Lazily compiled C micro-kernels: the calendar inventory engine and the
+motion assessor's mixture update.
+
+One embedded C source holds both kernels; it is built once into one cached
+shared object.
 
 The event-calendar engine (``engine="calendar"``) settles whole rounds —
 frame draws, the Q-algorithm walk, dedup, cumulative time assignment — in
@@ -24,12 +28,23 @@ bit-for-bit identical to the reference engine:
 - simulated time accrues through the same sequence of double additions, so
   every read timestamp matches the sequential walk bit for bit.
 
-The kernel is OPTIONAL.  It is compiled on first use with the system C
-compiler (against numpy's headers) into a cache directory and loaded via
-:mod:`ctypes`; when no compiler is available (or
+The motion assessor (:class:`~repro.core.motion.MotionAssessor`) settles a
+whole reading batch in one call to ``repro_gmm_update``, a transliteration
+of :meth:`~repro.core.gmm.GaussianMixtureStack.update` over its columnar
+shard rows.  Its exactness rests on calling what the Python code calls:
+numpy's own float64 ``exp`` loop (bound from the ``np.exp`` ufunc's loop
+table) and libm ``pow`` for every square, built without floating-point
+contraction.  :func:`load_gmm_kernel` checks both against the Python
+operations on a fixed sample at load time and returns ``None`` on any
+mismatch.
+
+The kernels are OPTIONAL.  They are compiled on first use with the system
+C compiler (against numpy's and Python's headers) into a cache directory
+and loaded via :mod:`ctypes`; when no compiler is available (or
 ``REPRO_CALENDAR_CKERNEL=0``), the calendar engine silently falls back to
-the pure-Python slot walk, which is always correct — only slower.  Nothing
-is downloaded and no third-party package is required.
+the pure-Python slot walk and the motion assessor to
+``GaussianMixtureStack.update``, both always correct — only slower.
+Nothing is downloaded and no third-party package is required.
 """
 
 from __future__ import annotations
@@ -38,20 +53,27 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
-from typing import Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["load_kernel", "kernel_source_hash", "MAX_FRAME"]
+__all__ = ["load_kernel", "load_gmm_kernel", "kernel_source_hash", "MAX_FRAME"]
 
 #: Largest Gen2 frame (Q = 15).  Scratch buffers are sized to this.
 MAX_FRAME = 1 << 15
 
 _C_SOURCE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#define NO_IMPORT_UFUNC
+#include "numpy/ndarraytypes.h"
+#include "numpy/ufuncobject.h"
+#include "numpy/random/bitgen.h"
 #include <stdint.h>
 #include <math.h>
-#include "numpy/random/bitgen.h"
 
 /* One inventory round, settled slot by slot.
  *
@@ -221,14 +243,243 @@ void repro_run_round(
     out_i[9] = n_lost;
     out_d[0] = t;
 }
+
+/* ---- Motion assessor: the Gaussian-mixture update of core/gmm.py ----
+ *
+ * GaussianMixtureStack.update, transliterated operation for operation
+ * (circular mode only), over shard rows stored column by column.  Three
+ * things keep it bit-identical to the Python walk:
+ *
+ * - the density's exp is numpy's own float64 loop, read from np.exp's
+ *   ufunc loop table (repro_bind_exp), because the Python code calls
+ *   np.exp and libm's exp rounds differently on some inputs;
+ * - a square is libm pow(x, 2.0), what Python's x**2 computes, called
+ *   through a volatile pointer so the compiler cannot fold it into x*x;
+ * - the build passes -ffp-contract=off: no multiply-add is fused.
+ */
+static PyUFuncGenericFunction np_exp_loop = NULL;
+static void *np_exp_data = NULL;
+static double (*volatile libm_pow)(double, double) = pow;
+
+/* Bind the d->d inner loop of the np.exp ufunc; 1 on success. */
+int repro_bind_exp(const PyUFuncObject *ufunc)
+{
+    if (ufunc->nin != 1 || ufunc->nout != 1) return 0;
+    for (int i = 0; i < ufunc->ntypes; i++) {
+        if (ufunc->types[2 * i] == NPY_DOUBLE
+                && ufunc->types[2 * i + 1] == NPY_DOUBLE) {
+            np_exp_loop = ufunc->functions[i];
+            np_exp_data = ufunc->data != NULL ? ufunc->data[i] : NULL;
+            return np_exp_loop != NULL;
+        }
+    }
+    return 0;
+}
+
+static double np_exp(double x)
+{
+    double y;
+    char *args[2] = {(char *)&x, (char *)&y};
+    const npy_intp n = 1;
+    const npy_intp steps[2] = {sizeof(double), sizeof(double)};
+    np_exp_loop(args, &n, steps, np_exp_data);
+    return y;
+}
+
+/* Python's float x**2: pow of the magnitude (float_pow strips the sign
+ * of a negative base raised to an integer power). */
+static double square(double x)
+{
+    return libm_pow(fabs(x), 2.0);
+}
+
+/* The load-time probes compare these two against np.exp and x**2. */
+void repro_probe_exp(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) y[i] = np_exp(x[i]);
+}
+
+void repro_probe_square(const double *x, double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) y[i] = square(x[i]);
+}
+
+static double circular_distance(double a, double b, double two_pi, double pi)
+{
+    double ra = fmod(a, two_pi);
+    if (ra < 0.0) ra += two_pi;
+    double rb = fmod(b, two_pi);
+    if (rb < 0.0) rb += two_pi;
+    const double diff = fabs(ra - rb);
+    return diff <= pi ? diff : two_pi - diff;
+}
+
+static double priority(double weight, double std)
+{
+    return std > 0.0 ? weight / std : INFINITY;
+}
+
+/* Feed n readings, in arrival order, each into its shard's row.
+ *
+ * dpar: [two_pi, pi, sqrt_two_pi, learning_rate, match_threshold,
+ *        initial_std, initial_weight, min_std, reliable_weight,
+ *        reliable_std, max_update_step]
+ * ipar: [max_modes, reliable_run]
+ * cols: [mean, std, weight, n_matches, current_run, best_run] (row-major,
+ *        max_modes per row), then [n_modes, n_updates] (one per row) and
+ *        a max_modes-long double scratch buffer.
+ * stationary[i] is the verdict on reading i.
+ */
+void repro_gmm_update(
+    const double *dpar,
+    const int64_t *ipar,
+    void *const *cols,
+    int64_t n,
+    const int64_t *rows,
+    const double *values,
+    uint8_t *stationary)
+{
+    const double two_pi = dpar[0];
+    const double pi = dpar[1];
+    const double sqrt_two_pi = dpar[2];
+    const double alpha = dpar[3];
+    const double threshold = dpar[4];
+    const double initial_std = dpar[5];
+    const double initial_weight = dpar[6];
+    const double min_std = dpar[7];
+    const double reliable_weight = dpar[8];
+    const double reliable_std = dpar[9];
+    const double max_step = dpar[10];
+    const int64_t max_modes = ipar[0];
+    const int64_t reliable_run = ipar[1];
+    const double decay = 1.0 - alpha;
+    double *pri = (double *)cols[8];
+
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t row = rows[r];
+        const double value = values[r];
+        double *mean = (double *)cols[0] + row * max_modes;
+        double *std = (double *)cols[1] + row * max_modes;
+        double *weight = (double *)cols[2] + row * max_modes;
+        int64_t *n_matches = (int64_t *)cols[3] + row * max_modes;
+        int64_t *current_run = (int64_t *)cols[4] + row * max_modes;
+        int64_t *best_run = (int64_t *)cols[5] + row * max_modes;
+        int64_t *n_modes = (int64_t *)cols[6] + row;
+        const int64_t k = *n_modes;
+        ((int64_t *)cols[7])[row]++;
+
+        /* Modes in descending priority, first of the maxima first. */
+        int64_t m = -1;
+        for (int64_t i = 0; i < k; i++) pri[i] = priority(weight[i], std[i]);
+        for (int64_t rank = 0; rank < k; rank++) {
+            int64_t best_i = 0;
+            double best_p = pri[0];
+            for (int64_t i = 1; i < k; i++) {
+                if (pri[i] > best_p) {
+                    best_p = pri[i];
+                    best_i = i;
+                }
+            }
+            const double d = circular_distance(value, mean[best_i], two_pi, pi);
+            if (d < threshold * std[best_i]) {
+                m = best_i;
+                break;
+            }
+            pri[best_i] = -1.0;
+        }
+
+        if (m < 0) {
+            /* No match: in motion; push a fresh mode, evicting the first
+             * least-priority mode of a full stack. */
+            for (int64_t i = 0; i < k; i++) current_run[i] = 0;
+            int64_t slot = k;
+            if (k >= max_modes) {
+                slot = 0;
+                double lowest = priority(weight[0], std[0]);
+                for (int64_t i = 1; i < k; i++) {
+                    const double p = priority(weight[i], std[i]);
+                    if (p < lowest) {
+                        lowest = p;
+                        slot = i;
+                    }
+                }
+            } else {
+                *n_modes = k + 1;
+            }
+            mean[slot] = value;
+            std[slot] = initial_std;
+            weight[slot] = initial_weight;
+            n_matches[slot] = 1;
+            current_run[slot] = 1;
+            best_run[slot] = 1;
+            stationary[r] = 0;
+            continue;
+        }
+
+        const double s = std[m];
+        stationary[r] = weight[m] >= reliable_weight && s <= reliable_std
+            && best_run[m] >= reliable_run;
+        n_matches[m]++;
+        const double inv_n = 1.0 / (double)n_matches[m];
+        double rho;
+        if (inv_n >= max_step || alpha / (s * sqrt_two_pi) <= inv_n) {
+            rho = inv_n;
+        } else {
+            const double d = circular_distance(value, mean[m], two_pi, pi);
+            const double coeff = 1.0 / (s * sqrt_two_pi);
+            const double pdf = coeff * np_exp(-square(d) / (2.0 * square(s)));
+            const double a = alpha * pdf;
+            rho = inv_n > a ? inv_n : a;
+        }
+        rho = 0.0 > rho ? 0.0 : rho;
+        rho = max_step < rho ? max_step : rho;
+
+        double delta = fmod(value - mean[m], two_pi);
+        if (delta < 0.0) delta += two_pi;
+        if (delta > pi) delta -= two_pi;
+        double shifted = fmod(mean[m] + rho * delta, two_pi);
+        if (shifted < 0.0) shifted += two_pi;
+        const double deviation = circular_distance(value, shifted, two_pi, pi);
+        const double new_var = (1.0 - rho) * square(s) + rho * square(deviation);
+        const double root = sqrt(new_var);
+        mean[m] = shifted;
+        std[m] = min_std > root ? min_std : root;
+        for (int64_t i = 0; i < k; i++) {
+            if (i == m) {
+                weight[i] = decay * weight[i] + alpha;
+                const int64_t run = current_run[i] + 1;
+                current_run[i] = run;
+                if (run > best_run[i]) best_run[i] = run;
+            } else {
+                weight[i] = decay * weight[i];
+                current_run[i] = 0;
+            }
+        }
+    }
+}
 """
 
 
+#: Compiler flags.  ``-ffp-contract=off``: the mixture update must round
+#: every multiply and add on its own, as Python does.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def include_dirs() -> List[str]:
+    """Header directories the kernel source needs: numpy's and Python's."""
+    import sysconfig  # only a build needs it
+
+    return [np.get_include(), sysconfig.get_paths()["include"]]
+
+
 def kernel_source_hash() -> str:
-    """Hash of the embedded C source and the numpy version (keys the build
-    cache: the kernel is compiled against numpy's ``bitgen_t`` layout, so a
-    numpy upgrade must rebuild it)."""
-    key = f"{_C_SOURCE}\0numpy {np.__version__}"
+    """Hash of the embedded C source, the compiler flags, and the numpy and
+    Python versions (keys the build cache: the kernel is compiled against
+    numpy's ``bitgen_t`` and ufunc layouts, so an upgrade must rebuild it)."""
+    key = (
+        f"{_C_SOURCE}\0{' '.join(_CFLAGS)}\0numpy {np.__version__}"
+        f"\0python {sys.version}"
+    )
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
@@ -268,11 +519,8 @@ def _compile(so_path: str) -> bool:
                 result = subprocess.run(
                     [
                         compiler,
-                        "-O2",
-                        "-shared",
-                        "-fPIC",
-                        "-I",
-                        np.get_include(),
+                        *_CFLAGS,
+                        *(f"-I{path}" for path in include_dirs()),
                         "-o",
                         tmp_so,
                         tmp_c,
@@ -304,11 +552,11 @@ _LOAD_ATTEMPTED = False
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """Compile (once) and load the C kernel; ``None`` when unavailable.
+    """Compile (once) and load the C kernels; ``None`` when unavailable.
 
     Gated by ``REPRO_CALENDAR_CKERNEL`` (set to ``0`` to force the
-    pure-Python fallback, e.g. to benchmark it or on systems without a C
-    compiler).  The build is cached per source hash, so subsequent runs
+    pure-Python fallbacks of both the calendar engine and the motion
+    assessor, e.g. to benchmark them or on systems without a C compiler).  The build is cached per source hash, so subsequent runs
     only pay a ``dlopen``.
     """
     global _LOADED, _LOAD_ATTEMPTED
@@ -344,3 +592,72 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     ]
     _LOADED = lib
     return _LOADED
+
+
+_GMM: Optional[Callable[..., None]] = None
+_GMM_ATTEMPTED = False
+
+
+def _probe(fn, values, reference) -> bool:
+    """True when the kernel maps ``values`` to exactly ``reference``."""
+    x = np.asarray(values, dtype=np.float64)
+    y = np.empty_like(x)
+    fn(x.ctypes.data, y.ctypes.data, len(x))
+    return y.tolist() == reference
+
+
+def probe_samples() -> Tuple[List[float], List[float]]:
+    """The load-time probe inputs: exp arguments and values to square.
+
+    libm ``exp`` differs from ``np.exp`` on a few percent of arguments in
+    [-5, 0], but ``x*x`` differs from ``pow(x, 2.0)`` on fewer than one
+    value in a thousand, hence the larger square sample.
+    """
+    rng = np.random.default_rng(2017)
+    exponents = rng.uniform(-5.0, 0.0, 512).tolist() + [0.0, -0.5, -745.0]
+    roots = rng.uniform(0.0, 7.0, 8192).tolist() + [0.0, 0.3, 2.0 * np.pi]
+    return exponents, roots
+
+
+def load_gmm_kernel() -> Optional[Callable[..., None]]:
+    """The motion assessor's ``repro_gmm_update``; ``None`` when unavailable.
+
+    Unavailable when the shared object is (see :func:`load_kernel`), or
+    when numpy's ``exp`` loop cannot be bound or the kernel's ``exp`` and
+    square disagree with scalar ``np.exp`` and Python's ``x**2`` on a
+    deterministic sample: the assessor then runs the Python update.
+    """
+    global _GMM, _GMM_ATTEMPTED
+    if _GMM_ATTEMPTED:
+        return _GMM
+    _GMM_ATTEMPTED = True
+    lib = load_kernel()
+    if lib is None:
+        return None
+    lib.repro_bind_exp.restype = ctypes.c_int
+    lib.repro_bind_exp.argtypes = [ctypes.c_void_p]
+    for name in ("repro_probe_exp", "repro_probe_square"):
+        probe = getattr(lib, name)
+        probe.restype = None
+        probe.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    if not lib.repro_bind_exp(id(np.exp)):
+        return None  # pragma: no cover - numpy without a d->d exp loop
+    exponents, roots = probe_samples()
+    if not (
+        _probe(lib.repro_probe_exp, exponents, [float(np.exp(v)) for v in exponents])
+        and _probe(lib.repro_probe_square, roots, [v**2 for v in roots])
+    ):
+        return None  # pragma: no cover - platform-dependent rounding
+    fn = lib.repro_gmm_update
+    fn.restype = None
+    fn.argtypes = [
+        ctypes.c_void_p,  # dpar
+        ctypes.c_void_p,  # ipar
+        ctypes.c_void_p,  # cols
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # rows
+        ctypes.c_void_p,  # values
+        ctypes.c_void_p,  # stationary
+    ]
+    _GMM = fn
+    return _GMM

@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
 
 from repro.util.rng import SeedLike, make_rng
 

@@ -17,7 +17,7 @@ population generators used by the ablation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.gen2.epc import EPC
 from repro.util.rng import SeedLike, make_rng

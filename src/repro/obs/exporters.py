@@ -22,7 +22,7 @@ a smoke-scale ``--trace-out`` run.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.obs.tracer import Span, TraceEvent, Tracer
 from repro.util.metrics import MetricsRegistry

@@ -7,8 +7,8 @@ frequency hopping is deliberately disabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 

@@ -16,7 +16,7 @@ readers do not retune mid-round).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.gen2.aloha import QAdaptive

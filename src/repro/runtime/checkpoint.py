@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import TagwatchConfig
 from repro.core.persistence import (
-    SnapshotCorruptionError,
     SnapshotError,
     SnapshotMismatchError,
     read_snapshot,

@@ -10,7 +10,7 @@ Nothing here draws randomness; seeds enter one layer up, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np

@@ -8,7 +8,7 @@ observation does tag i produce on antenna k / channel c at time t?*
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

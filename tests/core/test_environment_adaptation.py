@@ -29,7 +29,7 @@ class TestNewMultipathLearnedOnline:
             stack.update(noisy(1.0, rng))
         # Environment change: a cabinet arrives, phase now sits at 2.2 rad.
         flags = [
-            not stack.update(noisy(2.2, rng)).stationary for _ in range(300)
+            not stack.update(noisy(2.2, rng)) for _ in range(300)
         ]
         assert all(flags[:5])  # initially misjudged as moving...
         assert not any(flags[-50:])  # ...then learned
@@ -43,7 +43,7 @@ class TestNewMultipathLearnedOnline:
         for _ in range(300):
             stack.update(noisy(1.0, rng))
         flags = [
-            not stack.update(noisy(2.2, rng)).stationary for _ in range(120)
+            not stack.update(noisy(2.2, rng)) for _ in range(120)
         ]
         first_quiet = flags.index(False)
         assert first_quiet <= 80

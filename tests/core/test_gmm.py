@@ -38,7 +38,7 @@ class TestLearning:
     def test_converges_on_stationary_signal(self):
         stack = GaussianMixtureStack()
         results = [stack.update(v) for v in stationary_stream(1.0)]
-        assert all(r.stationary for r in results[-50:])
+        assert all(results[-50:])
 
     def test_learned_std_matches_noise(self):
         stack = GaussianMixtureStack()
@@ -50,27 +50,27 @@ class TestLearning:
     def test_initially_in_motion(self):
         """The paper: all tags are assumed moving until models mature."""
         stack = GaussianMixtureStack()
-        assert not stack.update(1.0).stationary
+        assert not stack.update(1.0)
 
     def test_maturity_takes_tens_of_readings(self):
         """Fig 14: ~50-70 readings before a mode can vouch (alpha=0.001,
         reliable weight 0.05)."""
         stack = GaussianMixtureStack()
         results = [stack.update(v) for v in stationary_stream(1.0)]
-        first = next(i for i, r in enumerate(results) if r.stationary)
+        first = results.index(True)
         assert 30 <= first <= 90
 
     def test_movement_flagged_after_convergence(self):
         stack = GaussianMixtureStack()
         for v in stationary_stream(1.0):
             stack.update(v)
-        assert not stack.update(1.0 + 1.5).stationary
+        assert not stack.update(1.0 + 1.5)
 
     def test_small_movement_within_threshold_not_flagged(self):
         stack = GaussianMixtureStack()
         for v in stationary_stream(1.0, std=0.1):
             stack.update(v)
-        assert stack.update(1.05).stationary
+        assert stack.update(1.05)
 
     def test_multimodal_learning(self):
         """Two alternating multipath states both become reliable modes."""
@@ -88,7 +88,7 @@ class TestLearning:
         """A cluster straddling 0/2*pi must behave like any other."""
         stack = GaussianMixtureStack()
         results = [stack.update(v) for v in stationary_stream(0.0, std=0.08)]
-        assert all(r.stationary for r in results[-30:])
+        assert all(results[-30:])
         top = stack.sorted_modes()[0]
         assert min(top.mean, TWO_PI - top.mean) < 0.3
 
@@ -100,7 +100,7 @@ class TestLearning:
         flagged = []
         for i in range(2000):
             value = float(np.mod(i * 2.7 + rng.normal(0, 0.1), TWO_PI))
-            flagged.append(stack.update(value).stationary)
+            flagged.append(stack.update(value))
         assert np.mean(flagged[-500:]) < 0.2
 
 
@@ -164,8 +164,8 @@ class TestRssMode:
             stack.update(float(-52.0 + rng.normal(0, 0.4)))
             for _ in range(300)
         ]
-        assert results[-1].stationary
-        assert not stack.update(-40.0).stationary
+        assert results[-1]
+        assert not stack.update(-40.0)
 
 
 @settings(max_examples=30, deadline=None)

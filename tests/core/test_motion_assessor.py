@@ -22,7 +22,7 @@ def obs(epc, t, phase, antenna=0, channel=0, rss=-50.0):
 
 def shard_count(assessor, epc_value):
     """Model shards the assessor keeps for one tag."""
-    return sum(1 for key in assessor._stacks if key[0] == epc_value)
+    return sum(1 for key, _ in assessor.shards() if key[0] == epc_value)
 
 
 @pytest.fixture

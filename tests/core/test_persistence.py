@@ -23,14 +23,14 @@ class TestRoundTrip:
         _, assessor = trained
         restored = restore_assessor(assessor_state(assessor))
         assert restored._last_seen == assessor._last_seen
-        assert restored._stacks.keys() == assessor._stacks.keys()
+        assert dict(restored.shards()).keys() == dict(assessor.shards()).keys()
 
     def test_mode_contents_preserved(self, trained):
         _, assessor = trained
         restored = restore_assessor(assessor_state(assessor))
-        key = next(iter(assessor._stacks))
-        original = assessor._stacks[key].sorted_modes()[0]
-        copy = restored._stacks[key].sorted_modes()[0]
+        key, stack = next(assessor.shards())
+        original = stack.sorted_modes()[0]
+        copy = dict(restored.shards())[key].sorted_modes()[0]
         assert copy.mean == original.mean
         assert copy.std == original.std
         assert copy.weight == original.weight

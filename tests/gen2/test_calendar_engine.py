@@ -457,9 +457,10 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
         pytest.skip("no C compiler")
     source = tmp_path / "kernel.c"
     source.write_text(_ckernel._C_SOURCE)
+    includes = [f"-I{path}" for path in _ckernel.include_dirs()]
     result = subprocess.run(
         [cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-         "-I", np.get_include(), str(source)],
+         *includes, str(source)],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr

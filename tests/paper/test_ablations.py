@@ -152,7 +152,7 @@ def _gmm_rows():
     rows = []
     for k in (1, 2, 8):
         stack = GaussianMixtureStack(GmmParams(max_modes=k))
-        flags = [not stack.update(v).stationary for v in stream]
+        flags = [not stack.update(v) for v in stream]
         tail = flags[len(flags) // 2 :]
         rows.append([k, float(np.mean(tail))])
     return rows

@@ -32,6 +32,12 @@ so an entry that gains a caller or disappears must leave it.
 A third test keeps ``python -m repro`` the one entry point: no other
 module may carry an ``if __name__ == "__main__"`` block, a second way in
 that the CLI, the examples and the benchmark never take.
+
+A fourth test fails on an imported name its module never uses.  A name
+counts as used when the module's code names it (a bare name, or the base
+of an attribute), when a string annotation names it, or when the module
+lists it in ``__all__`` (a deliberate re-export).  A re-export without an
+``__all__`` earns an entry in :data:`ALLOWED_IMPORTS`.
 """
 
 import ast
@@ -65,6 +71,9 @@ ALLOWED: Dict[str, str] = {
     "util/circular.py:wrap_phase": "the wrap into [0, 2*pi) that core/gmm.py's scalar loop replays",
     "world/motion.py:LinearPath": "moving tags of the observe_batch and scalar-identity oracle tests",
 }
+
+#: Imports no code of their module uses, each kept for the stated reason.
+ALLOWED_IMPORTS: Dict[str, str] = {}
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
@@ -224,3 +233,73 @@ def test_only_the_package_runs_as_a_script():
         "`python -m repro` is the one entry point; delete the "
         f"`if __name__ == \"__main__\"` blocks of: {scripts}"
     )
+
+
+def _annotation_names(tree: ast.AST) -> Set[str]:
+    """Names inside string annotations (``x: "Foo"``, ``-> Optional["Foo"]``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, FUNCTIONS):
+            annotation = node.returns
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    expression = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names |= {
+                    n.id for n in ast.walk(expression) if isinstance(n, ast.Name)
+                }
+    return names
+
+
+def _exported(tree: ast.Module) -> Set[str]:
+    """The strings of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            }
+    return set()
+
+
+def unused_imports() -> List[str]:
+    """``module.py:name`` of each imported name its module never uses."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [
+                    a.asname or a.name.partition(".")[0] for a in node.names
+                ]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names if a.name != "*"]
+        used = (
+            {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | _annotation_names(tree)
+            | _exported(tree)
+        )
+        module = path.relative_to(SRC).as_posix()
+        unused += [f"{module}:{name}" for name in imported if name not in used]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = [name for name in unused_imports() if name not in ALLOWED_IMPORTS]
+    assert not unused, (
+        "imported names their module never uses; delete them, or list a "
+        f"re-export in __all__ or ALLOWED_IMPORTS: {unused}"
+    )
+
+
+def test_import_allowlist_is_current():
+    stale = sorted(set(ALLOWED_IMPORTS) - set(unused_imports()))
+    assert not stale, f"ALLOWED_IMPORTS entries now used or gone: {stale}"
