@@ -93,7 +93,7 @@ class FaultyReader(SimReader):
             # the session state died with the process.
             self._session_lost(crashed)
             self.injector.metrics.counter("faults.reports_lost_crash").inc(
-                len(result.observations)
+                len(result.reports)
             )
             raise ReaderConnectionError(
                 f"reader crashed at t={crashed.at_s:.3f}s, "
@@ -106,7 +106,7 @@ class FaultyReader(SimReader):
             # socket; the client sees a transport error, not reports.
             self.injector.metrics.counter(
                 "faults.reports_lost_disconnect"
-            ).inc(len(result.observations))
+            ).inc(len(result.reports))
             raise ReaderConnectionError(
                 f"reader connection dropped at t={dropped_at:.3f}s"
             )

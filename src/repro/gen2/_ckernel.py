@@ -1,8 +1,8 @@
-"""Lazily compiled C micro-kernels: the calendar inventory engine and the
-motion assessor's mixture update.
+"""Lazily compiled C micro-kernels: the calendar inventory engine, the
+scene's observation pass and the motion assessor's mixture update.
 
-One embedded C source holds both kernels; it is built once into one cached
-shared object.
+One embedded C source holds all three kernels; it is built once into one
+cached shared object.
 
 The event-calendar engine (``engine="calendar"``) settles whole rounds —
 frame draws, the Q-algorithm walk, dedup, cumulative time assignment — in
@@ -38,12 +38,21 @@ contraction.  :func:`load_gmm_kernel` checks both against the Python
 operations on a fixed sample at load time and returns ``None`` on any
 mismatch.
 
+The scene (:meth:`~repro.world.scene.Scene.observe_batch`) settles a
+round's phase/RSS reports in one call to ``repro_observe``: gather each
+read's cached bases, add the round's noise, quantise and wrap, exactly as
+:func:`~repro.radio.measurement.settle_report` does read by read.
+:func:`load_observe_kernel` checks it against that function, bit for bit,
+on ties, signed zeros and wraps at load time and returns ``None`` on any
+mismatch.
+
 The kernels are OPTIONAL.  They are compiled on first use with the system
 C compiler (against numpy's and Python's headers) into a cache directory
 and loaded via :mod:`ctypes`; when no compiler is available (or
 ``REPRO_CALENDAR_CKERNEL=0``), the calendar engine silently falls back to
-the pure-Python slot walk and the motion assessor to
-``GaussianMixtureStack.update``, both always correct — only slower.
+the pure-Python slot walk, the scene to its ``settle_report`` loop and the
+motion assessor to ``GaussianMixtureStack.update``, all always correct —
+only slower.
 Nothing is downloaded and no third-party package is required.
 """
 
@@ -59,7 +68,15 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["load_kernel", "load_gmm_kernel", "kernel_source_hash", "MAX_FRAME"]
+from repro.util.circular import TWO_PI
+
+__all__ = [
+    "load_kernel",
+    "load_gmm_kernel",
+    "load_observe_kernel",
+    "kernel_source_hash",
+    "MAX_FRAME",
+]
 
 #: Largest Gen2 frame (Q = 15).  Scratch buffers are sized to this.
 MAX_FRAME = 1 << 15
@@ -88,6 +105,8 @@ _C_SOURCE = r"""
  * out_i: [n_empty, n_single, n_collision, n_duplicate, n_adjusts,
  *         n_frames, truncated, n_reads, n_slots, n_lost]
  * out_d: [t_end]
+ * ids: the participants' tag indices; read_tag[i] is the tag index of
+ *      read i, read_slot[i] its slot in the round, read_time[i] its time.
  *
  * bg is the engine generator's bitgen_t; the caller holds the bit
  * generator's lock.  A frame lane is next_uint32 >> (32 - q), which is
@@ -104,7 +123,8 @@ void repro_run_round(
     int32_t *unseen,
     int64_t *out_i,
     double *out_d,
-    int64_t *read_pos,
+    const int64_t *ids,
+    int64_t *read_tag,
     int64_t *read_slot,
     double *read_time)
 {
@@ -184,7 +204,7 @@ void repro_run_round(
                 }
                 seen[p_i] = 1;
                 n_seen++;
-                read_pos[n_reads] = p_i;
+                read_tag[n_reads] = ids[p_i];
                 read_slot[n_reads] = slot_counter;
                 read_time[n_reads] = t;
                 n_reads++;
@@ -457,6 +477,87 @@ void repro_gmm_update(
         }
     }
 }
+
+/* ---- Scene: a round's phase/RSS reports (world/scene.py) ----
+ *
+ * The scalar loop of repro.radio.measurement.settle_report, operation for
+ * operation: base plus std times a standard normal, quantisation as
+ * round(x / q) * q, and fmod with a negative remainder moved one period
+ * up.  Python's round() is half-to-even, as nearbyint is in the default
+ * rounding mode, but it returns the int 0 where nearbyint gives -0.0,
+ * and int 0 times q is +0.0: hence the explicit zero.  Built without
+ * floating-point contraction, so base + std * z is rounded twice.
+ */
+static double quantise(double x, double q)
+{
+    double r = nearbyint(x / q);
+    if (r == 0.0) r = 0.0;
+    return r * q;
+}
+
+static void settle(const double *dpar, double phase_base, double rss_base,
+                   const double *z, double *phase_out, double *rss_out)
+{
+    const double two_pi = dpar[4];
+    double phase = phase_base + dpar[0] * z[0];
+    if (dpar[2] > 0.0) phase = quantise(phase, dpar[2]);
+    phase = fmod(phase, two_pi);
+    if (phase < 0.0) phase += two_pi;
+    double rss = rss_base + dpar[1] * z[1];
+    if (dpar[3] > 0.0) rss = quantise(rss, dpar[3]);
+    *phase_out = phase;
+    *rss_out = rss;
+}
+
+/* Settle n reads of one (antenna, channel) port.
+ *
+ * cols: [dpar, tag, z, phase, rss, missing, bases]
+ *   dpar: [phase_std, rss_std, phase_quantum, rss_quantum, two_pi]
+ *   tag[i]: read i's tag index; z[2i], z[2i + 1]: its phase and RSS
+ *   noise draws; phase[i], rss[i]: its report.
+ * table: the port's bases, (phase, rss) at 2 * tag for tags 0..n_tags-1;
+ *   NaN where the scene has none cached (a moving or first-seen tag).
+ *
+ * With n_resolve == 0, settles every read whose tag has table bases,
+ * lists the others (and any tag index outside the table) in missing[]
+ * and returns how many there are.  With
+ * n_resolve > 0, settles the first n_resolve reads of missing[] from the
+ * per-read bases[2i], bases[2i + 1] the caller filled in, and returns 0.
+ */
+int64_t repro_observe(void *const *cols, const double *table,
+                      int64_t n_tags, int64_t n, int64_t n_resolve)
+{
+    const double *dpar = (const double *)cols[0];
+    const int64_t *tag = (const int64_t *)cols[1];
+    const double *z = (const double *)cols[2];
+    double *phase = (double *)cols[3];
+    double *rss = (double *)cols[4];
+    int64_t *missing = (int64_t *)cols[5];
+    const double *bases = (const double *)cols[6];
+
+    if (n_resolve > 0) {
+        for (int64_t j = 0; j < n_resolve; j++) {
+            const int64_t i = missing[j];
+            settle(dpar, bases[2 * i], bases[2 * i + 1], z + 2 * i,
+                   phase + i, rss + i);
+        }
+        return 0;
+    }
+    int64_t n_missing = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (tag[i] < 0 || tag[i] >= n_tags) {
+            missing[n_missing++] = i;
+            continue;
+        }
+        const double *row = table + 2 * tag[i];
+        if (isnan(row[0])) {
+            missing[n_missing++] = i;
+            continue;
+        }
+        settle(dpar, row[0], row[1], z + 2 * i, phase + i, rss + i);
+    }
+    return n_missing;
+}
 """
 
 
@@ -555,9 +656,10 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     """Compile (once) and load the C kernels; ``None`` when unavailable.
 
     Gated by ``REPRO_CALENDAR_CKERNEL`` (set to ``0`` to force the
-    pure-Python fallbacks of both the calendar engine and the motion
-    assessor, e.g. to benchmark them or on systems without a C compiler).  The build is cached per source hash, so subsequent runs
-    only pay a ``dlopen``.
+    pure-Python fallbacks of the calendar engine, the scene's observation
+    pass and the motion assessor, e.g. to benchmark them or on systems
+    without a C compiler).  The build is cached per source hash, so
+    subsequent runs only pay a ``dlopen``.
     """
     global _LOADED, _LOAD_ATTEMPTED
     if _LOAD_ATTEMPTED:
@@ -586,7 +688,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         ctypes.c_void_p,  # unseen
         ctypes.c_void_p,  # out_i
         ctypes.c_void_p,  # out_d
-        ctypes.c_void_p,  # read_pos
+        ctypes.c_void_p,  # ids
+        ctypes.c_void_p,  # read_tag
         ctypes.c_void_p,  # read_slot
         ctypes.c_void_p,  # read_time
     ]
@@ -661,3 +764,148 @@ def load_gmm_kernel() -> Optional[Callable[..., None]]:
     ]
     _GMM = fn
     return _GMM
+
+
+_OBSERVE: Optional[Callable[..., int]] = None
+_OBSERVE_ATTEMPTED = False
+
+
+def observe_dpar(noise) -> List[float]:
+    """``repro_observe``'s parameter block for a
+    :class:`~repro.radio.measurement.NoiseModel`."""
+    return [
+        noise.phase_noise_std_rad,
+        noise.rss_noise_std_db,
+        noise.phase_quantum_rad,
+        noise.rss_quantum_db,
+        TWO_PI,
+    ]
+
+
+def settle_batch(
+    fn, noise, phase_bases: List[float], rss_bases: List[float], z: List[float]
+) -> Tuple[List[float], List[float]]:
+    """Run ``repro_observe`` over one batch whose read ``i`` has bases
+    ``(phase_bases[i], rss_bases[i])`` and draws ``z[2i], z[2i + 1]``.
+
+    Even reads take their bases from the table and odd reads from the
+    resolve pass, so one batch exercises both of the kernel's paths.
+    """
+    n = len(phase_bases)
+    table = np.empty(2 * n)
+    table[0::2] = phase_bases
+    table[1::2] = rss_bases
+    bases = table.copy()
+    table[2::4] = np.nan  # odd reads: "no cached bases"
+    arrays = [
+        np.asarray(observe_dpar(noise), dtype=np.float64),
+        np.arange(n, dtype=np.int64),
+        np.asarray(z, dtype=np.float64),
+        np.empty(n),
+        np.empty(n),
+        np.empty(n, dtype=np.int64),
+        bases,
+    ]
+    cols = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+    cols_ptr, table_ptr = ctypes.addressof(cols), table.ctypes.data
+    n_missing = fn(cols_ptr, table_ptr, n, n, 0)
+    if n_missing:
+        fn(cols_ptr, table_ptr, n, n, n_missing)
+    return arrays[3].tolist(), arrays[4].tolist()
+
+
+#: One probe batch: noise model, phase bases, RSS bases, draws.
+ProbeBatch = Tuple[object, List[float], List[float], List[float]]
+
+
+def observe_probe_samples() -> List[ProbeBatch]:
+    """The load-time probe of ``repro_observe``: ``(noise, phase bases,
+    RSS bases, z)`` batches.
+
+    With unit noise and zero draws the bases reach the quantiser as they
+    are.  Half-unit quanta make exact ties at .5 of a quantum on both
+    sides of zero; the crafted bases also hold quotients that round to a
+    signed zero, negative phases that wrap up a period and, unquantised,
+    exact multiples of 2*pi on both sides.  A random batch at the default
+    noise model follows.
+    """
+    from repro.radio.measurement import NoiseModel
+
+    ties = [k * 0.5 + 0.25 for k in range(-6, 6)]  # x / 0.5 = k + 0.5
+    signed_zeros = [-0.0, 0.0, -0.1, 0.1, -1e-300]
+    wraps = [-0.3, -3.0, -TWO_PI - 0.1, -3.0 * TWO_PI + 0.5]
+    multiples = [m * TWO_PI for m in (-3, -2, -1, 1, 2, 3)]
+    crafted = ties + signed_zeros + wraps + multiples
+    no_draws = [0.0] * (2 * len(crafted))
+    rng = np.random.default_rng(2017)
+    n = 512
+    return [
+        (
+            NoiseModel(
+                phase_noise_std_rad=1.0,
+                rss_noise_std_db=1.0,
+                phase_quantum_rad=0.5,
+                rss_quantum_db=0.5,
+            ),
+            crafted,
+            crafted,
+            no_draws,
+        ),
+        (
+            NoiseModel(
+                phase_noise_std_rad=1.0,
+                rss_noise_std_db=1.0,
+                phase_quantum_rad=0.0,
+                rss_quantum_db=0.0,
+            ),
+            crafted,
+            crafted,
+            no_draws,
+        ),
+        (
+            NoiseModel(),
+            rng.uniform(-7.0, 20.0, n).tolist(),
+            rng.uniform(-90.0, -20.0, n).tolist(),
+            rng.standard_normal(2 * n).tolist(),
+        ),
+    ]
+
+
+def load_observe_kernel() -> Optional[Callable[..., int]]:
+    """The scene's ``repro_observe``; ``None`` when unavailable.
+
+    Unavailable when the shared object is (see :func:`load_kernel`), or
+    when the kernel disagrees, in any bit (the sign of a zero included),
+    with :func:`repro.radio.measurement.settle_report` on
+    :func:`observe_probe_samples`: the scene then runs its Python loop.
+    """
+    global _OBSERVE, _OBSERVE_ATTEMPTED
+    if _OBSERVE_ATTEMPTED:
+        return _OBSERVE
+    _OBSERVE_ATTEMPTED = True
+    lib = load_kernel()
+    if lib is None:
+        return None
+    from repro.radio.measurement import settle_report
+
+    fn = lib.repro_observe
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [
+        ctypes.c_void_p,  # cols
+        ctypes.c_void_p,  # table
+        ctypes.c_int64,  # n_tags
+        ctypes.c_int64,  # n
+        ctypes.c_int64,  # n_resolve
+    ]
+    for noise, phase_bases, rss_bases, z in observe_probe_samples():
+        got = settle_batch(fn, noise, phase_bases, rss_bases, z)
+        want = zip(*(
+            settle_report(pb, rb, z[2 * i], z[2 * i + 1], noise)
+            for i, (pb, rb) in enumerate(zip(phase_bases, rss_bases))
+        ))
+        if [[v.hex() for v in col] for col in got] != [
+            [v.hex() for v in col] for col in want
+        ]:
+            return None  # pragma: no cover - platform-dependent rounding
+    _OBSERVE = fn
+    return _OBSERVE

@@ -4,11 +4,12 @@ The calendar engine treats an inventory round as a *pre-planned calendar of
 events* rather than a Python loop: the whole round — every frame draw, the
 Q-algorithm walk, slot settlement, dedup and cumulative time assignment — is
 handed to the compiled kernel in :mod:`repro.gen2._ckernel` as one call, and
-Python only materialises the results (an :class:`InventoryLog` plus
-:class:`TagRead` records).  Python-level work is thereby O(rounds) with a
-tiny constant instead of O(slots), and rounds that the kernel cannot
-express (custom strategies, frame-level tracing) fall back to the
-sequential slot walk, which is always correct.
+Python only wraps the results: an :class:`InventoryLog` whose reads are
+copies of the kernel's own columns of tag index, time and slot
+(:class:`~repro.gen2.inventory.ReadColumns`).  Python-level work is
+thereby O(rounds) with a tiny constant instead of O(slots), and rounds
+that the kernel cannot express (custom strategies, frame-level tracing)
+fall back to the sequential slot walk, which is always correct.
 
 This module owns the per-engine kernel state: the loaded shared library and
 the reusable scratch buffers the kernel writes into.  Buffers are allocated
@@ -63,16 +64,20 @@ class CalendarKernel:
         "cap",
         "seen",
         "unseen",
-        "read_pos",
+        "ids",
+        "read_tag",
         "read_slot",
         "read_time",
         "seen_ptr",
         "unseen_ptr",
-        "read_pos_ptr",
+        "ids_ptr",
+        "read_tag_ptr",
         "read_slot_ptr",
         "read_time_ptr",
         "out_i_np",
-        "read_pos_np",
+        "ids_np",
+        "ids_key",
+        "read_tag_np",
         "read_slot_np",
         "read_time_np",
         "timing_src",
@@ -123,20 +128,35 @@ class CalendarKernel:
         self.cap = cap
         self.seen = (ctypes.c_uint8 * cap)()
         self.unseen = (ctypes.c_int32 * cap)()
-        self.read_pos = (ctypes.c_int64 * cap)()
+        self.ids = (ctypes.c_int64 * cap)()
+        self.read_tag = (ctypes.c_int64 * cap)()
         self.read_slot = (ctypes.c_int64 * cap)()
         self.read_time = (ctypes.c_double * cap)()
         self.seen_ptr = ctypes.addressof(self.seen)
         self.unseen_ptr = ctypes.addressof(self.unseen)
-        self.read_pos_ptr = ctypes.addressof(self.read_pos)
+        self.ids_ptr = ctypes.addressof(self.ids)
+        self.read_tag_ptr = ctypes.addressof(self.read_tag)
         self.read_slot_ptr = ctypes.addressof(self.read_slot)
         self.read_time_ptr = ctypes.addressof(self.read_time)
-        self.read_pos_np = np.frombuffer(self.read_pos, dtype=np.int64)
+        self.ids_np = np.frombuffer(self.ids, dtype=np.int64)
+        self.ids_key = None
+        self.read_tag_np = np.frombuffer(self.read_tag, dtype=np.int64)
         self.read_slot_np = np.frombuffer(self.read_slot, dtype=np.int64)
         self.read_time_np = np.frombuffer(self.read_time, dtype=np.float64)
 
-    def prepare(self, n: int) -> None:
-        """Size scratch for an ``n``-participant round (``seen`` is cleared
-        by the kernel itself at entry)."""
+    def prepare(self, participant_ids) -> None:
+        """Size scratch for a round over ``participant_ids`` and load their
+        tag indices (``seen`` is cleared by the kernel itself at entry).
+
+        Consecutive rounds usually contend with the same participants, so
+        the indices are copied in only when the list differs from the last
+        one loaded.
+        """
+        n = len(participant_ids)
         if n > self.cap:
             self._grow(n)
+        if type(participant_ids) is not list:
+            participant_ids = np.asarray(participant_ids, dtype=np.int64).tolist()
+        if participant_ids != self.ids_key:
+            self.ids_np[:n] = participant_ids
+            self.ids_key = participant_ids.copy()

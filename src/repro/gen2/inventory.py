@@ -27,8 +27,10 @@ engines consume it:
   compiled event-calendar kernel (:mod:`repro.gen2.calendar`): one C call
   per round draws from the engine generator's ``bitgen_t`` exactly as the
   slot walk draws through numpy, so Python-level work is O(rounds) instead
-  of O(slots).  Rounds the kernel cannot express — custom strategies,
-  frame-level tracing, or a missing C compiler
+  of O(slots).  The round's reads stay the kernel's columns
+  (:class:`ReadColumns`); :attr:`InventoryLog.reads` builds ``TagRead``
+  tuples from them only when asked.  Rounds the kernel cannot express —
+  custom strategies, frame-level tracing, or a missing C compiler
   (``REPRO_CALENDAR_CKERNEL=0``) — run on the sequential slot walk; both
   leave the generator at the same position, so kernel and slot-walk rounds
   interleave on one stream.
@@ -42,6 +44,7 @@ Both produce bit-identical results for identical seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -67,11 +70,71 @@ class TagRead(NamedTuple):
     slot_in_round: int
 
 
-@dataclass
+class ReadColumns:
+    """One round's reads as columns, in read order.
+
+    ``tag_index`` (int64), ``time_s`` (float64) and ``slot_in_round``
+    (int64) are numpy arrays of equal length; ``round_index`` is the
+    round's.  The calendar engine hands its rounds up in this form, so the
+    scene settles reports from the kernel's own columns and no
+    :class:`TagRead` is built unless a caller asks for one.  The arrays
+    are never written after construction.
+    """
+
+    __slots__ = ("tag_index", "time_s", "slot_in_round", "round_index")
+
+    def __init__(
+        self,
+        tag_index: np.ndarray,
+        time_s: np.ndarray,
+        slot_in_round: np.ndarray,
+        round_index: int,
+    ) -> None:
+        self.tag_index = tag_index
+        self.time_s = time_s
+        self.slot_in_round = slot_in_round
+        self.round_index = round_index
+
+    @classmethod
+    def from_reads(cls, reads: Sequence[TagRead]) -> "ReadColumns":
+        """Columns of one round's ``TagRead`` records."""
+        if not reads:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(empty, np.empty(0), empty, 0)
+        tags, times, rounds, slots = zip(*reads)
+        return cls(
+            np.array(tags, dtype=np.int64),
+            np.array(times, dtype=np.float64),
+            np.array(slots, dtype=np.int64),
+            rounds[0],
+        )
+
+    def __len__(self) -> int:
+        return len(self.tag_index)
+
+    def records(self) -> List[TagRead]:
+        """The reads as ``TagRead`` tuples (built at C level)."""
+        k = len(self.tag_index)
+        # ``tuple.__new__`` skips the NamedTuple's Python-level
+        # ``__new__``; the records are ordinary ``TagRead`` instances.
+        return list(
+            map(
+                tuple.__new__,
+                repeat(TagRead, k),
+                zip(
+                    self.tag_index.tolist(),
+                    self.time_s.tolist(),
+                    repeat(self.round_index, k),
+                    self.slot_in_round.tolist(),
+                ),
+            )
+        )
+
+
+@dataclass(eq=False)
 class InventoryLog:
     """Everything that happened during one or more inventory rounds."""
 
-    reads: List[TagRead] = field(default_factory=list)
     n_empty: int = 0
     n_single: int = 0
     n_collision: int = 0
@@ -82,6 +145,30 @@ class InventoryLog:
     start_time_s: float = 0.0
     end_time_s: float = 0.0
     truncated: bool = False
+    #: The reads in read order: :class:`ReadColumns` of rounds the kernel
+    #: settled and ``TagRead`` lists of slot-walk rounds.  :attr:`reads`
+    #: joins them into one list the first time it is asked for.
+    _chunks: list = field(default_factory=list, repr=False)
+
+    @property
+    def reads(self) -> List[TagRead]:
+        """Every reported read, in read order."""
+        chunks = self._chunks
+        if len(chunks) == 1 and type(chunks[0]) is list:
+            return chunks[0]
+        reads: List[TagRead] = []
+        for chunk in chunks:
+            reads.extend(chunk if type(chunk) is list else chunk.records())
+        self._chunks = [reads]
+        return reads
+
+    def read_columns(self) -> ReadColumns:
+        """The reads of a one-round log as columns: the kernel's own when
+        it settled the round, else built from the ``TagRead`` records."""
+        chunks = self._chunks
+        if len(chunks) == 1 and type(chunks[0]) is ReadColumns:
+            return chunks[0]
+        return ReadColumns.from_reads(self.reads)
 
     @property
     def duration_s(self) -> float:
@@ -93,7 +180,10 @@ class InventoryLog:
 
     def merge(self, other: "InventoryLog") -> None:
         """Fold a later log into this one (rounds must be consecutive)."""
-        self.reads.extend(other.reads)
+        chunks = self._chunks
+        for chunk in other._chunks:
+            # Columns are never written; a list is copied, as extending did.
+            chunks.append(chunk if type(chunk) is ReadColumns else list(chunk))
         self.n_empty += other.n_empty
         self.n_single += other.n_single
         self.n_collision += other.n_collision
@@ -293,7 +383,7 @@ class InventoryEngine:
         ipar[3] = 1 if self.with_replacement else 0
         ipar[4] = self.MAX_SLOTS_PER_ROUND
 
-        cal.prepare(n)
+        cal.prepare(participant_ids)
         # Looked up every round: ``self.rng`` may be reassigned between
         # rounds, and numpy caches the ctypes view, so this is cheap.  The
         # lock is held as numpy's own ``Generator`` methods hold it: ctypes
@@ -310,7 +400,8 @@ class InventoryEngine:
                 cal.unseen_ptr,
                 cal.out_i_ptr,
                 cal.out_d_ptr,
-                cal.read_pos_ptr,
+                cal.ids_ptr,
+                cal.read_tag_ptr,
                 cal.read_slot_ptr,
                 cal.read_time_ptr,
             )
@@ -338,21 +429,14 @@ class InventoryEngine:
         log.n_adjusts = n_adjusts
         log.truncated = bool(truncated)
         if n_reads:
-            if type(participant_ids) is list:
-                ids_list = participant_ids
-            else:
-                ids_list = np.asarray(participant_ids, dtype=np.int64).tolist()
-            # ``tuple.__new__`` skips the NamedTuple's Python-level
-            # ``__new__``; the records are ordinary ``TagRead`` instances.
-            new = tuple.__new__
-            log.reads = [
-                new(TagRead, (ids_list[p_i], time_s, round_index, slot))
-                for p_i, slot, time_s in zip(
-                    cal.read_pos_np[:n_reads].tolist(),
-                    cal.read_slot_np[:n_reads].tolist(),
-                    cal.read_time_np[:n_reads].tolist(),
+            log._chunks.append(
+                ReadColumns(
+                    cal.read_tag_np[:n_reads].copy(),
+                    cal.read_time_np[:n_reads].copy(),
+                    cal.read_slot_np[:n_reads].copy(),
+                    round_index,
                 )
-            ]
+            )
         if round_span is not None:
             tracer.end(
                 round_span,

@@ -24,7 +24,7 @@ class LinkTiming:
     """Durations of Gen2 air-interface events.
 
     Default parameters correspond to a high-rate R420 profile (Tari 6.25 us,
-    BLF 320 kHz, FM0) plus the reader-internal round overhead that dominates
+    BLF 640 kHz, FM0) plus the reader-internal round overhead that dominates
     the paper's ``tau_0``.
     """
 

@@ -9,6 +9,7 @@ motion indicator in Fig 12/13.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
@@ -103,6 +104,40 @@ def measure_from_bases(
     phase = float(np.mod(_quantize(phase, noise.phase_quantum_rad), TWO_PI))
     rss = rss_base + gen.normal(0.0, noise.rss_noise_std_db)
     rss = float(_quantize(rss, noise.rss_quantum_db))
+    return phase, rss
+
+
+def settle_report(
+    phase_base: float,
+    rss_base: float,
+    z_phase: float,
+    z_rss: float,
+    noise: NoiseModel,
+) -> Tuple[float, float]:
+    """One read's (phase, RSS) report from its bases and two standard
+    normal draws.
+
+    ``std * z`` is exactly ``normal(0.0, std)`` for the same draw.
+    Quantisation is ``round(x / q) * q``: half to even, and +0.0 where the
+    quotient rounds to zero.  The wrap is ``fmod`` with a negative
+    remainder moved one period up, which is ``np.mod(x, 2*pi)`` except that
+    an exact negative multiple of 2*pi gives -0.0 where ``np.mod`` gives
+    +0.0.  This is the scalar loop
+    :meth:`repro.world.scene.Scene.observe_batch` runs without the
+    compiled kernel, and the reference that kernel is probed against when
+    it loads.
+    """
+    phase = phase_base + noise.phase_noise_std_rad * z_phase
+    phase_q = noise.phase_quantum_rad
+    if phase_q > 0:
+        phase = round(phase / phase_q) * phase_q
+    phase = math.fmod(phase, TWO_PI)
+    if phase < 0.0:
+        phase += TWO_PI
+    rss = rss_base + noise.rss_noise_std_db * z_rss
+    rss_q = noise.rss_quantum_db
+    if rss_q > 0:
+        rss = round(rss / rss_q) * rss_q
     return phase, rss
 
 

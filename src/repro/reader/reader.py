@@ -5,9 +5,12 @@ physical :class:`~repro.world.scene.Scene`: every successful slot becomes a
 :class:`~repro.radio.measurement.TagObservation` carrying the phase/RSS the
 channel model produces at the exact simulated read time, on the channel the
 hopper currently occupies, for the antenna running the round.  The reader
-hands the round's reads to :meth:`~repro.world.scene.Scene.observe_batch`
-as the engine settled them; the scene drops reads of tags that left
-mid-round and turns the rest into observations in one pass.
+hands the round's read columns (tag index, time, slot) to
+:meth:`~repro.world.scene.Scene.observe_batch` as the engine settled them;
+the scene drops reads of tags that left mid-round and settles the rest in
+one compiled pass.  A round's ``TagObservation`` tuples, and its log's
+``TagRead`` tuples, are built only when a caller reads them
+(:attr:`RoundResult.observations`, ``InventoryLog.reads``).
 
 The reader owns the simulated clock.  Rounds advance it; frequency hops
 happen at round boundaries once the regulatory dwell has elapsed (COTS
@@ -32,12 +35,26 @@ from repro.world.scene import Scene
 
 @dataclass
 class RoundResult:
-    """Observations plus the link-layer log of one inventory round."""
+    """Reports plus the link-layer log of one inventory round.
 
-    observations: List[TagObservation]
+    ``reports`` is the scene's columnar
+    :class:`~repro.world.scene.ObservationBatch` (or a list of
+    observations, after a fault layer rewrote them); ``len(reports)`` is
+    the report count.  :attr:`observations` builds the
+    ``TagObservation`` tuples the first time it is read, so a caller that
+    only looks at the log never builds them.
+    """
+
+    reports: Sequence[TagObservation]
     log: InventoryLog
     antenna_index: int
     channel_index: int
+
+    @property
+    def observations(self) -> List[TagObservation]:
+        """The round's reports as ``TagObservation`` tuples."""
+        reports = self.reports
+        return reports if type(reports) is list else reports.records()
 
 
 class SimReader:
@@ -199,18 +216,18 @@ class SimReader:
         # A tag may leave the scene mid-round (participants are fixed when
         # the round starts); it simply stops responding, so the scene turns
         # its pending read into no report.
-        observations = self.scene.observe_batch(
-            log.reads, antenna_index, channel
+        reports = self.scene.observe_batch(
+            log.read_columns(), antenna_index, channel
         )
         self.time_s = log.end_time_s
         if round_span is not None:
             tracer.end(
                 round_span,
                 t=self.time_s,
-                n_observations=len(observations),
+                n_observations=len(reports),
                 n_participants=len(participants),
             )
-        return RoundResult(observations, log, antenna_index, channel)
+        return RoundResult(reports, log, antenna_index, channel)
 
     def run_duration(
         self,

@@ -2,19 +2,26 @@
 
 The scene is the single source of physical truth.  The reader asks it two
 questions: *which tags can antenna k energise right now?* and *what
-observation does tag i produce on antenna k / channel c at time t?*
+observation does tag i produce on antenna k / channel c at time t?*  The
+second is asked once per round: :meth:`Scene.observe_batch` settles the
+round's reads in one compiled pass and answers with an
+:class:`ObservationBatch` of report columns.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.gen2 import _ckernel
 from repro.gen2.epc import EPC, TagMemory
-from repro.gen2.inventory import TagRead
+from repro.gen2.inventory import ReadColumns, TagRead
 from repro.radio.channel import (
     Reflector,
     backscatter_gain,
@@ -32,6 +39,7 @@ from repro.radio.measurement import (
     TagObservation,
     measure_from_bases,
     measurement_bases,
+    settle_report,
 )
 from repro.util.circular import TWO_PI
 from repro.util.rng import RngStream
@@ -101,6 +109,143 @@ class TagInstance:
         )
 
 
+class ObservationBatch(SequenceABC):
+    """One round's reports on one (antenna, channel), as columns.
+
+    What :meth:`Scene.observe_batch` returns: ``tag_index`` and ``time_s``
+    of each report, with its quantised ``phase_rad`` and ``rss_dbm`` (numpy
+    arrays, never written after construction).  ``len()`` needs no
+    records.  Iterating, indexing or comparing builds the
+    :class:`TagObservation` tuples once, at C level, and keeps them, so a
+    caller that only counts reports never pays for them.
+    """
+
+    __slots__ = (
+        "tag_index",
+        "time_s",
+        "phase_rad",
+        "rss_dbm",
+        "antenna_index",
+        "channel_index",
+        "_epcs",
+        "_records",
+    )
+
+    def __init__(
+        self,
+        epcs: List[EPC],
+        tag_index: np.ndarray,
+        time_s: np.ndarray,
+        phase_rad: np.ndarray,
+        rss_dbm: np.ndarray,
+        antenna_index: int,
+        channel_index: int,
+    ) -> None:
+        self._epcs = epcs
+        self.tag_index = tag_index
+        self.time_s = time_s
+        self.phase_rad = phase_rad
+        self.rss_dbm = rss_dbm
+        self.antenna_index = antenna_index
+        self.channel_index = channel_index
+        self._records: Optional[List[TagObservation]] = None
+
+    def __len__(self) -> int:
+        return len(self.tag_index)
+
+    def records(self) -> List[TagObservation]:
+        """The reports as ``TagObservation`` tuples, in read order."""
+        records = self._records
+        if records is None:
+            k = len(self.tag_index)
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the records are ordinary ``TagObservation``s.
+            records = self._records = list(
+                map(
+                    tuple.__new__,
+                    repeat(TagObservation, k),
+                    zip(
+                        map(self._epcs.__getitem__, self.tag_index.tolist()),
+                        self.time_s.tolist(),
+                        self.phase_rad.tolist(),
+                        self.rss_dbm.tolist(),
+                        repeat(self.antenna_index, k),
+                        repeat(self.channel_index, k),
+                    ),
+                )
+            )
+        return records
+
+    def __getitem__(self, index):
+        return self.records()[index]
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ObservationBatch):
+            other = other.records()
+        return self.records() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ObservationBatch({self.records()!r})"
+
+
+class _ObserveScratch:
+    """Buffers and cached pointers of one scene's compiled observation
+    pass (``repro_observe``), grown geometrically and reused every round."""
+
+    __slots__ = (
+        "fn",
+        "noise",
+        "dpar",
+        "cap",
+        "tag",
+        "z",
+        "phase",
+        "rss",
+        "missing",
+        "bases",
+        "cols",
+        "cols_ptr",
+    )
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.noise: Optional[NoiseModel] = None
+        self.dpar = np.empty(5)
+        self.cap = 0
+        self.reserve(256)
+
+    def bind(self, noise: NoiseModel) -> None:
+        self.dpar[:] = _ckernel.observe_dpar(noise)
+        self.noise = noise
+
+    def reserve(self, n: int) -> None:
+        if n <= self.cap:
+            return
+        cap = max(256, self.cap)
+        while cap < n:
+            cap <<= 1
+        self.cap = cap
+        self.tag = np.empty(cap, dtype=np.int64)
+        self.z = np.empty(2 * cap)
+        self.phase = np.empty(cap)
+        self.rss = np.empty(cap)
+        self.missing = np.empty(cap, dtype=np.int64)
+        self.bases = np.empty(2 * cap)
+        arrays = (
+            self.dpar, self.tag, self.z, self.phase, self.rss, self.missing,
+            self.bases,
+        )
+        self.cols = (ctypes.c_void_p * len(arrays))(
+            *(a.ctypes.data for a in arrays)
+        )
+        self.cols_ptr = ctypes.addressof(self.cols)
+
+
 class Scene:
     """Physical truth for one deployment."""
 
@@ -136,6 +281,10 @@ class Scene:
         }
         if len(self._epc_to_index) != len(self.tags):
             raise ValueError("duplicate EPCs in scene")
+        self._epcs = [tag.epc for tag in self.tags]
+        #: The compiled observation pass (created by the first
+        #: ``observe_batch`` when the kernel is available).
+        self._scratch: Optional[_ObserveScratch] = None
         self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
@@ -160,15 +309,15 @@ class Scene:
         ]
         #: Every tag is always present, so no read needs a presence check.
         self._all_present = all(self._always_present)
+        self._always_present_np = np.array(self._always_present, dtype=bool)
         self._static_in_range: Dict[int, frozenset] = {}
         #: antenna -> (fixed members, per-t checks, antenna position as
         #: floats); see ``_range_entries``.
         self._range_entries_cache: Dict[int, Tuple[List[int], list, tuple]] = {}
-        #: (antenna, channel) -> {tag: deterministic (phase, RSS) bases};
-        #: holds stationary tags in a static environment only.
-        self._port_bases: Dict[
-            Tuple[int, int], Dict[int, Tuple[float, float]]
-        ] = {}
+        #: (antenna, channel) -> (table, its address): the deterministic
+        #: (phase, RSS) bases of tag i at [2i], [2i + 1], NaN until cached.
+        #: Holds stationary tags in a static environment only.
+        self._port_tables: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
         #: (tag, antenna) -> channel-independent path geometry; shared by all
         #: channels of the plan, so a hop only re-runs the per-frequency part.
         self._geom_cache: Dict[Tuple[int, int], object] = {}
@@ -357,12 +506,11 @@ class Scene:
             # Tag and every scatterer are stationary: the round-trip gain on
             # one (tag, antenna, channel) never changes, so the deterministic
             # measurement bases derived from it are reused bit for bit.
-            port = self._port_bases.setdefault(
-                (antenna_index, channel_index), {}
-            )
-            bases = port.get(tag_index)
-            if bases is not None:
-                return bases
+            table = self._port_table(antenna_index, channel_index)[0]
+            row = 2 * tag_index
+            phase_base = table[row]
+            if not math.isnan(phase_base):
+                return float(phase_base), float(table[row + 1])
         tag = self.tags[tag_index]
         antenna = self.antennas[antenna_index]
         freq = self.channel_plan.frequency(channel_index)
@@ -405,75 +553,135 @@ class Scene:
             self.noise,
         )
         if cacheable:
-            port[tag_index] = bases
+            table[row] = bases[0]
+            table[row + 1] = bases[1]
         return bases
+
+    def _port_table(
+        self, antenna_index: int, channel_index: int
+    ) -> Tuple[np.ndarray, int]:
+        """One (antenna, channel)'s bases table and its address."""
+        key = (antenna_index, channel_index)
+        entry = self._port_tables.get(key)
+        if entry is None:
+            table = np.full(2 * len(self.tags), np.nan)
+            entry = self._port_tables[key] = (table, table.ctypes.data)
+        return entry
 
     def observe_batch(
         self,
-        reads: Sequence[TagRead],
+        reads: Union[ReadColumns, Sequence[TagRead]],
         antenna_index: int,
         channel_index: int,
-    ) -> List[TagObservation]:
+    ) -> ObservationBatch:
         """The phase/RSS reports of one round's reads, in read order.
 
-        A read whose tag is absent at its read time (it left the scene or
+        ``reads`` is the round's :class:`~repro.gen2.inventory.ReadColumns`
+        (what the engine hands the reader) or its ``TagRead`` records.  A
+        read whose tag is absent at its read time (it left the scene or
         was blocked mid-round) gives no report and draws no noise.  The
         round's noise is one ``standard_normal(2k)`` draw: a scalar
         ``normal(0, std)`` is exactly ``std * standard_normal()`` and
         consumes one draw, so the reports and the generator's end position
-        match ``k`` :meth:`observe` calls bit for bit.  Quantisation keeps
-        the scalar ``round``, which gives +0.0 where ``np.rint`` gives
-        -0.0.
+        match ``k`` :meth:`observe` calls bit for bit.  One call to the
+        compiled ``repro_observe`` then gathers the cached bases, adds the
+        noise, quantises and wraps; moving and first-seen tags get their
+        bases from :meth:`_measurement_bases_for` and a second call.
+        Without the kernel, :func:`~repro.radio.measurement.settle_report`
+        settles read by read; the kernel is probed against it at load.
         """
-        tags = self.tags
-        if not self._all_present:
-            always = self._always_present
-            reads = [
-                read
-                for read in reads
-                if always[read[0]] or tags[read[0]].is_present(read[1])
-            ]
-        if not reads:
-            return []
-        z = self._measure_rng.standard_normal(2 * len(reads)).tolist()
-        noise = self.noise
-        phase_std = noise.phase_noise_std_rad
-        rss_std = noise.rss_noise_std_db
-        phase_q = noise.phase_quantum_rad
-        rss_q = noise.rss_quantum_db
-        port = self._port_bases.get((antenna_index, channel_index), {})
-        bases_for = self._measurement_bases_for
-        fmod = math.fmod
-        new = tuple.__new__
-        out = []
-        append = out.append
-        i = 0
-        for tag_index, t, _, _ in reads:
-            bases = port.get(tag_index)
-            if bases is None:
-                bases = bases_for(tag_index, antenna_index, channel_index, t)
-            phase = bases[0] + phase_std * z[i]
-            if phase_q > 0:
-                phase = round(phase / phase_q) * phase_q
-            # ``fmod`` then one period up for a negative remainder is
-            # ``np.mod(phase, 2*pi)`` bit for bit.
-            phase = fmod(phase, TWO_PI)
-            if phase < 0.0:
-                phase += TWO_PI
-            rss = bases[1] + rss_std * z[i + 1]
-            if rss_q > 0:
-                rss = round(rss / rss_q) * rss_q
-            # ``tuple.__new__`` skips the NamedTuple's Python-level
-            # ``__new__``; the record is an ordinary ``TagObservation``.
-            append(
-                new(
-                    TagObservation,
-                    (tags[tag_index].epc, t, phase, rss, antenna_index,
-                     channel_index),
+        if type(reads) is not ReadColumns:
+            reads = ReadColumns.from_reads(reads)
+        tag_index, time_s = reads.tag_index, reads.time_s
+        if not self._all_present and len(tag_index):
+            tag_index, time_s = self._present(tag_index, time_s)
+        k = len(tag_index)
+        if not k:
+            phase = rss = np.empty(0)
+        else:
+            scratch = self._scratch
+            if scratch is None:
+                fn = _ckernel.load_observe_kernel()
+                if fn is not None:
+                    scratch = self._scratch = _ObserveScratch(fn)
+            if scratch is None:
+                phase, rss = self._settle_loop(
+                    tag_index, time_s, antenna_index, channel_index
                 )
+            else:
+                phase, rss = self._settle_compiled(
+                    scratch, tag_index, time_s, antenna_index, channel_index
+                )
+        return ObservationBatch(
+            self._epcs, tag_index, time_s, phase, rss, antenna_index,
+            channel_index,
+        )
+
+    def _present(
+        self, tag_index: np.ndarray, time_s: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The reads whose tag is present at its read time."""
+        keep = self._always_present_np[tag_index]
+        transient = np.flatnonzero(~keep).tolist()
+        if not transient:
+            return tag_index, time_s
+        tags = self.tags
+        for i in transient:
+            keep[i] = tags[int(tag_index[i])].is_present(float(time_s[i]))
+        return tag_index[keep], time_s[keep]
+
+    def _settle_compiled(
+        self,
+        scratch: _ObserveScratch,
+        tag_index: np.ndarray,
+        time_s: np.ndarray,
+        antenna_index: int,
+        channel_index: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``repro_observe`` over the round: one call, and a second for
+        the reads whose bases were not in the port's table."""
+        k = len(tag_index)
+        scratch.reserve(k)
+        self._measure_rng.standard_normal(out=scratch.z[: 2 * k])
+        scratch.tag[:k] = tag_index
+        if scratch.noise is not self.noise:
+            scratch.bind(self.noise)
+        table_ptr = self._port_table(antenna_index, channel_index)[1]
+        n_tags = len(self.tags)
+        n_missing = scratch.fn(scratch.cols_ptr, table_ptr, n_tags, k, 0)
+        if n_missing:
+            tags, times = tag_index.tolist(), time_s.tolist()
+            bases = scratch.bases
+            bases_for = self._measurement_bases_for
+            for i in scratch.missing[:n_missing].tolist():
+                bases[2 * i], bases[2 * i + 1] = bases_for(
+                    tags[i], antenna_index, channel_index, times[i]
+                )
+            scratch.fn(scratch.cols_ptr, table_ptr, n_tags, k, n_missing)
+        return scratch.phase[:k].copy(), scratch.rss[:k].copy()
+
+    def _settle_loop(
+        self,
+        tag_index: np.ndarray,
+        time_s: np.ndarray,
+        antenna_index: int,
+        channel_index: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The no-compiler fallback, and the compiled pass's oracle."""
+        z = self._measure_rng.standard_normal(2 * len(tag_index)).tolist()
+        noise = self.noise
+        bases_for = self._measurement_bases_for
+        phases, rsses = [], []
+        for i, (tag, t) in enumerate(zip(tag_index.tolist(), time_s.tolist())):
+            phase_base, rss_base = bases_for(
+                tag, antenna_index, channel_index, t
             )
-            i += 2
-        return out
+            phase, rss = settle_report(
+                phase_base, rss_base, z[2 * i], z[2 * i + 1], noise
+            )
+            phases.append(phase)
+            rsses.append(rss)
+        return np.array(phases), np.array(rsses)
 
     # ------------------------------------------------------------------
 

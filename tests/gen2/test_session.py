@@ -1,4 +1,4 @@
-"""Tests for session-flag persistence (S0 vs S1 burst reading)."""
+"""Tests for session-flag persistence (S1 burst reading against S0)."""
 
 import pytest
 
@@ -39,10 +39,10 @@ def make_sessioned(n=6, seed=1, flag_seed=None, channel_plan=None):
 
 
 class TestFlagStore:
-    def test_s0_never_persists(self):
-        store = SessionFlagStore(session=Session.S0, rng_seed=1)
-        store.mark_read(5, 10.0)
-        assert store.participates(5, 10.0)
+    @pytest.mark.parametrize("session", [Session.S0, Session.S2, Session.S3])
+    def test_only_s1_is_modelled(self, session):
+        with pytest.raises(ValueError, match="only session S1"):
+            SessionFlagStore(session=session, rng_seed=1)
 
     def test_s1_persists_within_range(self):
         store = SessionFlagStore(session=Session.S1, rng_seed=1)
@@ -56,13 +56,6 @@ class TestFlagStore:
     def test_persistence_stable_per_tag(self):
         store = SessionFlagStore(session=Session.S1, rng_seed=1)
         assert store.persistence_of(3) == store.persistence_of(3)
-
-    def test_reset_restores_a(self):
-        store = SessionFlagStore(session=Session.S2, rng_seed=1)
-        store.mark_read(1, 0.0)
-        assert not store.participates(1, 1.0)
-        store.reset()
-        assert store.participates(1, 1.0)
 
     def test_filter(self):
         store = SessionFlagStore(session=Session.S1, rng_seed=1)
