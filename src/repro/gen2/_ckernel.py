@@ -782,6 +782,86 @@ def observe_dpar(noise) -> List[float]:
     ]
 
 
+class ObserveScratch:
+    """Buffers and cached pointers of one scene's compiled observation
+    pass (``repro_observe``), grown geometrically and reused every round.
+
+    ``cols`` is the kernel's column block, in the order it reads them.
+    """
+
+    __slots__ = (
+        "fn",
+        "noise",
+        "dpar",
+        "cap",
+        "tag",
+        "z",
+        "phase",
+        "rss",
+        "missing",
+        "bases",
+        "cols",
+        "cols_ptr",
+    )
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.noise = None
+        self.dpar = np.empty(5)
+        self.cap = 0
+        self.reserve(256)
+
+    def bind(self, noise) -> None:
+        self.dpar[:] = observe_dpar(noise)
+        self.noise = noise
+
+    def reserve(self, n: int) -> None:
+        if n <= self.cap:
+            return
+        cap = max(256, self.cap)
+        while cap < n:
+            cap <<= 1
+        self.cap = cap
+        self.tag = np.empty(cap, dtype=np.int64)
+        self.z = np.empty(2 * cap)
+        self.phase = np.empty(cap)
+        self.rss = np.empty(cap)
+        self.missing = np.empty(cap, dtype=np.int64)
+        self.bases = np.empty(2 * cap)
+        arrays = (
+            self.dpar, self.tag, self.z, self.phase, self.rss, self.missing,
+            self.bases,
+        )
+        self.cols = (ctypes.c_void_p * len(arrays))(
+            *(a.ctypes.data for a in arrays)
+        )
+        self.cols_ptr = ctypes.addressof(self.cols)
+
+    def settle(self, rng, noise, tag_index, table_ptr, n_tags, resolve):
+        """One round's (phase, RSS) columns: copies, in read order.
+
+        The round's noise is drawn from ``rng`` into ``z`` (the stream of
+        ``standard_normal(2k)``).  One kernel call gathers each read's
+        bases from the table at ``table_ptr`` (row ``i`` holds tag ``i``'s
+        bases, NaN when not cached) and settles those reads; ``resolve(j)``
+        gives the bases of each read ``j`` it could not gather, and a
+        second call settles just those.
+        """
+        k = len(tag_index)
+        self.reserve(k)
+        rng.standard_normal(out=self.z[: 2 * k])
+        self.tag[:k] = tag_index
+        if self.noise is not noise:
+            self.bind(noise)
+        n_missing = self.fn(self.cols_ptr, table_ptr, n_tags, k, 0)
+        if n_missing:
+            bases = self.bases
+            for j in self.missing[:n_missing].tolist():
+                bases[2 * j], bases[2 * j + 1] = resolve(j)
+            self.fn(self.cols_ptr, table_ptr, n_tags, k, n_missing)
+        return self.phase[:k].copy(), self.rss[:k].copy()
+
+
 def settle_batch(
     fn, noise, phase_bases: List[float], rss_bases: List[float], z: List[float]
 ) -> Tuple[List[float], List[float]]:
@@ -792,26 +872,20 @@ def settle_batch(
     resolve pass, so one batch exercises both of the kernel's paths.
     """
     n = len(phase_bases)
-    table = np.empty(2 * n)
-    table[0::2] = phase_bases
-    table[1::2] = rss_bases
-    bases = table.copy()
-    table[2::4] = np.nan  # odd reads: "no cached bases"
-    arrays = [
-        np.asarray(observe_dpar(noise), dtype=np.float64),
-        np.arange(n, dtype=np.int64),
-        np.asarray(z, dtype=np.float64),
-        np.empty(n),
-        np.empty(n),
-        np.empty(n, dtype=np.int64),
-        bases,
-    ]
-    cols = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
-    cols_ptr, table_ptr = ctypes.addressof(cols), table.ctypes.data
-    n_missing = fn(cols_ptr, table_ptr, n, n, 0)
+    scratch = ObserveScratch(fn)
+    scratch.reserve(n)
+    scratch.bind(noise)
+    scratch.tag[:n] = np.arange(n)
+    scratch.z[: 2 * n] = z
+    table = np.empty((n, 2))
+    table[:, 0] = phase_bases
+    table[:, 1] = rss_bases
+    scratch.bases[: 2 * n] = table.ravel()
+    table[1::2, 0] = np.nan  # odd reads: "no cached bases"
+    n_missing = fn(scratch.cols_ptr, table.ctypes.data, n, n, 0)
     if n_missing:
-        fn(cols_ptr, table_ptr, n, n, n_missing)
-    return arrays[3].tolist(), arrays[4].tolist()
+        fn(scratch.cols_ptr, table.ctypes.data, n, n, n_missing)
+    return scratch.phase[:n].tolist(), scratch.rss[:n].tolist()
 
 
 #: One probe batch: noise model, phase bases, RSS bases, draws.

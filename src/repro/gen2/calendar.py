@@ -76,7 +76,6 @@ class CalendarKernel:
         "read_time_ptr",
         "out_i_np",
         "ids_np",
-        "ids_key",
         "read_tag_np",
         "read_slot_np",
         "read_time_np",
@@ -139,24 +138,14 @@ class CalendarKernel:
         self.read_slot_ptr = ctypes.addressof(self.read_slot)
         self.read_time_ptr = ctypes.addressof(self.read_time)
         self.ids_np = np.frombuffer(self.ids, dtype=np.int64)
-        self.ids_key = None
         self.read_tag_np = np.frombuffer(self.read_tag, dtype=np.int64)
         self.read_slot_np = np.frombuffer(self.read_slot, dtype=np.int64)
         self.read_time_np = np.frombuffer(self.read_time, dtype=np.float64)
 
     def prepare(self, participant_ids) -> None:
         """Size scratch for a round over ``participant_ids`` and load their
-        tag indices (``seen`` is cleared by the kernel itself at entry).
-
-        Consecutive rounds usually contend with the same participants, so
-        the indices are copied in only when the list differs from the last
-        one loaded.
-        """
+        tag indices (``seen`` is cleared by the kernel itself at entry)."""
         n = len(participant_ids)
         if n > self.cap:
             self._grow(n)
-        if type(participant_ids) is not list:
-            participant_ids = np.asarray(participant_ids, dtype=np.int64).tolist()
-        if participant_ids != self.ids_key:
-            self.ids_np[:n] = participant_ids
-            self.ids_key = participant_ids.copy()
+        self.ids_np[:n] = participant_ids

@@ -10,8 +10,10 @@ motion indicator in Fig 12/13.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from itertools import repeat
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +63,91 @@ class TagObservation(NamedTuple):
         """(antenna, channel) key used to shard immobility models."""
         return (self.antenna_index, self.channel_index)
 
+
+
+class ObservationBatch(Sequence):
+    """One round's reports on one (antenna, channel), as columns.
+
+    What :meth:`repro.world.scene.Scene.observe_batch` returns from its
+    compiled pass: ``tag_index`` and ``time_s`` of each report, with its
+    quantised ``phase_rad`` and ``rss_dbm`` (numpy arrays, never written
+    after construction).  ``len()`` needs no records.  Iterating,
+    indexing or comparing builds the :class:`TagObservation` tuples once,
+    at C level, and keeps them, so a caller that only counts reports never
+    pays for them.
+    """
+
+    __slots__ = (
+        "tag_index",
+        "time_s",
+        "phase_rad",
+        "rss_dbm",
+        "antenna_index",
+        "channel_index",
+        "_epcs",
+        "_records",
+    )
+
+    def __init__(
+        self,
+        epcs: List[object],
+        tag_index: np.ndarray,
+        time_s: np.ndarray,
+        phase_rad: np.ndarray,
+        rss_dbm: np.ndarray,
+        antenna_index: int,
+        channel_index: int,
+    ) -> None:
+        self._epcs = epcs
+        self.tag_index = tag_index
+        self.time_s = time_s
+        self.phase_rad = phase_rad
+        self.rss_dbm = rss_dbm
+        self.antenna_index = antenna_index
+        self.channel_index = channel_index
+        self._records: Optional[List[TagObservation]] = None
+
+    def __len__(self) -> int:
+        return len(self.tag_index)
+
+    def records(self) -> List[TagObservation]:
+        """The reports as ``TagObservation`` tuples, in read order."""
+        records = self._records
+        if records is None:
+            k = len(self.tag_index)
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the records are ordinary ``TagObservation``s.
+            records = self._records = list(
+                map(
+                    tuple.__new__,
+                    repeat(TagObservation, k),
+                    zip(
+                        map(self._epcs.__getitem__, self.tag_index.tolist()),
+                        self.time_s.tolist(),
+                        self.phase_rad.tolist(),
+                        self.rss_dbm.tolist(),
+                        repeat(self.antenna_index, k),
+                        repeat(self.channel_index, k),
+                    ),
+                )
+            )
+        return records
+
+    def __getitem__(self, index):
+        return self.records()[index]
+
+    def __iter__(self):
+        return iter(self.records())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ObservationBatch):
+            other = other.records()
+        return self.records() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ObservationBatch({self.records()!r})"
 
 def _quantize(value: float, quantum: float) -> float:
     if quantum <= 0:

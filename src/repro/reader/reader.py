@@ -7,10 +7,11 @@ channel model produces at the exact simulated read time, on the channel the
 hopper currently occupies, for the antenna running the round.  The reader
 hands the round's read columns (tag index, time, slot) to
 :meth:`~repro.world.scene.Scene.observe_batch` as the engine settled them;
-the scene drops reads of tags that left mid-round and settles the rest in
-one compiled pass.  A round's ``TagObservation`` tuples, and its log's
-``TagRead`` tuples, are built only when a caller reads them
-(:attr:`RoundResult.observations`, ``InventoryLog.reads``).
+the scene drops reads of tags that left mid-round and settles the rest,
+in one compiled pass when the round reads a stationary tag.  The compiled
+pass's ``TagObservation`` tuples, and the log's ``TagRead`` tuples, are
+built only when a caller reads them (:attr:`RoundResult.observations`,
+``InventoryLog.reads``).
 
 The reader owns the simulated clock.  Rounds advance it; frequency hops
 happen at round boundaries once the regulatory dwell has elapsed (COTS
@@ -37,12 +38,13 @@ from repro.world.scene import Scene
 class RoundResult:
     """Reports plus the link-layer log of one inventory round.
 
-    ``reports`` is the scene's columnar
-    :class:`~repro.world.scene.ObservationBatch` (or a list of
-    observations, after a fault layer rewrote them); ``len(reports)`` is
-    the report count.  :attr:`observations` builds the
-    ``TagObservation`` tuples the first time it is read, so a caller that
-    only looks at the log never builds them.
+    ``reports`` is what the scene returned: a columnar
+    :class:`~repro.radio.measurement.ObservationBatch` from its compiled pass,
+    or a list of observations from its read-by-read path (or after a
+    fault layer rewrote them); ``len(reports)`` is the report count.
+    :attr:`observations` builds a batch's ``TagObservation`` tuples the
+    first time it is read, so a caller that only looks at the log never
+    builds them.
     """
 
     reports: Sequence[TagObservation]

@@ -10,9 +10,7 @@ round's reads in one compiled pass and answers with an
 
 from __future__ import annotations
 
-import ctypes
 import math
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -36,6 +34,7 @@ from repro.radio.geometry import (
 )
 from repro.radio.measurement import (
     NoiseModel,
+    ObservationBatch,
     TagObservation,
     measure_from_bases,
     measurement_bases,
@@ -109,143 +108,6 @@ class TagInstance:
         )
 
 
-class ObservationBatch(SequenceABC):
-    """One round's reports on one (antenna, channel), as columns.
-
-    What :meth:`Scene.observe_batch` returns: ``tag_index`` and ``time_s``
-    of each report, with its quantised ``phase_rad`` and ``rss_dbm`` (numpy
-    arrays, never written after construction).  ``len()`` needs no
-    records.  Iterating, indexing or comparing builds the
-    :class:`TagObservation` tuples once, at C level, and keeps them, so a
-    caller that only counts reports never pays for them.
-    """
-
-    __slots__ = (
-        "tag_index",
-        "time_s",
-        "phase_rad",
-        "rss_dbm",
-        "antenna_index",
-        "channel_index",
-        "_epcs",
-        "_records",
-    )
-
-    def __init__(
-        self,
-        epcs: List[EPC],
-        tag_index: np.ndarray,
-        time_s: np.ndarray,
-        phase_rad: np.ndarray,
-        rss_dbm: np.ndarray,
-        antenna_index: int,
-        channel_index: int,
-    ) -> None:
-        self._epcs = epcs
-        self.tag_index = tag_index
-        self.time_s = time_s
-        self.phase_rad = phase_rad
-        self.rss_dbm = rss_dbm
-        self.antenna_index = antenna_index
-        self.channel_index = channel_index
-        self._records: Optional[List[TagObservation]] = None
-
-    def __len__(self) -> int:
-        return len(self.tag_index)
-
-    def records(self) -> List[TagObservation]:
-        """The reports as ``TagObservation`` tuples, in read order."""
-        records = self._records
-        if records is None:
-            k = len(self.tag_index)
-            # ``tuple.__new__`` skips the NamedTuple's Python-level
-            # ``__new__``; the records are ordinary ``TagObservation``s.
-            records = self._records = list(
-                map(
-                    tuple.__new__,
-                    repeat(TagObservation, k),
-                    zip(
-                        map(self._epcs.__getitem__, self.tag_index.tolist()),
-                        self.time_s.tolist(),
-                        self.phase_rad.tolist(),
-                        self.rss_dbm.tolist(),
-                        repeat(self.antenna_index, k),
-                        repeat(self.channel_index, k),
-                    ),
-                )
-            )
-        return records
-
-    def __getitem__(self, index):
-        return self.records()[index]
-
-    def __iter__(self):
-        return iter(self.records())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ObservationBatch):
-            other = other.records()
-        return self.records() == other
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"ObservationBatch({self.records()!r})"
-
-
-class _ObserveScratch:
-    """Buffers and cached pointers of one scene's compiled observation
-    pass (``repro_observe``), grown geometrically and reused every round."""
-
-    __slots__ = (
-        "fn",
-        "noise",
-        "dpar",
-        "cap",
-        "tag",
-        "z",
-        "phase",
-        "rss",
-        "missing",
-        "bases",
-        "cols",
-        "cols_ptr",
-    )
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-        self.noise: Optional[NoiseModel] = None
-        self.dpar = np.empty(5)
-        self.cap = 0
-        self.reserve(256)
-
-    def bind(self, noise: NoiseModel) -> None:
-        self.dpar[:] = _ckernel.observe_dpar(noise)
-        self.noise = noise
-
-    def reserve(self, n: int) -> None:
-        if n <= self.cap:
-            return
-        cap = max(256, self.cap)
-        while cap < n:
-            cap <<= 1
-        self.cap = cap
-        self.tag = np.empty(cap, dtype=np.int64)
-        self.z = np.empty(2 * cap)
-        self.phase = np.empty(cap)
-        self.rss = np.empty(cap)
-        self.missing = np.empty(cap, dtype=np.int64)
-        self.bases = np.empty(2 * cap)
-        arrays = (
-            self.dpar, self.tag, self.z, self.phase, self.rss, self.missing,
-            self.bases,
-        )
-        self.cols = (ctypes.c_void_p * len(arrays))(
-            *(a.ctypes.data for a in arrays)
-        )
-        self.cols_ptr = ctypes.addressof(self.cols)
-
-
 class Scene:
     """Physical truth for one deployment."""
 
@@ -284,7 +146,7 @@ class Scene:
         self._epcs = [tag.epc for tag in self.tags]
         #: The compiled observation pass (created by the first
         #: ``observe_batch`` when the kernel is available).
-        self._scratch: Optional[_ObserveScratch] = None
+        self._scratch: Optional[_ckernel.ObserveScratch] = None
         self._invalidate_caches()
 
     def _invalidate_caches(self) -> None:
@@ -300,6 +162,7 @@ class Scene:
         self._tag_static = [
             isinstance(tag.trajectory, Stationary) for tag in self.tags
         ]
+        self._all_static = all(self._tag_static)
         neg_inf, pos_inf = float("-inf"), float("inf")
         self._always_present = [
             tag.enter_time == neg_inf
@@ -314,8 +177,8 @@ class Scene:
         #: antenna -> (fixed members, per-t checks, antenna position as
         #: floats); see ``_range_entries``.
         self._range_entries_cache: Dict[int, Tuple[List[int], list, tuple]] = {}
-        #: (antenna, channel) -> (table, its address): the deterministic
-        #: (phase, RSS) bases of tag i at [2i], [2i + 1], NaN until cached.
+        #: (antenna, channel) -> (table, its address): row i holds the
+        #: deterministic (phase, RSS) bases of tag i, NaN until cached.
         #: Holds stationary tags in a static environment only.
         self._port_tables: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
         #: (tag, antenna) -> channel-independent path geometry; shared by all
@@ -507,10 +370,9 @@ class Scene:
             # one (tag, antenna, channel) never changes, so the deterministic
             # measurement bases derived from it are reused bit for bit.
             table = self._port_table(antenna_index, channel_index)[0]
-            row = 2 * tag_index
-            phase_base = table[row]
+            phase_base = table[tag_index, 0]
             if not math.isnan(phase_base):
-                return float(phase_base), float(table[row + 1])
+                return float(phase_base), float(table[tag_index, 1])
         tag = self.tags[tag_index]
         antenna = self.antennas[antenna_index]
         freq = self.channel_plan.frequency(channel_index)
@@ -553,8 +415,7 @@ class Scene:
             self.noise,
         )
         if cacheable:
-            table[row] = bases[0]
-            table[row + 1] = bases[1]
+            table[tag_index] = bases
         return bases
 
     def _port_table(
@@ -564,7 +425,7 @@ class Scene:
         key = (antenna_index, channel_index)
         entry = self._port_tables.get(key)
         if entry is None:
-            table = np.full(2 * len(self.tags), np.nan)
+            table = np.full((len(self.tags), 2), np.nan)
             entry = self._port_tables[key] = (table, table.ctypes.data)
         return entry
 
@@ -573,7 +434,7 @@ class Scene:
         reads: Union[ReadColumns, Sequence[TagRead]],
         antenna_index: int,
         channel_index: int,
-    ) -> ObservationBatch:
+    ) -> Sequence[TagObservation]:
         """The phase/RSS reports of one round's reads, in read order.
 
         ``reads`` is the round's :class:`~repro.gen2.inventory.ReadColumns`
@@ -583,35 +444,53 @@ class Scene:
         round's noise is one ``standard_normal(2k)`` draw: a scalar
         ``normal(0, std)`` is exactly ``std * standard_normal()`` and
         consumes one draw, so the reports and the generator's end position
-        match ``k`` :meth:`observe` calls bit for bit.  One call to the
-        compiled ``repro_observe`` then gathers the cached bases, adds the
-        noise, quantises and wraps; moving and first-seen tags get their
-        bases from :meth:`_measurement_bases_for` and a second call.
-        Without the kernel, :func:`~repro.radio.measurement.settle_report`
-        settles read by read; the kernel is probed against it at load.
+        match ``k`` :meth:`observe` calls bit for bit.
+
+        A round that reads a stationary tag settles in one call to the
+        compiled ``repro_observe``: it gathers the cached bases, adds the
+        noise, quantises and wraps, and moving and first-seen tags get
+        their bases from :meth:`_measurement_bases_for` and a second call.
+        The result is an :class:`ObservationBatch`, whose tuples are built
+        on first access.  A round that reads no stationary tag has nothing
+        to gather, and without the kernel there is nothing to call: both
+        settle read by read with
+        :func:`~repro.radio.measurement.settle_report`, which the kernel is
+        probed against at load, into a list of ``TagObservation``s.
         """
         if type(reads) is not ReadColumns:
             reads = ReadColumns.from_reads(reads)
         tag_index, time_s = reads.tag_index, reads.time_s
         if not self._all_present and len(tag_index):
             tag_index, time_s = self._present(tag_index, time_s)
-        k = len(tag_index)
-        if not k:
-            phase = rss = np.empty(0)
-        else:
-            scratch = self._scratch
-            if scratch is None:
-                fn = _ckernel.load_observe_kernel()
-                if fn is not None:
-                    scratch = self._scratch = _ObserveScratch(fn)
-            if scratch is None:
-                phase, rss = self._settle_loop(
-                    tag_index, time_s, antenna_index, channel_index
-                )
-            else:
-                phase, rss = self._settle_compiled(
-                    scratch, tag_index, time_s, antenna_index, channel_index
-                )
+        if not len(tag_index):
+            return []
+        # Only stationary tags in a static environment are cached.
+        cached = self._environment_static() and (
+            self._all_static
+            or any(map(self._tag_static.__getitem__, tag_index.tolist()))
+        )
+        scratch = self._scratch
+        if scratch is None and cached:
+            fn = _ckernel.load_observe_kernel()
+            if fn is not None:
+                scratch = self._scratch = _ckernel.ObserveScratch(fn)
+        if scratch is None or not cached:
+            return self._settle_loop(
+                tag_index, time_s, antenna_index, channel_index, cached
+            )
+        table, table_ptr = self._port_table(antenna_index, channel_index)
+        bases_for = self._measurement_bases_for
+        phase, rss = scratch.settle(
+            self._measure_rng,
+            self.noise,
+            tag_index,
+            table_ptr,
+            len(table),
+            lambda i: bases_for(
+                int(tag_index[i]), antenna_index, channel_index,
+                float(time_s[i]),
+            ),
+        )
         return ObservationBatch(
             self._epcs, tag_index, time_s, phase, rss, antenna_index,
             channel_index,
@@ -630,58 +509,49 @@ class Scene:
             keep[i] = tags[int(tag_index[i])].is_present(float(time_s[i]))
         return tag_index[keep], time_s[keep]
 
-    def _settle_compiled(
-        self,
-        scratch: _ObserveScratch,
-        tag_index: np.ndarray,
-        time_s: np.ndarray,
-        antenna_index: int,
-        channel_index: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``repro_observe`` over the round: one call, and a second for
-        the reads whose bases were not in the port's table."""
-        k = len(tag_index)
-        scratch.reserve(k)
-        self._measure_rng.standard_normal(out=scratch.z[: 2 * k])
-        scratch.tag[:k] = tag_index
-        if scratch.noise is not self.noise:
-            scratch.bind(self.noise)
-        table_ptr = self._port_table(antenna_index, channel_index)[1]
-        n_tags = len(self.tags)
-        n_missing = scratch.fn(scratch.cols_ptr, table_ptr, n_tags, k, 0)
-        if n_missing:
-            tags, times = tag_index.tolist(), time_s.tolist()
-            bases = scratch.bases
-            bases_for = self._measurement_bases_for
-            for i in scratch.missing[:n_missing].tolist():
-                bases[2 * i], bases[2 * i + 1] = bases_for(
-                    tags[i], antenna_index, channel_index, times[i]
-                )
-            scratch.fn(scratch.cols_ptr, table_ptr, n_tags, k, n_missing)
-        return scratch.phase[:k].copy(), scratch.rss[:k].copy()
-
     def _settle_loop(
         self,
         tag_index: np.ndarray,
         time_s: np.ndarray,
         antenna_index: int,
         channel_index: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The no-compiler fallback, and the compiled pass's oracle."""
-        z = self._measure_rng.standard_normal(2 * len(tag_index)).tolist()
+        cached: bool,
+    ) -> List[TagObservation]:
+        """Read by read: the no-compiler fallback, the path of rounds with
+        no ``cached`` tag to gather, and the compiled pass's oracle."""
+        k = len(tag_index)
+        z = self._measure_rng.standard_normal(2 * k).tolist()
+        if cached:
+            # One gather per round; a NaN row is a tag not cached yet.
+            table = self._port_table(antenna_index, channel_index)[0]
+            rows = table[tag_index].tolist()
+        else:
+            rows = repeat((math.nan, math.nan), k)
         noise = self.noise
+        epcs = self._epcs
         bases_for = self._measurement_bases_for
-        phases, rsses = [], []
-        for i, (tag, t) in enumerate(zip(tag_index.tolist(), time_s.tolist())):
-            phase_base, rss_base = bases_for(
-                tag, antenna_index, channel_index, t
-            )
+        isnan = math.isnan
+        new = tuple.__new__
+        out = []
+        for tag, t, (phase_base, rss_base), z_phase, z_rss in zip(
+            tag_index.tolist(), time_s.tolist(), rows, z[0::2], z[1::2]
+        ):
+            if isnan(phase_base):
+                phase_base, rss_base = bases_for(
+                    tag, antenna_index, channel_index, t
+                )
             phase, rss = settle_report(
-                phase_base, rss_base, z[2 * i], z[2 * i + 1], noise
+                phase_base, rss_base, z_phase, z_rss, noise
             )
-            phases.append(phase)
-            rsses.append(rss)
-        return np.array(phases), np.array(rsses)
+            # ``tuple.__new__`` skips the NamedTuple's Python-level
+            # ``__new__``; the record is an ordinary ``TagObservation``.
+            out.append(
+                new(
+                    TagObservation,
+                    (epcs[tag], t, phase, rss, antenna_index, channel_index),
+                )
+            )
+        return out
 
     # ------------------------------------------------------------------
 

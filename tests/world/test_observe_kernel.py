@@ -20,11 +20,11 @@ from repro.gen2.aloha import QAdaptive
 from repro.gen2.epc import random_epc_population
 from repro.gen2.inventory import ReadColumns
 from repro.radio.constants import china_920_926
-from repro.radio.measurement import NoiseModel, settle_report
+from repro.radio.measurement import NoiseModel, ObservationBatch, settle_report
 from repro.reader.reader import SimReader
 from repro.util.circular import TWO_PI
 from repro.world.motion import LinearPath, Stationary
-from repro.world.scene import Antenna, ObservationBatch, Scene, TagInstance
+from repro.world.scene import Antenna, Scene, TagInstance
 
 #: Half-unit quanta make every tie exact: x / 0.5 is x * 2.
 EXACT = NoiseModel(
@@ -187,6 +187,8 @@ def test_python_loop_matches_compiled_pass(monkeypatch):
 
 
 def test_reports_are_built_on_first_access(monkeypatch):
+    if _ckernel.load_observe_kernel() is None:
+        pytest.skip("C kernel unavailable")
     results, _ = _rounds(monkeypatch, compiled=True, n_rounds=3)
     result = results[0]
     batch = result.reports
@@ -200,3 +202,41 @@ def test_reports_are_built_on_first_access(monkeypatch):
     assert [obs.time_s for obs in observations] == [
         read.time_s for read in result.log.reads
     ]
+
+
+def test_rounds_without_stationary_tags_settle_read_by_read():
+    """Only stationary tags have cached bases, so a round that reads none
+    settles read by read and never sets up the kernel; the reports still
+    match per-read ``observe`` calls on a twin scene."""
+    if _ckernel.load_observe_kernel() is None:
+        pytest.skip("C kernel unavailable")
+
+    def moving_scene():
+        epcs = random_epc_population(2, rng=5)
+        tags = [
+            TagInstance(
+                epc=epc,
+                trajectory=LinearPath((0.3 * i, 1.5, 0.8), (0.3, 0.0, 0.0)),
+            )
+            for i, epc in enumerate(epcs)
+        ]
+        return Scene([Antenna((0.0, 0.0, 1.5))], tags, seed=5)
+
+    scene, twin = moving_scene(), moving_scene()
+    tag_index, time_s = [0, 1, 0], [0.1, 0.2, 0.3]
+    reads = ReadColumns(
+        np.array(tag_index), np.array(time_s), np.arange(3), 0
+    )
+    reports = scene.observe_batch(reads, 0, 0)
+    assert scene._scratch is None
+    assert reports == [
+        twin.observe(i, 0, 0, t) for i, t in zip(tag_index, time_s)
+    ]
+
+    mixed = _scene()
+    mixed.observe_batch(
+        ReadColumns(np.array([5, 0]), np.array([0.1, 0.2]), np.arange(2), 0),
+        0,
+        0,
+    )
+    assert mixed._scratch is not None
