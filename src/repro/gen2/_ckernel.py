@@ -39,12 +39,23 @@ operations on a fixed sample at load time and returns ``None`` on any
 mismatch.
 
 The scene (:meth:`~repro.world.scene.Scene.observe_batch`) settles a
-round's phase/RSS reports in one call to ``repro_observe``: gather each
-read's cached bases, add the round's noise, quantise and wrap, exactly as
-:func:`~repro.radio.measurement.settle_report` does read by read.
-:func:`load_observe_kernel` checks it against that function, bit for bit,
-on ties, signed zeros and wraps at load time and returns ``None`` on any
-mismatch.
+round's phase/RSS reports in one call to ``repro_observe``, straight from
+the calendar kernel's read rows: gather each read's cached bases, or
+compute them for stationary and circular tags in a scene without ambient
+scatterers (writing stationary tags' into the port's table), add the
+round's noise, quantise and wrap, exactly as the scene's Python does read
+by read (``Scene._measurement_bases_for``, then
+:func:`~repro.radio.measurement.settle_report`).  The bases are the
+Python's operations in the same order: libm ``cos``/``sin``/``hypot``,
+``fma`` for the distance (what ``np.dot`` computes), numpy's own float64
+``arctan2`` and ``log10`` loops for ``np.angle`` and ``np.log10``, and a
+zero magnitude handed back so Python raises its own error.
+:func:`load_observe_kernel` runs at the first round, never at import, and
+checks the kernel bit for bit against ``settle_report`` on ties, signed
+zeros and wraps and against the Python bases on a fixed sample of
+stationary and circular tags, antennas and channels; it returns ``None``
+on any mismatch.  Only the loops a kernel needs are bound, when it is
+first loaded.
 
 The kernels are OPTIONAL.  They are compiled on first use with the system
 C compiler (against numpy's and Python's headers) into a cache directory
@@ -64,7 +75,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -92,6 +103,13 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
+/* One read: a row of gen2/inventory.py's ReadColumns.packed. */
+typedef struct {
+    int64_t tag;
+    double time;
+    int64_t slot;
+} read_record;
+
 /* One inventory round, settled slot by slot.
  *
  * Mirrors the sequential reference walk with the QAdaptive/FixedQ
@@ -105,8 +123,8 @@ _C_SOURCE = r"""
  * out_i: [n_empty, n_single, n_collision, n_duplicate, n_adjusts,
  *         n_frames, truncated, n_reads, n_slots, n_lost]
  * out_d: [t_end]
- * ids: the participants' tag indices; read_tag[i] is the tag index of
- *      read i, read_slot[i] its slot in the round, read_time[i] its time.
+ * ids: the participants' tag indices; reads[i] is read i: its tag index,
+ *      time and slot in the round (a row of ReadColumns.packed).
  *
  * bg is the engine generator's bitgen_t; the caller holds the bit
  * generator's lock.  A frame lane is next_uint32 >> (32 - q), which is
@@ -124,9 +142,7 @@ void repro_run_round(
     int64_t *out_i,
     double *out_d,
     const int64_t *ids,
-    int64_t *read_tag,
-    int64_t *read_slot,
-    double *read_time)
+    read_record *reads)
 {
     const double deadline = dpar[1];
     const double t_empty = dpar[2];
@@ -204,9 +220,9 @@ void repro_run_round(
                 }
                 seen[p_i] = 1;
                 n_seen++;
-                read_tag[n_reads] = ids[p_i];
-                read_slot[n_reads] = slot_counter;
-                read_time[n_reads] = t;
+                reads[n_reads].tag = ids[p_i];
+                reads[n_reads].time = t;
+                reads[n_reads].slot = slot_counter;
                 n_reads++;
                 slot_counter++;
                 if (n_seen >= n) break;
@@ -264,47 +280,83 @@ void repro_run_round(
     out_d[0] = t;
 }
 
+/* ---- numpy's own float64 loops ----
+ *
+ * The Python code calls np.exp, np.angle (np.arctan2) and np.log10, and
+ * libm rounds each of them differently from numpy on some inputs, so the
+ * kernels call numpy's d->d (dd->d) inner loops, read from the ufuncs'
+ * loop tables by repro_bind_loop, one element at a time.
+ */
+enum { NP_EXP, NP_ARCTAN2, NP_LOG10, NP_N_LOOPS };
+static const int np_loop_nin[NP_N_LOOPS] = {1, 2, 1};
+static PyUFuncGenericFunction np_loop[NP_N_LOOPS];
+static void *np_loop_data[NP_N_LOOPS];
+
+/* Bind the all-double inner loop of ufunc to slot; 1 on success. */
+int repro_bind_loop(int64_t slot, const PyUFuncObject *ufunc)
+{
+    if (slot < 0 || slot >= NP_N_LOOPS) return 0;
+    const int nin = np_loop_nin[slot];
+    if (ufunc->nin != nin || ufunc->nout != 1) return 0;
+    for (int i = 0; i < ufunc->ntypes; i++) {
+        int all_double = 1;
+        for (int a = 0; a <= nin; a++)
+            if (ufunc->types[(nin + 1) * i + a] != NPY_DOUBLE) all_double = 0;
+        if (all_double) {
+            np_loop[slot] = ufunc->functions[i];
+            np_loop_data[slot] = ufunc->data != NULL ? ufunc->data[i] : NULL;
+            return np_loop[slot] != NULL;
+        }
+    }
+    return 0;
+}
+
+static double np_unary(int slot, double x)
+{
+    double y;
+    char *args[2] = {(char *)&x, (char *)&y};
+    const npy_intp n = 1;
+    const npy_intp steps[2] = {sizeof(double), sizeof(double)};
+    np_loop[slot](args, &n, steps, np_loop_data[slot]);
+    return y;
+}
+
+static double np_exp(double x) { return np_unary(NP_EXP, x); }
+static double np_log10(double x) { return np_unary(NP_LOG10, x); }
+
+static double np_arctan2(double y, double x)
+{
+    double out;
+    char *args[3] = {(char *)&y, (char *)&x, (char *)&out};
+    const npy_intp n = 1;
+    const npy_intp steps[3] = {sizeof(double), sizeof(double), sizeof(double)};
+    np_loop[NP_ARCTAN2](args, &n, steps, np_loop_data[NP_ARCTAN2]);
+    return out;
+}
+
+/* The load-time probes compare these with np.exp, np.arctan2, np.log10. */
+void repro_probe_loop(int64_t slot, const double *x, const double *x2,
+                      double *y, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        y[i] = slot == NP_ARCTAN2 ? np_arctan2(x[i], x2[i])
+                                  : np_unary((int)slot, x[i]);
+}
+
 /* ---- Motion assessor: the Gaussian-mixture update of core/gmm.py ----
  *
  * GaussianMixtureStack.update, transliterated operation for operation
  * (circular mode only), over shard rows stored column by column.  Three
  * things keep it bit-identical to the Python walk:
  *
- * - the density's exp is numpy's own float64 loop, read from np.exp's
- *   ufunc loop table (repro_bind_exp), because the Python code calls
- *   np.exp and libm's exp rounds differently on some inputs;
+ * - the density's exp is numpy's own float64 loop (np_exp above),
+ *   because the Python code calls np.exp and libm's exp rounds
+ *   differently on some inputs;
  * - a square is libm pow(x, 2.0), what Python's x**2 computes, called
  *   through a volatile pointer so the compiler cannot fold it into x*x;
  * - the build passes -ffp-contract=off: no multiply-add is fused.
  */
-static PyUFuncGenericFunction np_exp_loop = NULL;
-static void *np_exp_data = NULL;
 static double (*volatile libm_pow)(double, double) = pow;
-
-/* Bind the d->d inner loop of the np.exp ufunc; 1 on success. */
-int repro_bind_exp(const PyUFuncObject *ufunc)
-{
-    if (ufunc->nin != 1 || ufunc->nout != 1) return 0;
-    for (int i = 0; i < ufunc->ntypes; i++) {
-        if (ufunc->types[2 * i] == NPY_DOUBLE
-                && ufunc->types[2 * i + 1] == NPY_DOUBLE) {
-            np_exp_loop = ufunc->functions[i];
-            np_exp_data = ufunc->data != NULL ? ufunc->data[i] : NULL;
-            return np_exp_loop != NULL;
-        }
-    }
-    return 0;
-}
-
-static double np_exp(double x)
-{
-    double y;
-    char *args[2] = {(char *)&x, (char *)&y};
-    const npy_intp n = 1;
-    const npy_intp steps[2] = {sizeof(double), sizeof(double)};
-    np_exp_loop(args, &n, steps, np_exp_data);
-    return y;
-}
 
 /* Python's float x**2: pow of the magnitude (float_pow strips the sign
  * of a negative base raised to an integer power). */
@@ -313,12 +365,7 @@ static double square(double x)
     return libm_pow(fabs(x), 2.0);
 }
 
-/* The load-time probes compare these two against np.exp and x**2. */
-void repro_probe_exp(const double *x, double *y, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++) y[i] = np_exp(x[i]);
-}
-
+/* The load-time probe compares this with x**2. */
 void repro_probe_square(const double *x, double *y, int64_t n)
 {
     for (int64_t i = 0; i < n; i++) y[i] = square(x[i]);
@@ -483,10 +530,11 @@ void repro_gmm_update(
  * The scalar loop of repro.radio.measurement.settle_report, operation for
  * operation: base plus std times a standard normal, quantisation as
  * round(x / q) * q, and fmod with a negative remainder moved one period
- * up.  Python's round() is half-to-even, as nearbyint is in the default
- * rounding mode, but it returns the int 0 where nearbyint gives -0.0,
- * and int 0 times q is +0.0: hence the explicit zero.  Built without
- * floating-point contraction, so base + std * z is rounded twice.
+ * up and a zero remainder made +0.0 (what np.mod gives).  Python's round()
+ * is half-to-even, as nearbyint is in the default rounding mode, but it
+ * returns the int 0 where nearbyint gives -0.0, and int 0 times q is
+ * +0.0: hence the explicit zero.  Built without floating-point
+ * contraction, so base + std * z is rounded twice.
  */
 static double quantise(double x, double q)
 {
@@ -503,60 +551,162 @@ static void settle(const double *dpar, double phase_base, double rss_base,
     if (dpar[2] > 0.0) phase = quantise(phase, dpar[2]);
     phase = fmod(phase, two_pi);
     if (phase < 0.0) phase += two_pi;
+    else if (phase == 0.0) phase = 0.0;
     double rss = rss_base + dpar[1] * z[1];
     if (dpar[3] > 0.0) rss = quantise(rss, dpar[3]);
     *phase_out = phase;
     *rss_out = rss;
 }
 
+/* Tag kinds: bases the kernel computes itself (stationary and circular
+ * trajectories in a scene without ambient scatterers), or leaves to
+ * Scene._measurement_bases_for (KIND_PYTHON). */
+enum { KIND_PYTHON = 0, KIND_STATIONARY = 1, KIND_CIRCULAR = 2 };
+
+/* One read's deterministic (phase, RSS) bases, as Scene's Python resolve
+ * pass computes them (world/motion.py, radio/channel.py,
+ * radio/measurement.py), operation for operation:
+ *
+ * - a circular tag sits at centre + radius (cos, sin) of
+ *   phase0 + speed * max(0, t - start) / radius, at the centre's z + 0.0;
+ * - the direct-path distance is sqrt(fma(dz, dz, fma(dy, dy, dx * dx))),
+ *   which is what np.dot(d, d) computes (repro.radio.geometry);
+ * - the one-way gain is amp * (cos y + j sin y) with amp the free-space
+ *   amplitude clamped at half a wavelength and y = (-(2 pi) d) / lambda;
+ *   the round trip squares it as Python multiplies complex numbers;
+ * - |gain| is hypot, the phase base np.angle (numpy's arctan2 loop) plus
+ *   the tag's and the port's offsets, the RSS base tx + 20 log10 |gain|
+ *   with numpy's log10 loop.
+ *
+ * tp: the tag's row [phase_offset, x, y, z, radius, speed, phase0, start]
+ *     (the position, or a circle's centre and motion);
+ * port: [ax, ay, az, wavelength, lo_offset] of the read's (antenna,
+ *     channel); dpar[5] is the noise model's tx constant, dpar[6] 4 pi.
+ * Returns 0 for a zero magnitude, which the caller hands back to Python
+ * so it raises its own error; 1 otherwise.
+ */
+static int bases(const double *dpar, int kind, const double *tp,
+                 const double *port, double t, double *phase_base,
+                 double *rss_base)
+{
+    double px = tp[1], py = tp[2], pz = tp[3];
+    if (kind == KIND_CIRCULAR) {
+        const double radius = tp[4];
+        double elapsed = t - tp[7];
+        if (!(elapsed > 0.0)) elapsed = 0.0; /* max(0.0, elapsed) */
+        const double angle = tp[6] + tp[5] * elapsed / radius;
+        px = tp[1] + radius * cos(angle);
+        py = tp[2] + radius * sin(angle);
+        pz = tp[3] + 0.0;
+    }
+    const double dx = port[0] - px, dy = port[1] - py, dz = port[2] - pz;
+    const double d = sqrt(fma(dz, dz, fma(dy, dy, dx * dx)));
+    const double lam = port[3];
+    const double half = lam / 2.0;
+    const double amp = lam / (dpar[6] * (half > d ? half : d));
+    const double y = (-dpar[4] * d) / lam;
+    const double gr = amp * cos(y), gi = amp * sin(y);
+    const double hr = gr * gr - gi * gi, hi = gr * gi + gi * gr;
+    const double magnitude = hypot(hr, hi);
+    if (magnitude <= 0.0) return 0;
+    *phase_base = np_arctan2(hi, hr) + tp[0] + port[4];
+    *rss_base = dpar[5] + 20.0 * np_log10(magnitude);
+    return 1;
+}
+
 /* Settle n reads of one (antenna, channel) port.
  *
- * cols: [dpar, tag, z, phase, rss, missing, bases]
- *   dpar: [phase_std, rss_std, phase_quantum, rss_quantum, two_pi]
- *   tag[i]: read i's tag index; z[2i], z[2i + 1]: its phase and RSS
- *   noise draws; phase[i], rss[i]: its report.
+ * cols: [dpar, z, phase, rss, missing, bases, kind, tagpar]
+ *   dpar: [phase_std, rss_std, phase_quantum, rss_quantum, two_pi,
+ *          tx_constant, four_pi]
+ *   z[2i], z[2i + 1]: read i's phase and RSS noise draws; phase[i],
+ *   rss[i]: its report.  kind[tag], tagpar[8 * tag]: each tag's kind and
+ *   row (see bases()).
+ * reads: the round's reads, a C-contiguous ndarray of read_record rows
+ *   (tag index and time of read i), passed as the array object so the
+ *   caller need not look up its address; only its data pointer is read.
  * table: the port's bases, (phase, rss) at 2 * tag for tags 0..n_tags-1;
- *   NaN where the scene has none cached (a moving or first-seen tag).
+ *   NaN where none is cached.  The kernel fills in stationary tags' rows.
+ * port: the port's row (see bases()).
  *
- * With n_resolve == 0, settles every read whose tag has table bases,
- * lists the others (and any tag index outside the table) in missing[]
- * and returns how many there are.  With
- * n_resolve > 0, settles the first n_resolve reads of missing[] from the
- * per-read bases[2i], bases[2i + 1] the caller filled in, and returns 0.
+ * With n_resolve == 0, settles every read whose bases are in the table
+ * or computed here, lists the others (a KIND_PYTHON tag, a zero
+ * magnitude, any tag index outside the table) in missing[] and returns
+ * how many there are.  With n_resolve > 0, settles the first n_resolve
+ * reads of missing[] from the per-read bases[2i], bases[2i + 1] the
+ * caller filled in, and returns 0.
  */
-int64_t repro_observe(void *const *cols, const double *table,
-                      int64_t n_tags, int64_t n, int64_t n_resolve)
+int64_t repro_observe(void *const *cols, PyObject *rows, double *table,
+                      const double *port, int64_t n_tags, int64_t n,
+                      int64_t n_resolve)
 {
+    const read_record *reads =
+        (const read_record *)PyArray_DATA((PyArrayObject *)rows);
     const double *dpar = (const double *)cols[0];
-    const int64_t *tag = (const int64_t *)cols[1];
-    const double *z = (const double *)cols[2];
-    double *phase = (double *)cols[3];
-    double *rss = (double *)cols[4];
-    int64_t *missing = (int64_t *)cols[5];
-    const double *bases = (const double *)cols[6];
+    const double *z = (const double *)cols[1];
+    double *phase = (double *)cols[2];
+    double *rss = (double *)cols[3];
+    int64_t *missing = (int64_t *)cols[4];
+    const double *resolved = (const double *)cols[5];
+    const int8_t *kind = (const int8_t *)cols[6];
+    const double *tagpar = (const double *)cols[7];
 
     if (n_resolve > 0) {
         for (int64_t j = 0; j < n_resolve; j++) {
             const int64_t i = missing[j];
-            settle(dpar, bases[2 * i], bases[2 * i + 1], z + 2 * i,
+            settle(dpar, resolved[2 * i], resolved[2 * i + 1], z + 2 * i,
                    phase + i, rss + i);
         }
         return 0;
     }
     int64_t n_missing = 0;
     for (int64_t i = 0; i < n; i++) {
-        if (tag[i] < 0 || tag[i] >= n_tags) {
+        const int64_t k = reads[i].tag;
+        if (k < 0 || k >= n_tags) {
             missing[n_missing++] = i;
             continue;
         }
-        const double *row = table + 2 * tag[i];
+        double *row = table + 2 * k;
         if (isnan(row[0])) {
-            missing[n_missing++] = i;
+            double pb, rb;
+            if (kind[k] == KIND_PYTHON
+                    || !bases(dpar, kind[k], tagpar + 8 * k, port,
+                              reads[i].time, &pb, &rb)) {
+                missing[n_missing++] = i;
+                continue;
+            }
+            if (kind[k] == KIND_STATIONARY) {
+                row[0] = pb;
+                row[1] = rb;
+            }
+            settle(dpar, pb, rb, z + 2 * i, phase + i, rss + i);
             continue;
         }
         settle(dpar, row[0], row[1], z + 2 * i, phase + i, rss + i);
     }
     return n_missing;
+}
+
+/* The load-time probe: the bases of n reads (cols as repro_observe's),
+ * into out[2i], out[2i + 1]; NaN where the kernel would hand the read
+ * back to Python. */
+void repro_probe_bases(void *const *cols, PyObject *rows,
+                       const double *port, int64_t n, double *out)
+{
+    const read_record *reads =
+        (const read_record *)PyArray_DATA((PyArrayObject *)rows);
+    const double *dpar = (const double *)cols[0];
+    const int8_t *kind = (const int8_t *)cols[6];
+    const double *tagpar = (const double *)cols[7];
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t k = reads[i].tag;
+        if (kind[k] == KIND_PYTHON
+                || !bases(dpar, kind[k], tagpar + 8 * k, port, reads[i].time,
+                          out + 2 * i, out + 2 * i + 1)) {
+            out[2 * i] = NAN;
+            out[2 * i + 1] = NAN;
+        }
+    }
 }
 """
 
@@ -689,9 +839,7 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         ctypes.c_void_p,  # out_i
         ctypes.c_void_p,  # out_d
         ctypes.c_void_p,  # ids
-        ctypes.c_void_p,  # read_tag
-        ctypes.c_void_p,  # read_slot
-        ctypes.c_void_p,  # read_time
+        ctypes.c_void_p,  # reads
     ]
     _LOADED = lib
     return _LOADED
@@ -700,56 +848,54 @@ def load_kernel() -> Optional[ctypes.CDLL]:
 _GMM: Optional[Callable[..., None]] = None
 _GMM_ATTEMPTED = False
 
+#: The ufuncs whose float64 loops the kernels call, in the slot order of
+#: ``repro_bind_loop``: the motion assessor's exp, the scene's arctan2
+#: (``np.angle``) and log10.
+_LOOP_UFUNCS = (np.exp, np.arctan2, np.log10)
+NP_EXP, NP_ARCTAN2, NP_LOG10 = 0, 1, 2
+#: slot -> whether its loop is bound and passed its probe; a slot is
+#: bound by the first kernel that needs it.
+_LOOPS_ATTEMPTED: Dict[int, bool] = {}
 
-def _probe(fn, values, reference) -> bool:
-    """True when the kernel maps ``values`` to exactly ``reference``."""
-    x = np.asarray(values, dtype=np.float64)
-    y = np.empty_like(x)
-    fn(x.ctypes.data, y.ctypes.data, len(x))
-    return y.tolist() == reference
 
+def _bind_loops(lib, *slots: int) -> bool:
+    """Bind numpy's float64 loops of ``slots`` into the kernels (each
+    once); False when one cannot be bound or differs, in any bit, from
+    the scalar ufunc call on
+    :func:`~repro.gen2._kernel_probes.loop_probe_samples`."""
+    pending = [slot for slot in slots if slot not in _LOOPS_ATTEMPTED]
+    if pending:
+        from repro.gen2 import _kernel_probes as probes
 
-def probe_samples() -> Tuple[List[float], List[float]]:
-    """The load-time probe inputs: exp arguments and values to square.
-
-    libm ``exp`` differs from ``np.exp`` on a few percent of arguments in
-    [-5, 0], but ``x*x`` differs from ``pow(x, 2.0)`` on fewer than one
-    value in a thousand, hence the larger square sample.
-    """
-    rng = np.random.default_rng(2017)
-    exponents = rng.uniform(-5.0, 0.0, 512).tolist() + [0.0, -0.5, -745.0]
-    roots = rng.uniform(0.0, 7.0, 8192).tolist() + [0.0, 0.3, 2.0 * np.pi]
-    return exponents, roots
+        lib.repro_bind_loop.restype = ctypes.c_int
+        lib.repro_bind_loop.argtypes = [ctypes.c_int64, ctypes.c_void_p]
+        samples = probes.loop_probe_samples()
+        for slot in pending:
+            ufunc = _LOOP_UFUNCS[slot]
+            _LOOPS_ATTEMPTED[slot] = bool(
+                lib.repro_bind_loop(slot, id(ufunc))
+            ) and probes.loop_probe_passes(lib, slot, ufunc, samples[slot])
+    return all(_LOOPS_ATTEMPTED[slot] for slot in slots)
 
 
 def load_gmm_kernel() -> Optional[Callable[..., None]]:
     """The motion assessor's ``repro_gmm_update``; ``None`` when unavailable.
 
     Unavailable when the shared object is (see :func:`load_kernel`), or
-    when numpy's ``exp`` loop cannot be bound or the kernel's ``exp`` and
-    square disagree with scalar ``np.exp`` and Python's ``x**2`` on a
-    deterministic sample: the assessor then runs the Python update.
+    when numpy's loops cannot be bound (see :func:`_bind_loops`) or the
+    kernel's square disagrees with Python's ``x**2`` on a deterministic
+    sample: the assessor then runs the Python update.
     """
     global _GMM, _GMM_ATTEMPTED
     if _GMM_ATTEMPTED:
         return _GMM
     _GMM_ATTEMPTED = True
     lib = load_kernel()
-    if lib is None:
+    if lib is None or not _bind_loops(lib, NP_EXP):
         return None
-    lib.repro_bind_exp.restype = ctypes.c_int
-    lib.repro_bind_exp.argtypes = [ctypes.c_void_p]
-    for name in ("repro_probe_exp", "repro_probe_square"):
-        probe = getattr(lib, name)
-        probe.restype = None
-        probe.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-    if not lib.repro_bind_exp(id(np.exp)):
-        return None  # pragma: no cover - numpy without a d->d exp loop
-    exponents, roots = probe_samples()
-    if not (
-        _probe(lib.repro_probe_exp, exponents, [float(np.exp(v)) for v in exponents])
-        and _probe(lib.repro_probe_square, roots, [v**2 for v in roots])
-    ):
+    from repro.gen2 import _kernel_probes as probes
+
+    if not probes.square_probe_passes(lib):
         return None  # pragma: no cover - platform-dependent rounding
     fn = lib.repro_gmm_update
     fn.restype = None
@@ -769,6 +915,14 @@ def load_gmm_kernel() -> Optional[Callable[..., None]]:
 _OBSERVE: Optional[Callable[..., int]] = None
 _OBSERVE_ATTEMPTED = False
 
+#: Tag kinds of ``repro_observe``: bases it computes itself (stationary
+#: and circular tags), or leaves to the scene's Python resolve pass.
+KIND_PYTHON, KIND_STATIONARY, KIND_CIRCULAR = 0, 1, 2
+#: A tag's row in ``repro_observe``'s tag columns: ``[phase_offset, x, y,
+#: z, radius, speed, phase0, start_time]`` (a stationary tag's position,
+#: or a circle's centre and motion).
+TAG_ROW = 8
+
 
 def observe_dpar(noise) -> List[float]:
     """``repro_observe``'s parameter block for a
@@ -779,6 +933,8 @@ def observe_dpar(noise) -> List[float]:
         noise.phase_quantum_rad,
         noise.rss_quantum_db,
         TWO_PI,
+        noise.tx_constant_dbm,
+        4.0 * np.pi,
     ]
 
 
@@ -786,15 +942,20 @@ class ObserveScratch:
     """Buffers and cached pointers of one scene's compiled observation
     pass (``repro_observe``), grown geometrically and reused every round.
 
-    ``cols`` is the kernel's column block, in the order it reads them.
+    ``kind`` (int8) and ``tagpar`` (``TAG_ROW`` float64 per tag) are the
+    scene's tag columns; ``cols`` is the kernel's column block, in the
+    order it reads them.  The round's reads are the calendar kernel's own
+    rows (:attr:`~repro.gen2.inventory.ReadColumns.packed`), read in
+    place.
     """
 
     __slots__ = (
         "fn",
         "noise",
         "dpar",
+        "kind",
+        "tagpar",
         "cap",
-        "tag",
         "z",
         "phase",
         "rss",
@@ -804,10 +965,12 @@ class ObserveScratch:
         "cols_ptr",
     )
 
-    def __init__(self, fn) -> None:
+    def __init__(self, fn, kind: np.ndarray, tagpar: np.ndarray) -> None:
         self.fn = fn
         self.noise = None
-        self.dpar = np.empty(5)
+        self.dpar = np.empty(7)
+        self.kind = kind
+        self.tagpar = tagpar
         self.cap = 0
         self.reserve(256)
 
@@ -822,164 +985,93 @@ class ObserveScratch:
         while cap < n:
             cap <<= 1
         self.cap = cap
-        self.tag = np.empty(cap, dtype=np.int64)
         self.z = np.empty(2 * cap)
         self.phase = np.empty(cap)
         self.rss = np.empty(cap)
         self.missing = np.empty(cap, dtype=np.int64)
         self.bases = np.empty(2 * cap)
         arrays = (
-            self.dpar, self.tag, self.z, self.phase, self.rss, self.missing,
-            self.bases,
+            self.dpar, self.z, self.phase, self.rss, self.missing,
+            self.bases, self.kind, self.tagpar,
         )
         self.cols = (ctypes.c_void_p * len(arrays))(
             *(a.ctypes.data for a in arrays)
         )
         self.cols_ptr = ctypes.addressof(self.cols)
 
-    def settle(self, rng, noise, tag_index, table_ptr, n_tags, resolve):
+    def settle(
+        self, rng, noise, reads, table_ptr, port_ptr, n_tags, resolve,
+        antenna_index, channel_index,
+    ):
         """One round's (phase, RSS) columns: copies, in read order.
 
-        The round's noise is drawn from ``rng`` into ``z`` (the stream of
-        ``standard_normal(2k)``).  One kernel call gathers each read's
-        bases from the table at ``table_ptr`` (row ``i`` holds tag ``i``'s
-        bases, NaN when not cached) and settles those reads; ``resolve(j)``
-        gives the bases of each read ``j`` it could not gather, and a
-        second call settles just those.
+        ``reads`` is the round's ``ReadColumns.packed`` rows.  The round's
+        noise is drawn from ``rng`` into ``z`` (the stream of
+        ``standard_normal(2k)``).  One kernel call settles every read
+        whose bases are in the port's table at ``table_ptr`` (row ``i``
+        holds tag ``i``'s bases, NaN when not cached) or that it computes
+        from the tag columns and the port's row at ``port_ptr``;
+        ``resolve(tag, antenna_index, channel_index, t)`` gives the bases
+        of each read it hands back, and a second call settles just those.
         """
-        k = len(tag_index)
+        k = len(reads)
         self.reserve(k)
         rng.standard_normal(out=self.z[: 2 * k])
-        self.tag[:k] = tag_index
         if self.noise is not noise:
             self.bind(noise)
-        n_missing = self.fn(self.cols_ptr, table_ptr, n_tags, k, 0)
+        n_missing = self.fn(
+            self.cols_ptr, reads, table_ptr, port_ptr, n_tags, k, 0
+        )
         if n_missing:
             bases = self.bases
-            for j in self.missing[:n_missing].tolist():
-                bases[2 * j], bases[2 * j + 1] = resolve(j)
-            self.fn(self.cols_ptr, table_ptr, n_tags, k, n_missing)
+            missing = self.missing[:n_missing]
+            for j, tag, t in zip(
+                missing.tolist(),
+                reads[missing, 0].tolist(),
+                reads[missing, 1].view(np.float64).tolist(),
+            ):
+                bases[2 * j], bases[2 * j + 1] = resolve(
+                    tag, antenna_index, channel_index, t
+                )
+            self.fn(
+                self.cols_ptr, reads, table_ptr, port_ptr, n_tags, k,
+                n_missing,
+            )
         return self.phase[:k].copy(), self.rss[:k].copy()
-
-
-def settle_batch(
-    fn, noise, phase_bases: List[float], rss_bases: List[float], z: List[float]
-) -> Tuple[List[float], List[float]]:
-    """Run ``repro_observe`` over one batch whose read ``i`` has bases
-    ``(phase_bases[i], rss_bases[i])`` and draws ``z[2i], z[2i + 1]``.
-
-    Even reads take their bases from the table and odd reads from the
-    resolve pass, so one batch exercises both of the kernel's paths.
-    """
-    n = len(phase_bases)
-    scratch = ObserveScratch(fn)
-    scratch.reserve(n)
-    scratch.bind(noise)
-    scratch.tag[:n] = np.arange(n)
-    scratch.z[: 2 * n] = z
-    table = np.empty((n, 2))
-    table[:, 0] = phase_bases
-    table[:, 1] = rss_bases
-    scratch.bases[: 2 * n] = table.ravel()
-    table[1::2, 0] = np.nan  # odd reads: "no cached bases"
-    n_missing = fn(scratch.cols_ptr, table.ctypes.data, n, n, 0)
-    if n_missing:
-        fn(scratch.cols_ptr, table.ctypes.data, n, n, n_missing)
-    return scratch.phase[:n].tolist(), scratch.rss[:n].tolist()
-
-
-#: One probe batch: noise model, phase bases, RSS bases, draws.
-ProbeBatch = Tuple[object, List[float], List[float], List[float]]
-
-
-def observe_probe_samples() -> List[ProbeBatch]:
-    """The load-time probe of ``repro_observe``: ``(noise, phase bases,
-    RSS bases, z)`` batches.
-
-    With unit noise and zero draws the bases reach the quantiser as they
-    are.  Half-unit quanta make exact ties at .5 of a quantum on both
-    sides of zero; the crafted bases also hold quotients that round to a
-    signed zero, negative phases that wrap up a period and, unquantised,
-    exact multiples of 2*pi on both sides.  A random batch at the default
-    noise model follows.
-    """
-    from repro.radio.measurement import NoiseModel
-
-    ties = [k * 0.5 + 0.25 for k in range(-6, 6)]  # x / 0.5 = k + 0.5
-    signed_zeros = [-0.0, 0.0, -0.1, 0.1, -1e-300]
-    wraps = [-0.3, -3.0, -TWO_PI - 0.1, -3.0 * TWO_PI + 0.5]
-    multiples = [m * TWO_PI for m in (-3, -2, -1, 1, 2, 3)]
-    crafted = ties + signed_zeros + wraps + multiples
-    no_draws = [0.0] * (2 * len(crafted))
-    rng = np.random.default_rng(2017)
-    n = 512
-    return [
-        (
-            NoiseModel(
-                phase_noise_std_rad=1.0,
-                rss_noise_std_db=1.0,
-                phase_quantum_rad=0.5,
-                rss_quantum_db=0.5,
-            ),
-            crafted,
-            crafted,
-            no_draws,
-        ),
-        (
-            NoiseModel(
-                phase_noise_std_rad=1.0,
-                rss_noise_std_db=1.0,
-                phase_quantum_rad=0.0,
-                rss_quantum_db=0.0,
-            ),
-            crafted,
-            crafted,
-            no_draws,
-        ),
-        (
-            NoiseModel(),
-            rng.uniform(-7.0, 20.0, n).tolist(),
-            rng.uniform(-90.0, -20.0, n).tolist(),
-            rng.standard_normal(2 * n).tolist(),
-        ),
-    ]
 
 
 def load_observe_kernel() -> Optional[Callable[..., int]]:
     """The scene's ``repro_observe``; ``None`` when unavailable.
 
-    Unavailable when the shared object is (see :func:`load_kernel`), or
-    when the kernel disagrees, in any bit (the sign of a zero included),
-    with :func:`repro.radio.measurement.settle_report` on
-    :func:`observe_probe_samples`: the scene then runs its Python loop.
+    Unavailable when the shared object is (see :func:`load_kernel`), when
+    numpy's loops cannot be bound (see :func:`_bind_loops`), or when the
+    kernel disagrees in any bit (the sign of a zero included) with
+    :func:`repro.radio.measurement.settle_report` or with the scene's
+    Python bases on the probes of :mod:`repro.gen2._kernel_probes`: the
+    scene then runs its Python loop.  Called by the first
+    :meth:`~repro.world.scene.Scene.observe_batch`, never at import.
     """
     global _OBSERVE, _OBSERVE_ATTEMPTED
     if _OBSERVE_ATTEMPTED:
         return _OBSERVE
     _OBSERVE_ATTEMPTED = True
     lib = load_kernel()
-    if lib is None:
+    if lib is None or not _bind_loops(lib, NP_ARCTAN2, NP_LOG10):
         return None
-    from repro.radio.measurement import settle_report
+    from repro.gen2 import _kernel_probes as probes
 
     fn = lib.repro_observe
     fn.restype = ctypes.c_int64
     fn.argtypes = [
         ctypes.c_void_p,  # cols
+        ctypes.py_object,  # reads
         ctypes.c_void_p,  # table
+        ctypes.c_void_p,  # port
         ctypes.c_int64,  # n_tags
         ctypes.c_int64,  # n
         ctypes.c_int64,  # n_resolve
     ]
-    for noise, phase_bases, rss_bases, z in observe_probe_samples():
-        got = settle_batch(fn, noise, phase_bases, rss_bases, z)
-        want = zip(*(
-            settle_report(pb, rb, z[2 * i], z[2 * i + 1], noise)
-            for i, (pb, rb) in enumerate(zip(phase_bases, rss_bases))
-        ))
-        if [[v.hex() for v in col] for col in got] != [
-            [v.hex() for v in col] for col in want
-        ]:
-            return None  # pragma: no cover - platform-dependent rounding
+    if not (probes.settle_probe_passes(fn) and probes.bases_probe_passes(lib)):
+        return None  # pragma: no cover - platform-dependent rounding
     _OBSERVE = fn
     return _OBSERVE

@@ -5,7 +5,7 @@ events* rather than a Python loop: the whole round — every frame draw, the
 Q-algorithm walk, slot settlement, dedup and cumulative time assignment — is
 handed to the compiled kernel in :mod:`repro.gen2._ckernel` as one call, and
 Python only wraps the results: an :class:`InventoryLog` whose reads are
-copies of the kernel's own columns of tag index, time and slot
+one copy of the kernel's own (tag index, time, slot) rows
 (:class:`~repro.gen2.inventory.ReadColumns`).  Python-level work is
 thereby O(rounds) with a tiny constant instead of O(slots), and rounds
 that the kernel cannot express (custom strategies, frame-level tracing)
@@ -65,20 +65,13 @@ class CalendarKernel:
         "seen",
         "unseen",
         "ids",
-        "read_tag",
-        "read_slot",
-        "read_time",
+        "reads",
         "seen_ptr",
         "unseen_ptr",
         "ids_ptr",
-        "read_tag_ptr",
-        "read_slot_ptr",
-        "read_time_ptr",
+        "reads_ptr",
         "out_i_np",
         "ids_np",
-        "read_tag_np",
-        "read_slot_np",
-        "read_time_np",
         "timing_src",
         "t_startup",
         "t_empty",
@@ -128,19 +121,14 @@ class CalendarKernel:
         self.seen = (ctypes.c_uint8 * cap)()
         self.unseen = (ctypes.c_int32 * cap)()
         self.ids = (ctypes.c_int64 * cap)()
-        self.read_tag = (ctypes.c_int64 * cap)()
-        self.read_slot = (ctypes.c_int64 * cap)()
-        self.read_time = (ctypes.c_double * cap)()
+        #: The kernel writes read i as row i: tag, time (as float64
+        #: bits), slot -- ``ReadColumns.packed``'s layout.
+        self.reads = np.empty((cap, 3), dtype=np.int64)
         self.seen_ptr = ctypes.addressof(self.seen)
         self.unseen_ptr = ctypes.addressof(self.unseen)
         self.ids_ptr = ctypes.addressof(self.ids)
-        self.read_tag_ptr = ctypes.addressof(self.read_tag)
-        self.read_slot_ptr = ctypes.addressof(self.read_slot)
-        self.read_time_ptr = ctypes.addressof(self.read_time)
+        self.reads_ptr = self.reads.ctypes.data
         self.ids_np = np.frombuffer(self.ids, dtype=np.int64)
-        self.read_tag_np = np.frombuffer(self.read_tag, dtype=np.int64)
-        self.read_slot_np = np.frombuffer(self.read_slot, dtype=np.int64)
-        self.read_time_np = np.frombuffer(self.read_time, dtype=np.float64)
 
     def prepare(self, participant_ids) -> None:
         """Size scratch for a round over ``participant_ids`` and load their

@@ -75,13 +75,17 @@ class ReadColumns:
 
     ``tag_index`` (int64), ``time_s`` (float64) and ``slot_in_round``
     (int64) are numpy arrays of equal length; ``round_index`` is the
-    round's.  The calendar engine hands its rounds up in this form, so the
-    scene settles reports from the kernel's own columns and no
-    :class:`TagRead` is built unless a caller asks for one.  The arrays
-    are never written after construction.
+    round's.  The reads are held as one C-contiguous ``(n, 3)`` int64
+    array, ``packed``, the calendar kernel's own layout: one row per read
+    holding its tag index, the bits of its float64 time and its slot.
+    Each column is a view of it made on access, so a log keeps one block
+    per round.  The calendar engine hands its rounds up in this form, so
+    the scene settles reports from the kernel's own rows and no
+    :class:`TagRead` is built unless a caller asks for one.  The rows are
+    never written after construction.
     """
 
-    __slots__ = ("tag_index", "time_s", "slot_in_round", "round_index")
+    __slots__ = ("packed", "round_index")
 
     def __init__(
         self,
@@ -90,31 +94,48 @@ class ReadColumns:
         slot_in_round: np.ndarray,
         round_index: int,
     ) -> None:
-        self.tag_index = tag_index
-        self.time_s = time_s
-        self.slot_in_round = slot_in_round
+        packed = np.empty((len(tag_index), 3), dtype=np.int64)
+        packed[:, 0] = tag_index
+        packed[:, 1] = np.asarray(time_s, dtype=np.float64).view(np.int64)
+        packed[:, 2] = slot_in_round
+        self.packed = packed
         self.round_index = round_index
+
+    @classmethod
+    def of_packed(cls, packed: np.ndarray, round_index: int) -> "ReadColumns":
+        """Columns over a C-contiguous ``(n, 3)`` int64 array of rows,
+        which they keep."""
+        columns = cls.__new__(cls)
+        columns.packed = packed
+        columns.round_index = round_index
+        return columns
 
     @classmethod
     def from_reads(cls, reads: Sequence[TagRead]) -> "ReadColumns":
         """Columns of one round's ``TagRead`` records."""
         if not reads:
-            empty = np.empty(0, dtype=np.int64)
-            return cls(empty, np.empty(0), empty, 0)
+            return cls.of_packed(np.empty((0, 3), dtype=np.int64), 0)
         tags, times, rounds, slots = zip(*reads)
-        return cls(
-            np.array(tags, dtype=np.int64),
-            np.array(times, dtype=np.float64),
-            np.array(slots, dtype=np.int64),
-            rounds[0],
-        )
+        return cls(tags, times, slots, rounds[0])
+
+    @property
+    def tag_index(self) -> np.ndarray:
+        return self.packed[:, 0]
+
+    @property
+    def time_s(self) -> np.ndarray:
+        return self.packed[:, 1].view(np.float64)
+
+    @property
+    def slot_in_round(self) -> np.ndarray:
+        return self.packed[:, 2]
 
     def __len__(self) -> int:
-        return len(self.tag_index)
+        return len(self.packed)
 
     def records(self) -> List[TagRead]:
         """The reads as ``TagRead`` tuples (built at C level)."""
-        k = len(self.tag_index)
+        k = len(self.packed)
         # ``tuple.__new__`` skips the NamedTuple's Python-level
         # ``__new__``; the records are ordinary ``TagRead`` instances.
         return list(
@@ -401,9 +422,7 @@ class InventoryEngine:
                 cal.out_i_ptr,
                 cal.out_d_ptr,
                 cal.ids_ptr,
-                cal.read_tag_ptr,
-                cal.read_slot_ptr,
-                cal.read_time_ptr,
+                cal.reads_ptr,
             )
 
         (
@@ -430,12 +449,7 @@ class InventoryEngine:
         log.truncated = bool(truncated)
         if n_reads:
             log._chunks.append(
-                ReadColumns(
-                    cal.read_tag_np[:n_reads].copy(),
-                    cal.read_time_np[:n_reads].copy(),
-                    cal.read_slot_np[:n_reads].copy(),
-                    round_index,
-                )
+                ReadColumns.of_packed(cal.reads[:n_reads].copy(), round_index)
             )
         if round_span is not None:
             tracer.end(

@@ -69,17 +69,18 @@ class ObservationBatch(Sequence):
     """One round's reports on one (antenna, channel), as columns.
 
     What :meth:`repro.world.scene.Scene.observe_batch` returns from its
-    compiled pass: ``tag_index`` and ``time_s`` of each report, with its
-    quantised ``phase_rad`` and ``rss_dbm`` (numpy arrays, never written
-    after construction).  ``len()`` needs no records.  Iterating,
+    compiled pass: ``reads``, the reported reads (the round's
+    :class:`~repro.gen2.inventory.ReadColumns`, whose ``tag_index`` and
+    ``time_s`` columns it reads), with each report's quantised
+    ``phase_rad`` and ``rss_dbm`` (numpy arrays, never written after
+    construction).  ``len()`` needs no records.  Iterating,
     indexing or comparing builds the :class:`TagObservation` tuples once,
     at C level, and keeps them, so a caller that only counts reports never
     pays for them.
     """
 
     __slots__ = (
-        "tag_index",
-        "time_s",
+        "reads",
         "phase_rad",
         "rss_dbm",
         "antenna_index",
@@ -91,30 +92,36 @@ class ObservationBatch(Sequence):
     def __init__(
         self,
         epcs: List[object],
-        tag_index: np.ndarray,
-        time_s: np.ndarray,
+        reads,
         phase_rad: np.ndarray,
         rss_dbm: np.ndarray,
         antenna_index: int,
         channel_index: int,
     ) -> None:
         self._epcs = epcs
-        self.tag_index = tag_index
-        self.time_s = time_s
+        self.reads = reads
         self.phase_rad = phase_rad
         self.rss_dbm = rss_dbm
         self.antenna_index = antenna_index
         self.channel_index = channel_index
         self._records: Optional[List[TagObservation]] = None
 
+    @property
+    def tag_index(self) -> np.ndarray:
+        return self.reads.tag_index
+
+    @property
+    def time_s(self) -> np.ndarray:
+        return self.reads.time_s
+
     def __len__(self) -> int:
-        return len(self.tag_index)
+        return len(self.reads)
 
     def records(self) -> List[TagObservation]:
         """The reports as ``TagObservation`` tuples, in read order."""
         records = self._records
         if records is None:
-            k = len(self.tag_index)
+            k = len(self.reads)
             # ``tuple.__new__`` skips the NamedTuple's Python-level
             # ``__new__``; the records are ordinary ``TagObservation``s.
             records = self._records = list(
@@ -207,9 +214,9 @@ def settle_report(
     ``std * z`` is exactly ``normal(0.0, std)`` for the same draw.
     Quantisation is ``round(x / q) * q``: half to even, and +0.0 where the
     quotient rounds to zero.  The wrap is ``fmod`` with a negative
-    remainder moved one period up, which is ``np.mod(x, 2*pi)`` except that
-    an exact negative multiple of 2*pi gives -0.0 where ``np.mod`` gives
-    +0.0.  This is the scalar loop
+    remainder moved one period up and a zero remainder made +0.0, which is
+    ``np.mod(x, 2*pi)``, the wrap of :func:`measure_from_bases`.  This is
+    the scalar loop
     :meth:`repro.world.scene.Scene.observe_batch` runs without the
     compiled kernel, and the reference that kernel is probed against when
     it loads.
@@ -221,6 +228,8 @@ def settle_report(
     phase = math.fmod(phase, TWO_PI)
     if phase < 0.0:
         phase += TWO_PI
+    elif phase == 0.0:
+        phase = 0.0  # a multiple of 2*pi, -0.0 for a negative one
     rss = rss_base + noise.rss_noise_std_db * z_rss
     rss_q = noise.rss_quantum_db
     if rss_q > 0:

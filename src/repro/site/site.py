@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.experiments.parallel import parallel_map
 from repro.faults.site import SiteFaultPlan
+from repro.gen2 import _ckernel
 from repro.gen2.epc import EPC, random_epc_population
 from repro.gen2.inventory import InventoryLog
 from repro.obs.tracer import get_tracer
@@ -609,6 +610,9 @@ def _run_readers(
         (config_dict, rid, row, t0, duration_s, seed_salt, fault_salt, cull)
         for rid, row in rows.items()
     ]
+    # A pool's workers fork from this process: load and probe the scene's
+    # compiled pass here, once, so each worker of every epoch inherits it.
+    _ckernel.load_observe_kernel()
     summaries = parallel_map(_simulate_reader, tasks, workers=workers)
     fusion.ingest_rows(
         [report for summary in summaries for report in summary["reports"]]

@@ -57,6 +57,11 @@ class Stationary(Trajectory):
     def __init__(self, position: PointLike) -> None:
         self._position = as_point(position)
 
+    @property
+    def point(self) -> np.ndarray:
+        """The position itself, not a copy: callers must not write it."""
+        return self._position
+
     def position(self, t: float) -> np.ndarray:
         return self._position.copy()
 

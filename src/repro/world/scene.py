@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.radio.channel import (
     backscatter_gain_from_geometry,
     path_geometry,
 )
-from repro.radio.constants import ChannelPlan, single_channel
+from repro.radio.constants import ChannelPlan, single_channel, wavelength
 from repro.radio.geometry import (
     as_point,
     distance,
@@ -42,8 +41,22 @@ from repro.radio.measurement import (
 )
 from repro.util.circular import TWO_PI
 from repro.util.rng import RngStream
-from repro.world.motion import Stationary, Trajectory
+from repro.world.motion import (
+    CircularPath,
+    Stationary,
+    Trajectory,
+    TurntablePath,
+)
 from repro.world.objects import AmbientObject
+
+
+#: The compiled pass's kind of each trajectory class it computes bases
+#: for; exact classes only, since a subclass may move differently.
+_KINDS = {
+    Stationary: _ckernel.KIND_STATIONARY,
+    CircularPath: _ckernel.KIND_CIRCULAR,
+    TurntablePath: _ckernel.KIND_CIRCULAR,
+}
 
 
 @dataclass
@@ -177,10 +190,14 @@ class Scene:
         #: antenna -> (fixed members, per-t checks, antenna position as
         #: floats); see ``_range_entries``.
         self._range_entries_cache: Dict[int, Tuple[List[int], list, tuple]] = {}
-        #: (antenna, channel) -> (table, its address): row i holds the
-        #: deterministic (phase, RSS) bases of tag i, NaN until cached.
-        #: Holds stationary tags in a static environment only.
-        self._port_tables: Dict[Tuple[int, int], Tuple[np.ndarray, int]] = {}
+        #: (antenna, channel) -> (table, its address, port row, its
+        #: address): table row i holds the deterministic (phase, RSS)
+        #: bases of tag i, NaN until cached (stationary tags in a static
+        #: environment only); the port row is what the compiled pass
+        #: needs of the port, ``[ax, ay, az, wavelength, lo_offset]``.
+        self._port_tables: Dict[
+            Tuple[int, int], Tuple[np.ndarray, int, np.ndarray, int]
+        ] = {}
         #: (tag, antenna) -> channel-independent path geometry; shared by all
         #: channels of the plan, so a hop only re-runs the per-frequency part.
         self._geom_cache: Dict[Tuple[int, int], object] = {}
@@ -420,14 +437,55 @@ class Scene:
 
     def _port_table(
         self, antenna_index: int, channel_index: int
-    ) -> Tuple[np.ndarray, int]:
-        """One (antenna, channel)'s bases table and its address."""
+    ) -> Tuple[np.ndarray, int, np.ndarray, int]:
+        """One (antenna, channel)'s bases table and port row, each with
+        its address."""
         key = (antenna_index, channel_index)
         entry = self._port_tables.get(key)
         if entry is None:
             table = np.full((len(self.tags), 2), np.nan)
-            entry = self._port_tables[key] = (table, table.ctypes.data)
+            port = np.array(
+                [
+                    *self._antenna_xyz[antenna_index],
+                    wavelength(self.channel_plan.frequency(channel_index)),
+                    self.lo_offset(antenna_index, channel_index),
+                ]
+            )
+            entry = self._port_tables[key] = (
+                table, table.ctypes.data, port, port.ctypes.data
+            )
         return entry
+
+    def _tag_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each tag's kind and row for the compiled pass (see
+        :mod:`repro.gen2._ckernel`): a stationary tag carries its
+        position, a circular one (``CircularPath``, ``TurntablePath``)
+        its centre, radius, speed, ``phase0`` and ``start_time``, every
+        tag its phase offset.  Tags on any other trajectory, and every
+        tag of a scene with ambient scatterers, are ``KIND_PYTHON``: their
+        bases come from :meth:`_measurement_bases_for`."""
+        tags = self.tags
+        n = len(tags)
+        rows = np.zeros((n, _ckernel.TAG_ROW))
+        if self.ambient_objects:
+            return np.zeros(n, dtype=np.int8), rows
+        trajectories = [tag.trajectory for tag in tags]
+        kinds = np.array(
+            [_KINDS.get(type(t), _ckernel.KIND_PYTHON) for t in trajectories],
+            dtype=np.int8,
+        )
+        rows[:, 0] = [tag.phase_offset_rad for tag in tags]
+        stationary = np.flatnonzero(kinds == _ckernel.KIND_STATIONARY).tolist()
+        if stationary:
+            rows[stationary, 1:4] = np.concatenate(
+                [trajectories[i].point for i in stationary]
+            ).reshape(-1, 3)
+        for i in np.flatnonzero(kinds == _ckernel.KIND_CIRCULAR).tolist():
+            t = trajectories[i]
+            rows[i, 1:] = (
+                *t.center.tolist(), t.radius, t.speed, t.phase0, t.start_time
+            )
+        return kinds, rows
 
     def observe_batch(
         self,
@@ -446,87 +504,76 @@ class Scene:
         consumes one draw, so the reports and the generator's end position
         match ``k`` :meth:`observe` calls bit for bit.
 
-        A round that reads a stationary tag settles in one call to the
-        compiled ``repro_observe``: it gathers the cached bases, adds the
-        noise, quantises and wraps, and moving and first-seen tags get
-        their bases from :meth:`_measurement_bases_for` and a second call.
-        The result is an :class:`ObservationBatch`, whose tuples are built
-        on first access.  A round that reads no stationary tag has nothing
-        to gather, and without the kernel there is nothing to call: both
-        settle read by read with
+        With the kernel loaded every round settles in one call to the
+        compiled ``repro_observe``: it gathers cached bases, computes the
+        bases of stationary and circular tags not cached yet (stationary
+        ones go into the port's table), adds the noise, quantises and
+        wraps.  Reads whose bases it leaves to Python (other trajectories,
+        scenes with ambient scatterers) get them from
+        :meth:`_measurement_bases_for` and a second call.  The result is an
+        :class:`ObservationBatch`, whose tuples are built on first access.
+        Without the kernel the round settles read by read with
         :func:`~repro.radio.measurement.settle_report`, which the kernel is
         probed against at load, into a list of ``TagObservation``s.
         """
         if type(reads) is not ReadColumns:
             reads = ReadColumns.from_reads(reads)
-        tag_index, time_s = reads.tag_index, reads.time_s
-        if not self._all_present and len(tag_index):
-            tag_index, time_s = self._present(tag_index, time_s)
-        if not len(tag_index):
+        if not self._all_present and len(reads):
+            reads = self._present(reads)
+        if not len(reads):
             return []
-        # Only stationary tags in a static environment are cached.
-        cached = self._environment_static() and (
-            self._all_static
-            or any(map(self._tag_static.__getitem__, tag_index.tolist()))
-        )
         scratch = self._scratch
-        if scratch is None and cached:
+        if scratch is None:
             fn = _ckernel.load_observe_kernel()
-            if fn is not None:
-                scratch = self._scratch = _ckernel.ObserveScratch(fn)
-        if scratch is None or not cached:
-            return self._settle_loop(
-                tag_index, time_s, antenna_index, channel_index, cached
+            if fn is None:
+                return self._settle_loop(reads, antenna_index, channel_index)
+            scratch = self._scratch = _ckernel.ObserveScratch(
+                fn, *self._tag_columns()
             )
-        table, table_ptr = self._port_table(antenna_index, channel_index)
-        bases_for = self._measurement_bases_for
+        table, table_ptr, _, port_ptr = self._port_table(
+            antenna_index, channel_index
+        )
         phase, rss = scratch.settle(
             self._measure_rng,
             self.noise,
-            tag_index,
+            reads.packed,
             table_ptr,
+            port_ptr,
             len(table),
-            lambda i: bases_for(
-                int(tag_index[i]), antenna_index, channel_index,
-                float(time_s[i]),
-            ),
-        )
-        return ObservationBatch(
-            self._epcs, tag_index, time_s, phase, rss, antenna_index,
+            self._measurement_bases_for,
+            antenna_index,
             channel_index,
         )
+        return ObservationBatch(
+            self._epcs, reads, phase, rss, antenna_index, channel_index
+        )
 
-    def _present(
-        self, tag_index: np.ndarray, time_s: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _present(self, reads: ReadColumns) -> ReadColumns:
         """The reads whose tag is present at its read time."""
+        tag_index = reads.tag_index
         keep = self._always_present_np[tag_index]
-        transient = np.flatnonzero(~keep).tolist()
-        if not transient:
-            return tag_index, time_s
+        transient = np.flatnonzero(~keep)
+        if not len(transient):
+            return reads
         tags = self.tags
-        for i in transient:
-            keep[i] = tags[int(tag_index[i])].is_present(float(time_s[i]))
-        return tag_index[keep], time_s[keep]
+        for i, tag, t in zip(
+            transient.tolist(),
+            tag_index[transient].tolist(),
+            reads.time_s[transient].tolist(),
+        ):
+            keep[i] = tags[tag].is_present(t)
+        return ReadColumns.of_packed(reads.packed[keep], reads.round_index)
 
     def _settle_loop(
-        self,
-        tag_index: np.ndarray,
-        time_s: np.ndarray,
-        antenna_index: int,
-        channel_index: int,
-        cached: bool,
+        self, reads: ReadColumns, antenna_index: int, channel_index: int
     ) -> List[TagObservation]:
-        """Read by read: the no-compiler fallback, the path of rounds with
-        no ``cached`` tag to gather, and the compiled pass's oracle."""
-        k = len(tag_index)
-        z = self._measure_rng.standard_normal(2 * k).tolist()
-        if cached:
-            # One gather per round; a NaN row is a tag not cached yet.
-            table = self._port_table(antenna_index, channel_index)[0]
-            rows = table[tag_index].tolist()
-        else:
-            rows = repeat((math.nan, math.nan), k)
+        """Read by read: the no-compiler fallback and the compiled pass's
+        oracle."""
+        tag_index = reads.tag_index
+        z = self._measure_rng.standard_normal(2 * len(reads)).tolist()
+        # One gather per round; a NaN row is a tag not cached yet.
+        table = self._port_table(antenna_index, channel_index)[0]
+        rows = table[tag_index].tolist()
         noise = self.noise
         epcs = self._epcs
         bases_for = self._measurement_bases_for
@@ -534,7 +581,7 @@ class Scene:
         new = tuple.__new__
         out = []
         for tag, t, (phase_base, rss_base), z_phase, z_rss in zip(
-            tag_index.tolist(), time_s.tolist(), rows, z[0::2], z[1::2]
+            tag_index.tolist(), reads.time_s.tolist(), rows, z[0::2], z[1::2]
         ):
             if isnan(phase_base):
                 phase_base, rss_base = bases_for(

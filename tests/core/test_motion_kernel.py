@@ -18,7 +18,7 @@ from repro.core import gmm
 from repro.core.gmm import GaussianMixtureStack, GmmParams
 from repro.core.motion import MotionAssessor
 from repro.core.persistence import _params_to_dict, assessor_state, restore_assessor
-from repro.gen2 import _ckernel
+from repro.gen2 import _ckernel, _kernel_probes
 from repro.gen2.epc import random_epc_population
 from repro.radio.measurement import TagObservation
 from repro.util.circular import TWO_PI
@@ -271,13 +271,13 @@ def test_restore_rejects_more_modes_than_max_modes():
 
 
 def _kernel_lib():
-    """The shared object, with numpy's exp loop bound (whether or not the
+    """The shared object, with numpy's loops bound (whether or not the
     load-time probes passed: the tests below are those probes, larger)."""
     lib = _ckernel.load_kernel()
     if lib is None:
         pytest.skip("C kernel unavailable")
     _ckernel.load_gmm_kernel()  # sets the probe signatures
-    assert lib.repro_bind_exp(id(np.exp))
+    assert lib.repro_bind_loop(_ckernel.NP_EXP, id(np.exp))
     return lib
 
 
@@ -292,7 +292,7 @@ def test_kernel_exp_is_numpy_exp():
     """The kernel's exp is numpy's float64 loop, not libm's exp."""
     lib = _kernel_lib()
     values = np.random.default_rng(1).uniform(-5.0, 0.0, 20000).tolist()
-    assert _apply(lib.repro_probe_exp, values) == [
+    assert _kernel_probes.probe_loop(lib, _ckernel.NP_EXP, values) == [
         float(np.exp(v)) for v in values
     ]
 
@@ -310,7 +310,7 @@ def test_kernel_square_is_python_square():
 def test_load_time_probe_can_see_a_folded_square():
     """The load-time square sample holds values where ``x*x`` and
     ``x**2`` round apart, so the probe rejects a folded ``pow``."""
-    _, roots = _ckernel.probe_samples()
+    roots = _kernel_probes.square_probe_samples()
     assert any(v * v != v**2 for v in roots)
 
 

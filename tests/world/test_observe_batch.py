@@ -12,14 +12,18 @@ position.
 import math
 import pickle
 
+import numpy as np
+
 from repro.gen2.aloha import QAdaptive
 from repro.gen2.epc import random_epc_population
 from repro.gen2.inventory import InventoryEngine, TagRead
 from repro.gen2.timing import R420_PROFILE
+from repro.radio.channel import backscatter_gain
 from repro.radio.constants import china_920_926, single_channel
 from repro.radio.measurement import NoiseModel, TagObservation
 from repro.reader.reader import SimReader
 from repro.reader.sessioned import SessionedReader
+from repro.util.circular import TWO_PI
 from repro.world.motion import LinearPath, Stationary
 from repro.world.objects import AmbientObject
 from repro.world.scene import Antenna, Scene, TagInstance
@@ -274,6 +278,70 @@ def test_phase_base_just_below_zero_quantises_to_positive_zero():
     for obs in shifted().observe_batch(_round([0, 0], 0.0), 0, 0):
         assert obs.phase_rad == 0.0
         assert math.copysign(1.0, obs.phase_rad) == 1.0
+
+
+def _offset_for_phase_base(build, target):
+    """A tag phase offset that makes ``build(offset)``'s phase base
+    (angle + offset + LO offset, rounded twice) exactly ``target``."""
+    scene = build()
+    lo = scene.lo_offset(0, 0)
+    angle = float(np.angle(backscatter_gain(
+        ANTENNAS[0].position,
+        scene.tags[0].trajectory.position(0.0),
+        scene.channel_plan.frequency(0),
+    )))
+    for partial in _neighbours(target - lo):
+        if partial + lo != target:
+            continue
+        for offset in _neighbours(partial - angle):
+            if angle + offset == partial:
+                return offset
+    raise AssertionError("no offset reaches the target")
+
+
+def _neighbours(x, steps=8):
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return [x] + below[1:] + above[1:]
+
+
+def test_phase_base_at_minus_two_pi_wraps_to_positive_zero():
+    """With no noise and no quantisation a phase base of exactly -2*pi is
+    the pre-wrap phase: ``observe`` wraps it with ``np.mod`` and
+    ``observe_batch`` with ``fmod``, and both give +0.0."""
+    noise = NoiseModel(
+        phase_noise_std_rad=0.0,
+        rss_noise_std_db=0.0,
+        phase_quantum_rad=0.0,
+        rss_quantum_db=0.0,
+    )
+
+    def build(offset=0.0):
+        tags = [
+            TagInstance(
+                epc=EPCS[0],
+                trajectory=Stationary((0.5, 1.0, 0.8)),
+                phase_offset_rad=offset,
+            )
+        ]
+        return Scene(ANTENNAS, tags, noise=noise, seed=9)
+
+    offset = _offset_for_phase_base(build, -TWO_PI)
+
+    def shifted():
+        return build(offset)
+
+    assert shifted()._measurement_bases_for(0, 0, 0, 0.0)[0] == -TWO_PI
+    # Two rounds: the first computes the bases, the second gathers them.
+    rounds = [(_round([0], 0.0), 0, 0), (_round([0, 0], 0.1, 1), 0, 0)]
+    assert_matches_per_read(shifted, rounds)
+    scene = shifted()
+    for reads, antenna, channel in rounds:
+        for obs in scene.observe_batch(reads, antenna, channel):
+            assert obs.phase_rad == 0.0
+            assert math.copysign(1.0, obs.phase_rad) == 1.0
 
 
 def test_records_are_real_namedtuples():
