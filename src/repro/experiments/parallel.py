@@ -39,6 +39,7 @@ must be module-level functions and their arguments picklable.
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -113,8 +114,20 @@ def parallel_map(
     traced = bool(ambient.enabled)
     detail = "frame" if getattr(ambient, "frame_detail", False) else "round"
     payloads = [(fn, t, traced, detail) for t in task_tuples]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        outs = list(pool.map(_run_task, payloads))
+    # Forked workers inherit the parent's heap.  Frozen, it is outside
+    # every collection, so a worker's collections neither scan it nor
+    # write its object headers (which would copy each shared page); the
+    # parent thaws it once the pool is done.  A heap some caller froze
+    # already is left as it is.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            outs = list(pool.map(_run_task, payloads))
+    finally:
+        if freeze:
+            gc.unfreeze()
     results: List[Any] = []
     for result, records in outs:
         if records:

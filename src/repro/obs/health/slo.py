@@ -31,9 +31,10 @@ alert.)
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracer import get_tracer
 
@@ -134,8 +135,13 @@ class SloTracker:
     def __init__(self, spec: SloSpec) -> None:
         self.spec = spec
         self._horizon_s = max(w.long_s for w in spec.windows)
-        #: (t_s, is_error) pairs inside the retention horizon.
-        self._events: Deque[Tuple[float, bool]] = deque()
+        #: Observation times, oldest first, from ``_head`` on retained
+        #: (the evicted prefix is dropped once it outgrows the rest).
+        self._times: List[float] = []
+        #: Lifetime error count before each observation of ``_times``, so
+        #: a window's errors are ``n_errors`` minus the entry at its start.
+        self._errors_before: List[int] = []
+        self._head = 0
         self.n_observations = 0
         self.n_errors = 0
         self.alerts: List[SloAlert] = []
@@ -148,6 +154,8 @@ class SloTracker:
     def record(self, t_s: float, good: bool) -> List[SloAlert]:
         """Fold one observation in; returns alerts newly fired by it."""
         t_s = float(t_s)
+        if math.isnan(t_s):
+            raise ValueError("an observation needs a time, not NaN")
         if self._last_t is not None and t_s < self._last_t:
             raise ValueError(
                 f"observations must be time-ordered "
@@ -155,26 +163,48 @@ class SloTracker:
             )
         self._last_t = t_s
         self.n_observations += 1
+        self._times.append(t_s)
+        self._errors_before.append(self.n_errors)
         if not good:
             self.n_errors += 1
-        self._events.append((t_s, not good))
-        cutoff = t_s - self._horizon_s
-        while self._events and self._events[0][0] <= cutoff:
-            self._events.popleft()
+        self._head = bisect_right(
+            self._times, t_s - self._horizon_s, self._head
+        )
+        if self._head > len(self._times) // 2:
+            del self._times[: self._head]
+            del self._errors_before[: self._head]
+            self._head = 0
         return self._evaluate(t_s)
 
+    @property
+    def _events(self) -> List[Tuple[float, bool]]:
+        """The retained ``(t_s, is_error)`` pairs, oldest first."""
+        totals = self._errors_before[self._head:] + [self.n_errors]
+        return [
+            (t, after > before)
+            for t, before, after in zip(
+                self._times[self._head:], totals, totals[1:]
+            )
+        ]
+
     def error_rate(self, window_s: float, now_s: float) -> float:
-        """Error fraction of observations in ``(now - window, now]``."""
+        """Error fraction of observations in ``(now - window, now]``.
+
+        Observations are time-ordered, so the window is a suffix of the
+        retained ones: its start is one bisection, its error count one
+        subtraction of lifetime counts.
+        """
         cutoff = now_s - window_s
-        total = errors = 0
-        for t, is_error in reversed(self._events):
-            if t <= cutoff:
-                break
-            total += 1
-            errors += is_error
+        # No time compares at or below a NaN cutoff: the whole retention.
+        start = (
+            self._head
+            if math.isnan(cutoff)
+            else bisect_right(self._times, cutoff, self._head)
+        )
+        total = len(self._times) - start
         if total == 0:
             return 0.0
-        return errors / total
+        return (self.n_errors - self._errors_before[start]) / total
 
     def burn_rate(self, window_s: float, now_s: float) -> float:
         """Error rate over the window as a multiple of the error budget."""

@@ -25,11 +25,13 @@ sharded site runner relies on it to fuse worker outputs in any grouping.
 Two code paths implement the fold, chosen by batch size alone.
 :meth:`FusionLayer.ingest` absorbs one report at a time; batches of at
 least ``_COLUMNAR_MIN_BATCH`` reports passed to :meth:`ingest_many` /
-:meth:`ingest_rows` go through a vectorized arbitration-order
-``lexsort`` instead — dedup, per-EPC aggregation and winner selection
-all happen on numpy columns, and ``TagReport`` objects are only
-materialised for reports that actually survive.  Both paths drive the
-exact same internal state, so every downstream surface
+:meth:`ingest_rows` / :meth:`merge` go through a vectorized
+arbitration-order ``lexsort`` instead — dedup, per-EPC aggregation and
+winner selection all happen on numpy columns.  A report that arrives as
+a row is kept as its dedup key alone: ``TagReport`` objects are built
+only for the arbitration winners that become a record's ``latest`` and
+by :meth:`FusionLayer.reports`, never per row.  Both paths are
+observably identical, so every downstream surface
 (:meth:`FusionLayer.snapshot`, :meth:`reports`, :meth:`records`) is
 byte-identical to a plain ``ingest`` loop — the differential property
 tests in ``tests/site/test_fusion_columnar.py`` pin that across
@@ -38,8 +40,19 @@ arbitrary orders, duplications and interleaved merges.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -140,6 +153,32 @@ class TagReport:
         )
 
 
+def observation_rows(
+    observations: Iterable[TagObservation], reader_id: int
+) -> List[List[object]]:
+    """``TagReport.from_observation(obs, reader_id).to_row()`` for each
+    observation, written straight from its fields."""
+    return [
+        [
+            format(obs.epc.value, "x"),
+            reader_id,
+            round(obs.time_s, TIME_PRECISION),
+            obs.antenna_index,
+            obs.channel_index,
+            round(obs.phase_rad, TIME_PRECISION),
+            round(obs.rss_dbm, TIME_PRECISION),
+        ]
+        for obs in observations
+    ]
+
+
+def _arbitration_order(
+    key: ReportKey,
+) -> Tuple[float, int, int, int, float, float]:
+    """:attr:`TagReport.arbitration_order` of the report with ``key``."""
+    return key[2], key[1], key[3], key[4], key[5], key[6]
+
+
 @dataclass
 class FusedRecord:
     """Site-level state of one EPC, merged across every reader."""
@@ -182,6 +221,28 @@ class FusedRecord:
         }
 
 
+def _collector_paused(fold: Callable[..., int]) -> Callable[..., int]:
+    """Run ``fold`` with the cyclic garbage collector off.
+
+    A columnar fold allocates tens of thousands of records, reports and
+    key tuples and makes no reference cycle, so any collection it
+    triggers finds nothing; the one that scans the whole heap took about
+    a third of the ``site_aisle`` benchmark's fold.
+    """
+
+    @functools.wraps(fold)
+    def paused(*args, **kwargs) -> int:
+        if not gc.isenabled():
+            return fold(*args, **kwargs)
+        gc.disable()
+        try:
+            return fold(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 #: Below this batch size ``ingest_many``/``ingest_rows`` use the scalar
 #: ingest loop: the numpy set-up cost only pays for itself on real report
 #: batches, and small batches dominate the unit/property-test workloads.
@@ -198,7 +259,11 @@ class FusionLayer:
     """
 
     def __init__(self) -> None:
-        self._reports: Dict[ReportKey, TagReport] = {}
+        #: Dedup key -> the report as ingested, or ``None`` for a report
+        #: that arrived as a row: it is ``TagReport(*key)``, built only
+        #: when a caller asks for it (:meth:`reports`, a record's
+        #: ``latest``).
+        self._reports: Dict[ReportKey, Optional[TagReport]] = {}
         self._records: Dict[int, FusedRecord] = {}
         #: reader id -> distinct reads, maintained incrementally so the
         #: health/canonicalization surfaces never rescan ``_reports``.
@@ -255,14 +320,7 @@ class FusionLayer:
         if len(batch) < _COLUMNAR_MIN_BATCH:
             return sum(1 for report in batch if self.ingest(report))
         return self._ingest_columns(
-            [r.epc_value for r in batch],
-            [r.reader_id for r in batch],
-            [round(r.time_s, TIME_PRECISION) for r in batch],
-            [r.antenna_index for r in batch],
-            [r.channel_index for r in batch],
-            [round(r.phase_rad, TIME_PRECISION) for r in batch],
-            [round(r.rss_dbm, TIME_PRECISION) for r in batch],
-            originals=batch,
+            *zip(*[report.key for report in batch]), originals=batch
         )
 
     def ingest_rows(self, rows: Sequence[Sequence[object]]) -> int:
@@ -270,59 +328,59 @@ class FusionLayer:
 
         The site fast path: row batches are what cross worker process
         boundaries and what checkpoints replay, and their fields are
-        already rounded — so the columnar path ingests them without
-        materialising a ``TagReport`` per row (only surviving reports are
-        built; a pure replay builds none at all).
+        already rounded.  The columnar path parses each column once, with
+        :meth:`TagReport.from_row`'s conversions, and keeps a surviving
+        row as its key: no ``TagReport`` is built per row.
         """
         if len(rows) < _COLUMNAR_MIN_BATCH:
             return self.ingest_many(
                 TagReport.from_row(row) for row in rows
             )
+        epcs, readers, times, antennas, channels, phases, rsss = zip(*rows)
         return self._ingest_columns(
-            [int(row[0], 16) for row in rows],
-            [int(row[1]) for row in rows],
-            [float(row[2]) for row in rows],
-            [int(row[3]) for row in rows],
-            [int(row[4]) for row in rows],
-            [float(row[5]) for row in rows],
-            [float(row[6]) for row in rows],
+            list(map(int, epcs, repeat(16))),
+            list(map(int, readers)),
+            list(map(float, times)),
+            list(map(int, antennas)),
+            list(map(int, channels)),
+            list(map(float, phases)),
+            list(map(float, rsss)),
             originals=None,
         )
 
     # ------------------------------------------------------------------
+    @_collector_paused
     def _ingest_columns(
         self,
-        epc_vals: List[int],
-        readers: List[int],
-        times: List[float],
-        antennas: List[int],
-        channels: List[int],
-        phases: List[float],
-        rsss: List[float],
-        originals: Optional[List[TagReport]],
+        epc_vals: Sequence[int],
+        readers: Sequence[int],
+        times: Sequence[float],
+        antennas: Sequence[int],
+        channels: Sequence[int],
+        phases: Sequence[float],
+        rsss: Sequence[float],
+        originals: Optional[Sequence[Optional[TagReport]]],
     ) -> int:
         """Columnar fold: vectorized dedup + arbitration over one batch.
 
         All float columns arrive pre-rounded to :data:`TIME_PRECISION`
         (exactly the key/arbitration precision), so numpy equality and
         ordering below agree bit-for-bit with the scalar fold's tuple
-        comparisons.  ``originals`` supplies the report objects to store
-        (``ingest_many``); when ``None`` (``ingest_rows``) survivors are
-        rebuilt from their key fields — identical, field for field, to
+        comparisons.  ``originals`` gives the value to store for each row
+        (``ingest_many``: the report; ``merge``: the other layer's value);
+        when ``None`` (``ingest_rows``) every survivor is stored as its
+        key alone.  A group winner stored that way becomes a record's
+        ``latest`` as ``TagReport(*key)`` — identical, field for field, to
         what ``TagReport.from_row`` would have produced.
         """
         n = len(epc_vals)
-        # Dense EPC ids: values are 96-bit ints, too wide for an int64
-        # column, so sort/group on compact ids instead.
-        id_of: Dict[int, int] = {}
-        uniq_epcs: List[int] = []
-        epc_ids = np.empty(n, dtype=np.int64)
-        for j, value in enumerate(epc_vals):
-            i = id_of.get(value)
-            if i is None:
-                i = id_of[value] = len(uniq_epcs)
-                uniq_epcs.append(value)
-            epc_ids[j] = i
+        # Dense EPC ids, keyed on the value: values are 96-bit ints, too
+        # wide for an int64 column, so sort/group on compact ids instead.
+        uniq_epcs = list(dict.fromkeys(epc_vals))
+        id_of = dict(zip(uniq_epcs, range(len(uniq_epcs))))
+        epc_ids = np.fromiter(
+            map(id_of.__getitem__, epc_vals), dtype=np.int64, count=n
+        )
         reader_c = np.asarray(readers, dtype=np.int64)
         time_c = np.asarray(times, dtype=np.float64)
         ant_c = np.asarray(antennas, dtype=np.int64)
@@ -344,6 +402,20 @@ class FusionLayer:
         chan_s = chan_c[order]
         phase_s = phase_c[order]
         rss_s = rss_c[order]
+
+        def keys_at(idx: np.ndarray) -> List[ReportKey]:
+            return list(
+                zip(
+                    map(uniq_epcs.__getitem__, eid_s[idx].tolist()),
+                    reader_s[idx].tolist(),
+                    time_s[idx].tolist(),
+                    ant_s[idx].tolist(),
+                    chan_s[idx].tolist(),
+                    phase_s[idx].tolist(),
+                    rss_s[idx].tolist(),
+                )
+            )
+
         keep = np.ones(n, dtype=bool)
         if n > 1:
             same = eid_s[1:] == eid_s[:-1]
@@ -354,7 +426,8 @@ class FusionLayer:
             keep[1:] = ~same
         # Cross-batch dedup: only rows at or below their reader's time
         # watermark can possibly be replays; probe just those keys.
-        if self._reports:
+        fused = self._reports
+        if fused:
             suspect = np.zeros(n, dtype=bool)
             for reader_id in np.unique(reader_s).tolist():
                 watermark = self._max_time_by_reader.get(reader_id)
@@ -363,115 +436,142 @@ class FusionLayer:
                         time_s <= watermark
                     )
             suspect &= keep
-            for j in np.nonzero(suspect)[0].tolist():
-                key = (
-                    uniq_epcs[eid_s[j]],
-                    int(reader_s[j]),
-                    float(time_s[j]),
-                    int(ant_s[j]),
-                    int(chan_s[j]),
-                    float(phase_s[j]),
-                    float(rss_s[j]),
+            probe = np.flatnonzero(suspect)
+            if probe.size:
+                replayed = np.fromiter(
+                    map(fused.__contains__, keys_at(probe)),
+                    dtype=bool,
+                    count=probe.size,
                 )
-                if key in self._reports:
-                    keep[j] = False
-        new_idx = np.nonzero(keep)[0]
+                keep[probe[replayed]] = False
+        new_idx = np.flatnonzero(keep)
         n_new = int(new_idx.size)
         if n_new == 0:
             return 0
+        keys = keys_at(new_idx)
+        if originals is None:
+            stored = None
+            fused.update(zip(keys, repeat(None)))
+        else:
+            stored = list(map(originals.__getitem__, order[new_idx].tolist()))
+            fused.update(zip(keys, stored))
         eid_n = eid_s[new_idx]
         time_n = time_s[new_idx]
         reader_n = reader_s[new_idx]
-        keys = list(
-            zip(
-                (uniq_epcs[i] for i in eid_n.tolist()),
-                reader_n.tolist(),
-                time_n.tolist(),
-                ant_s[new_idx].tolist(),
-                chan_s[new_idx].tolist(),
-                phase_s[new_idx].tolist(),
-                rss_s[new_idx].tolist(),
-            )
-        )
-        if originals is not None:
-            survivors = [originals[k] for k in order[new_idx].tolist()]
-        else:
-            survivors = [TagReport(*key) for key in keys]
-        self._reports.update(zip(keys, survivors))
-        # Per-EPC aggregation: groups are contiguous and time-ascending
-        # in the arbitration sort, so first/last seen are the group's
-        # edge elements and the winner is the group's last survivor.
-        boundary = np.nonzero(np.r_[True, eid_n[1:] != eid_n[:-1]])[0]
-        group_end = np.r_[boundary[1:], n_new]
-        touched: Dict[int, FusedRecord] = {}
-        for a, b in zip(boundary.tolist(), group_end.tolist()):
-            epc_value = uniq_epcs[eid_n[a]]
-            t_min = float(time_n[a])
-            t_max = float(time_n[b - 1])
-            record = self._records.get(epc_value)
-            if record is None:
-                record = FusedRecord(
-                    epc_value=epc_value,
-                    first_seen_s=t_min,
-                    last_seen_s=t_max,
-                )
-                self._records[epc_value] = record
-                self._epc_order = None
-            record.first_seen_s = min(record.first_seen_s, t_min)
-            record.last_seen_s = max(record.last_seen_s, t_max)
-            record.n_reports += b - a
-            winner = survivors[b - 1]
-            if (
-                record.latest is None
-                or winner.arbitration_order
-                > record.latest.arbitration_order
-            ):
-                record.latest = winner
-            touched[epc_value] = record
-        # Per-(EPC, reader) aggregation: a second grouped pass gives each
-        # pair's count and newest time in O(pairs), not O(rows).
+        # Per-(EPC, reader) pairs, each with its count and newest time:
+        # sorted EPC first, so each EPC's pairs are contiguous, ascending
+        # by reader, and in the same EPC order as the row groups below.
         order2 = np.lexsort((time_n, reader_n, eid_n))
         eid_p = eid_n[order2]
         reader_p = reader_n[order2]
-        time_p = time_n[order2]
-        starts2 = np.nonzero(
+        pair_starts = np.flatnonzero(
             np.r_[
                 True,
                 (eid_p[1:] != eid_p[:-1]) | (reader_p[1:] != reader_p[:-1]),
             ]
-        )[0]
-        ends2 = np.r_[starts2[1:], n_new]
-        for a, b in zip(starts2.tolist(), ends2.tolist()):
-            epc_value = uniq_epcs[eid_p[a]]
-            reader_id = int(reader_p[a])
-            t_last = float(time_p[b - 1])
-            record = touched[epc_value]
-            record.reports_by_reader[reader_id] = (
-                record.reports_by_reader.get(reader_id, 0) + (b - a)
-            )
-            previous = record.last_seen_by_reader.get(reader_id)
-            if previous is None or t_last > previous:
-                record.last_seen_by_reader[reader_id] = t_last
-            self._by_reader[reader_id] = (
-                self._by_reader.get(reader_id, 0) + (b - a)
-            )
-            watermark = self._max_time_by_reader.get(reader_id)
+        )
+        pair_ends = np.r_[pair_starts[1:], n_new]
+        pair_reader = reader_p[pair_starts].tolist()
+        pair_count = (pair_ends - pair_starts).tolist()
+        pair_last = time_n[order2][pair_ends - 1].tolist()
+        pair_eid = eid_p[pair_starts]
+        epc_pairs = np.flatnonzero(np.r_[True, pair_eid[1:] != pair_eid[:-1]])
+        # Per-EPC aggregation: row groups are contiguous and time-ascending
+        # in the arbitration sort, so first/last seen are the group's
+        # edge elements and the winner is the group's last survivor.
+        starts = np.flatnonzero(np.r_[True, eid_n[1:] != eid_n[:-1]])
+        ends = np.r_[starts[1:], n_new]
+        records = self._records
+        for epc_value, t_min, t_max, count, last, a, b in zip(
+            map(uniq_epcs.__getitem__, eid_n[starts].tolist()),
+            time_n[starts].tolist(),
+            time_n[ends - 1].tolist(),
+            (ends - starts).tolist(),
+            (ends - 1).tolist(),
+            epc_pairs.tolist(),
+            np.r_[epc_pairs[1:], len(pair_starts)].tolist(),
+        ):
+            key = keys[last]
+            winner = None if stored is None else stored[last]
+            record = records.get(epc_value)
+            if record is None:
+                if b - a == 1:  # one reader: a literal is 5x dict(zip())
+                    seen = {pair_reader[a]: pair_count[a]}
+                    newest = {pair_reader[a]: pair_last[a]}
+                else:
+                    readers_of = pair_reader[a:b]
+                    seen = dict(zip(readers_of, pair_count[a:b]))
+                    newest = dict(zip(readers_of, pair_last[a:b]))
+                # Positional: the keyword call costs twice as much.
+                records[epc_value] = FusedRecord(
+                    epc_value,
+                    t_min,
+                    t_max,
+                    count,
+                    seen,
+                    newest,
+                    TagReport(*key) if winner is None else winner,
+                )
+                self._epc_order = None
+                continue
+            record.first_seen_s = min(record.first_seen_s, t_min)
+            record.last_seen_s = max(record.last_seen_s, t_max)
+            record.n_reports += count
+            latest = record.latest
+            if (
+                latest is None
+                or _arbitration_order(key) > latest.arbitration_order
+            ):
+                record.latest = TagReport(*key) if winner is None else winner
+            seen = record.reports_by_reader
+            newest = record.last_seen_by_reader
+            for reader_id, n_pair, t_last in zip(
+                pair_reader[a:b], pair_count[a:b], pair_last[a:b]
+            ):
+                seen[reader_id] = seen.get(reader_id, 0) + n_pair
+                previous = newest.get(reader_id)
+                if previous is None or t_last > previous:
+                    newest[reader_id] = t_last
+        # Per-reader totals and watermarks, over the rows sorted by
+        # (reader, time).
+        order3 = np.lexsort((time_n, reader_n))
+        reader_r = reader_n[order3]
+        reader_starts = np.flatnonzero(
+            np.r_[True, reader_r[1:] != reader_r[:-1]]
+        )
+        reader_ends = np.r_[reader_starts[1:], n_new]
+        by_reader = self._by_reader
+        watermarks = self._max_time_by_reader
+        for reader_id, count, t_last in zip(
+            reader_r[reader_starts].tolist(),
+            (reader_ends - reader_starts).tolist(),
+            time_n[order3][reader_ends - 1].tolist(),
+        ):
+            by_reader[reader_id] = by_reader.get(reader_id, 0) + count
+            watermark = watermarks.get(reader_id)
             if watermark is None or t_last > watermark:
-                self._max_time_by_reader[reader_id] = t_last
+                watermarks[reader_id] = t_last
         return n_new
 
     # ------------------------------------------------------------------
     def merge(self, other: "FusionLayer") -> int:
         """Fold another layer's reports into this one; returns new count."""
-        return self.ingest_many(other.reports())
+        if len(other._reports) < _COLUMNAR_MIN_BATCH:
+            return self.ingest_many(other.reports())
+        return self._ingest_columns(
+            *zip(*other._reports), originals=list(other._reports.values())
+        )
 
     # ------------------------------------------------------------------
     def reports(self) -> List[TagReport]:
         """Every distinct fused report, in arbitration order."""
-        return sorted(
-            self._reports.values(),
-            key=lambda r: (r.epc_value,) + r.arbitration_order,
-        )
+        return [
+            TagReport(*key) if report is None else report
+            for key, report in sorted(
+                self._reports.items(),
+                key=lambda item: (item[0][0], _arbitration_order(item[0])),
+            )
+        ]
 
     def records(self) -> List[FusedRecord]:
         """Per-EPC fused records, ascending by EPC value."""
@@ -519,7 +619,27 @@ class FusionLayer:
         }
 
     def copy(self) -> "FusionLayer":
-        """An independent layer holding the same fused reports."""
+        """An independent layer holding the same fused reports.
+
+        A copy of the state itself: the fold is a function of the report
+        set, so re-deriving it would give the same records.  Reports and
+        ``latest`` sightings are frozen and shared; every mutable
+        container is new.
+        """
         duplicate = FusionLayer()
-        duplicate.ingest_many(self._reports.values())
+        duplicate._reports = dict(self._reports)
+        duplicate._records = {
+            value: FusedRecord(
+                epc_value=record.epc_value,
+                first_seen_s=record.first_seen_s,
+                last_seen_s=record.last_seen_s,
+                n_reports=record.n_reports,
+                reports_by_reader=dict(record.reports_by_reader),
+                last_seen_by_reader=dict(record.last_seen_by_reader),
+                latest=record.latest,
+            )
+            for value, record in self._records.items()
+        }
+        duplicate._by_reader = dict(self._by_reader)
+        duplicate._max_time_by_reader = dict(self._max_time_by_reader)
         return duplicate

@@ -51,10 +51,10 @@ from repro.gen2.inventory import InventoryLog
 from repro.obs.tracer import get_tracer
 from repro.reader.reader import SimReader
 from repro.site.channels import ChannelCoordinator
-from repro.site.fusion import FusionLayer, TagReport
+from repro.site.fusion import FusionLayer, observation_rows
 from repro.site.topology import SiteTopology
 from repro.util.rng import RngStream
-from repro.world.motion import CircularPath, Stationary
+from repro.world.motion import CircularPath, Stationary, Trajectory
 from repro.world.scene import Antenna, Scene, TagInstance
 
 __all__ = [
@@ -339,25 +339,29 @@ def site_tags(
     epcs = site_epcs(config)
     placement_rng = RngStream(config.seed).child("site-placement")
     mobile = mobile_tag_indices(config)
-    positions = config.topology.tag_positions()
     offsets = placement_rng.uniform(
         0.0, 2.0 * np.pi, size=config.topology.n_tags
     )
-    tags = []
-    for index in range(len(epcs)) if indices is None else indices:
-        position = positions[index]
-        if index in mobile:
-            trajectory = _mobile_trajectory(config, position)
-        else:
-            trajectory = Stationary(np.asarray(position, dtype=float))
-        tags.append(
-            TagInstance(
-                epc=epcs[index],
-                trajectory=trajectory,
-                phase_offset_rad=float(offsets[index]),
-            )
+    chosen = range(len(epcs)) if indices is None else indices
+    picked = np.asarray(chosen, dtype=np.intp)
+    # Stationary tags hold views of one gathered copy of the memoised
+    # grid (fancy indexing copies, so none aliases the shared memo).
+    trajectories: List[Trajectory] = Stationary.of_rows(
+        _cull_inputs(config).grid[picked]
+    )
+    if mobile:
+        positions = config.topology.tag_positions()
+        for j, index in enumerate(chosen):
+            if index in mobile:
+                trajectories[j] = _mobile_trajectory(config, positions[index])
+    # Positional (epc, trajectory, phase offset): a keyword call costs
+    # half as much again, once per tag of every shard.
+    return [
+        TagInstance(epcs[index], trajectory, offset)
+        for index, trajectory, offset in zip(
+            chosen, trajectories, offsets[picked].tolist()
         )
-    return tags
+    ]
 
 
 def build_reader(
@@ -569,10 +573,7 @@ def _simulate_reader(
         )
     summary = {
         "reader_id": reader_id,
-        "reports": [
-            TagReport.from_observation(obs, reader_id).to_row()
-            for obs in observations
-        ],
+        "reports": observation_rows(observations, reader_id),
         "n_rounds": log.n_rounds,
         "n_slots": log.n_slots,
         "n_lost": log.n_lost,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import abc
 import bisect
 import math
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,22 @@ class Stationary(Trajectory):
 
     def __init__(self, position: PointLike) -> None:
         self._position = as_point(position)
+
+    @classmethod
+    def of_rows(cls, points: np.ndarray) -> List["Stationary"]:
+        """One stationary object per row of a float ``(n, 3)`` array.
+
+        Each holds a view of its row, as ``Stationary(points[i])`` would,
+        without a per-object ``as_point``; the caller hands the array over
+        and must not write it.
+        """
+        new = cls.__new__
+        out = []
+        for row in points:
+            obj = new(cls)
+            obj._position = row
+            out.append(obj)
+        return out
 
     @property
     def point(self) -> np.ndarray:

@@ -26,11 +26,7 @@ from repro.radio.channel import (
     path_geometry,
 )
 from repro.radio.constants import ChannelPlan, single_channel, wavelength
-from repro.radio.geometry import (
-    as_point,
-    distance,
-    squared_distance_xyz,
-)
+from repro.radio.geometry import as_point, squared_distance_xyz
 from repro.radio.measurement import (
     NoiseModel,
     ObservationBatch,
@@ -187,6 +183,7 @@ class Scene:
         self._all_present = all(self._always_present)
         self._always_present_np = np.array(self._always_present, dtype=bool)
         self._static_in_range: Dict[int, frozenset] = {}
+        self._static_xyz: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: antenna -> (fixed members, per-t checks, antenna position as
         #: floats); see ``_range_entries``.
         self._range_entries_cache: Dict[int, Tuple[List[int], list, tuple]] = {}
@@ -247,21 +244,52 @@ class Scene:
         return self._static_reflectors
 
     def _static_tags_in_range(self, antenna_index: int) -> frozenset:
-        """Stationary tags within one antenna's range (t-independent)."""
+        """Stationary tags within one antenna's range (t-independent).
+
+        A tag is in range when ``distance(antenna, position) <= range_m``.
+        One vectorised distance per tag classifies every tag outside the
+        1e-9 guard band that :meth:`_range_entries` also folds with (a
+        plain sum of squares and the FMA dot ``distance`` uses differ by
+        ulps, far inside the band); tags inside the band are rechecked
+        with ``distance``'s own arithmetic, ``squared_distance_xyz``.
+        """
         cached = self._static_in_range.get(antenna_index)
         if cached is None:
             antenna = self.antennas[antenna_index]
-            cached = frozenset(
-                i
-                for i, tag in enumerate(self.tags)
-                if self._tag_static[i]
-                and distance(
-                    antenna.position, tag.trajectory.position(0.0)
-                )
-                <= antenna.range_m
-            )
+            range_m = antenna.range_m
+            guard = 1e-9 * (range_m + 1.0)
+            indices, points = self._static_points()
+            delta = antenna.position - points
+            dist = np.sqrt((delta * delta).sum(axis=1))
+            sure_in = dist <= range_m - guard
+            inside = indices[sure_in].tolist()
+            # Written so that a NaN distance or bound lands in the band.
+            border = np.flatnonzero(~(sure_in | (dist > range_m + guard)))
+            for i, (dx, dy, dz) in zip(
+                indices[border].tolist(), delta[border].tolist()
+            ):
+                if math.sqrt(squared_distance_xyz(dx, dy, dz)) <= range_m:
+                    inside.append(i)
+            cached = frozenset(inside)
             self._static_in_range[antenna_index] = cached
         return cached
+
+    def _static_points(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Indices of the stationary tags and their ``(m, 3)`` positions
+        (built once; tags are fixed after construction)."""
+        if self._static_xyz is None:
+            indices = [i for i, fixed in enumerate(self._tag_static) if fixed]
+            points = np.empty((len(indices), 3))
+            if indices:
+                trajectories = [self.tags[i].trajectory for i in indices]
+                points[:] = np.concatenate(
+                    [
+                        t.point if type(t) is Stationary else t.position(0.0)
+                        for t in trajectories
+                    ]
+                ).reshape(-1, 3)
+            self._static_xyz = (np.asarray(indices, dtype=np.intp), points)
+        return self._static_xyz
 
     def _range_entries(self, antenna_index: int) -> Tuple[List[int], list]:
         """Split one antenna's tag list into t-independent and t-dependent
@@ -475,11 +503,9 @@ class Scene:
             dtype=np.int8,
         )
         rows[:, 0] = [tag.phase_offset_rad for tag in tags]
-        stationary = np.flatnonzero(kinds == _ckernel.KIND_STATIONARY).tolist()
-        if stationary:
-            rows[stationary, 1:4] = np.concatenate(
-                [trajectories[i].point for i in stationary]
-            ).reshape(-1, 3)
+        indices, points = self._static_points()
+        exact = kinds[indices] == _ckernel.KIND_STATIONARY
+        rows[indices[exact], 1:4] = points[exact]
         for i in np.flatnonzero(kinds == _ckernel.KIND_CIRCULAR).tolist():
             t = trajectories[i]
             rows[i, 1:] = (

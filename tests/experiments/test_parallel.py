@@ -5,6 +5,8 @@ The runner's one promise: ``workers=N`` is indistinguishable from
 every task is seeded by its arguments and the merge is positional.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,21 @@ class TestParallelMap:
         assert parallel_map(_draw, tasks, workers=1) == parallel_map(
             _draw, tasks, workers=4
         )
+
+    def test_pool_thaws_only_the_heap_it_froze(self):
+        """The pool freezes the parent's heap for its forked workers and
+        thaws it after; a heap the caller froze stays frozen."""
+        tasks = [(i,) for i in range(4)]
+        assert gc.get_freeze_count() == 0
+        assert parallel_map(_square, tasks, workers=2) == [0, 1, 4, 9]
+        assert gc.get_freeze_count() == 0
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            parallel_map(_square, tasks, workers=2)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
 
 
 def _trace_signature(tracer):

@@ -1,5 +1,9 @@
 """SLO engine unit tests: window math, latching, telemetry, monotonicity."""
 
+import math
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +87,11 @@ class TestWindowMath:
             tracker.record(float(t), good=True)
         # Retention horizon is the longest window (30 s).
         assert len(tracker._events) <= 31
+
+    def test_nan_time_is_rejected(self):
+        tracker = SloTracker(spec())
+        with pytest.raises(ValueError):
+            tracker.record(math.nan, good=True)
 
     def test_compliance_is_lifetime(self):
         tracker = SloTracker(spec())
@@ -209,3 +218,72 @@ def test_burn_rates_monotone_in_errors(goods, flip):
     if base_alerts:
         assert worse_alerts >= 1
     assert worse_compliance <= base_compliance + 1e-12
+
+
+def _walk_error_rate(events, window_s, now_s):
+    """The error rate as a backward walk over the retained events."""
+    cutoff = now_s - window_s
+    total = errors = 0
+    for t, is_error in reversed(events):
+        if t <= cutoff:
+            break
+        total += 1
+        errors += is_error
+    if total == 0:
+        return 0.0
+    return errors / total
+
+
+class _WalkingTracker(SloTracker):
+    """The oracle: retained events in a deque, each window walked
+    backwards from the newest observation."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.events = deque()
+
+    def record(self, t_s, good):
+        self.events.append((float(t_s), not good))
+        cutoff = float(t_s) - self._horizon_s
+        while self.events and self.events[0][0] <= cutoff:
+            self.events.popleft()
+        return super().record(t_s, good)
+
+    def error_rate(self, window_s, now_s):
+        return _walk_error_rate(self.events, window_s, now_s)
+
+
+def test_bisected_error_rate_matches_backward_walk():
+    """Cumulative error counts plus a bisection give the walk's counts,
+    hence the same rates, alerts and verdicts, over seeded random streams
+    (ties in time, bursts, gaps past the horizon) and windows."""
+    rng = random.Random(20261020)
+    for _ in range(150):
+        short = rng.choice([1.0, 2.5, 10.0])
+        windows = (
+            BurnWindow(short, short * rng.choice([1, 3, 6]), 2.0),
+            BurnWindow(short * 2, short * 8, 1.5),
+        )
+        target = rng.choice([0.5, 0.9, 0.99])
+        tracker = SloTracker(spec(target=target, windows=windows))
+        oracle = _WalkingTracker(spec(target=target, windows=windows))
+        p_bad = rng.random()
+        t = rng.uniform(-5.0, 5.0)
+        for _ in range(rng.randint(1, 120)):
+            t += rng.choice([0.0, 0.0, 0.25, 1.0, rng.uniform(0, 3), 40.0])
+            good = rng.random() >= p_bad
+            assert tracker.record(t, good) == oracle.record(t, good)
+            assert tracker._events == list(oracle.events)
+            for _ in range(3):
+                window_s = rng.choice(
+                    [short, windows[1].long_s, rng.uniform(0.0, 100.0)]
+                )
+                now_s = t + rng.choice([0.0, -rng.uniform(0, 20), 7.5])
+                assert tracker.error_rate(window_s, now_s) == (
+                    oracle.error_rate(window_s, now_s)
+                )
+            assert tracker.error_rate(math.nan, t) == oracle.error_rate(
+                math.nan, t
+            )
+        assert tracker.alerts == oracle.alerts
+        assert tracker.verdict() == oracle.verdict()

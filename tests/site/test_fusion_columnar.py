@@ -9,6 +9,7 @@ interleaving of the three.  These properties drive both over that space
 and compare every observable surface.
 """
 
+import gc
 import json
 
 import pytest
@@ -144,3 +145,89 @@ def test_copy_is_identical_and_independent(batch, extra):
     assert _state_bytes(duplicate) == _state_bytes(
         _reference_fold([batch, extra])
     )
+
+
+def test_non_canonical_hex_rows_fold_to_one_epc():
+    """``int(h, 16)`` reads "0ab", "AB" and "ab" as one EPC, so the
+    columnar rows fold must group them as one, exactly as ``from_row``
+    followed by scalar ``ingest`` does."""
+    rows = [
+        ["0ab", 0, 0.5, 0, 1, 1.0, -50.0],
+        ["AB", 1, 0.25, 0, 2, 2.0, -51.0],
+        ["ab", 2, 0.75, 1, 3, 3.0, -52.0],
+        ["0AB", 2, 0.75, 1, 3, 3.0, -52.0],  # a replay of the row above
+        ["c", 0, 0.5, 0, 1, 1.0, -50.0],
+    ]
+    columnar = FusionLayer()
+    assert columnar.ingest_rows(rows) == 4
+    reference = FusionLayer()
+    for row in rows:
+        reference.ingest(TagReport.from_row(row))
+    assert columnar.epc_values() == [0xC, 0xAB]
+    assert columnar.record(0xAB).n_reports == 3
+    assert _state_bytes(columnar) == _state_bytes(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(report_batches, report_batches)
+def test_rows_fold_surfaces_match_reference(batch, extra):
+    """After a rows fold, whose survivors are kept as keys alone, every
+    reader of the fused set (``copy``, ``merge``, ``reports``, the
+    invariant suite) sees what it sees after a plain ``ingest`` loop."""
+    from repro.runtime.invariants import SiteInvariantSuite
+
+    rows = [r.to_row() for r in batch]
+    columnar = FusionLayer()
+    columnar.ingest_rows(rows)
+    reference = FusionLayer()
+    for row in rows:
+        reference.ingest(TagReport.from_row(row))
+    before = _state_bytes(reference)
+    assert _state_bytes(columnar) == before
+    assert columnar.reports() == reference.reports()
+    assert all(type(r.latest) is TagReport for r in columnar.records())
+    truth = range(1, 7)
+    assert SiteInvariantSuite(truth).check(columnar) == SiteInvariantSuite(
+        truth
+    ).check(reference)
+    # ``copy`` then ``merge``: the idempotence check's own sequence.
+    duplicate = columnar.copy()
+    assert _state_bytes(duplicate) == before
+    assert duplicate.merge(columnar) == 0
+    assert _state_bytes(duplicate) == before
+    # Merging either way: the copy takes new reports, the original
+    # stays as it was, and a plain layer absorbs the rows-born set.
+    assert duplicate.merge(_reference_fold([extra])) == reference.merge(
+        _reference_fold([extra])
+    )
+    assert _state_bytes(duplicate) == _state_bytes(reference)
+    assert _state_bytes(columnar) == before
+    plain = _reference_fold([extra])
+    plain.merge(columnar)
+    assert _state_bytes(plain) == _state_bytes(reference)
+
+
+def test_columnar_fold_restores_the_collector():
+    """The columnar fold runs with the cyclic collector off and leaves it
+    as it found it, also when the fold raises."""
+    assert hasattr(FusionLayer._ingest_columns, "__wrapped__")
+    seen = []
+
+    def fold(fail):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError("fold failed")
+        return 0
+
+    paused = fusion._collector_paused(fold)
+    assert paused(False) == 0 and gc.isenabled()
+    with pytest.raises(RuntimeError):
+        paused(True)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        paused(False)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False, False]

@@ -65,6 +65,7 @@ ALLOWED: Dict[str, str] = {
     "reader/llrp.py:C1G2Filter.to_bitmask": "inverse of C1G2Filter.from_bitmask (round-trip test)",
     "reader/llrp.py:rospec_from_xml": "round-trip oracle of rospec_to_xml",
     "reader/sessioned.py:SessionedReader": "the S1 session model: why Phase II runs S0 (EXPERIMENTS.md)",
+    "site/fusion.py:TagReport.from_observation": "oracle of the worker's observation_rows (tests/site/test_site_setup.py)",
     "site/supervisor.py:SiteSupervisor.restore": "warm start from the site checkpoint (recovery path)",
     "tracking/fleet.py:FleetTracker": "the paper's footnote-1 multi-tag tracker (tests/paper/test_fleet_tracking.py)",
     "tracking/fleet.py:TrackedTag": "per-tag state of FleetTracker",
