@@ -22,6 +22,16 @@ bit-for-bit identical to the reference engine:
   draws nothing; each singleton's link-loss draw is ``next_double``,
   exactly ``Generator.random()``.  Any numpy bit generator works, and the
   generator ends the round where the reference walk leaves it;
+- a round costs about one draw per lane, and the lanes are the sum over
+  its frames of the contenders (every QueryAdjust redraws them all).  On
+  a PCG64, whose ``next_uint32`` hands out the low and then the high
+  half of one 64-bit word, rounds over enough participants take two
+  lanes per ``next_uint64`` (``draw_frame``) from the 32-bit buffer flag
+  the caller reads out of ``bit_generator.state``, with ``next_uint32``
+  for a lane due from the buffer and for a frame's last one or two
+  lanes, so the buffer's flag and value end as the per-lane draws leave
+  them.  :func:`paired_lanes_ok` checks this against per-lane
+  ``Generator.integers`` at the first such round;
 - the Q-walk uses the same double arithmetic (``qfp ± c`` with [0, 15]
   clamps) and C ``rint`` — round-half-to-even, exactly Python's
   ``round(float)`` — for the QueryAdjust decision;
@@ -110,6 +120,73 @@ typedef struct {
     int64_t slot;
 } read_record;
 
+/* Lane i of a frame, the slot x >> shift: counted into counts/owner, or
+ * stored in lanes[i] when lanes is not NULL (the first-use probe). */
+static inline void put_lane(int64_t i, uint32_t x, int shift, int32_t *counts,
+                            int32_t *owner, int32_t *lanes)
+{
+    const int32_t d = (int32_t)(x >> shift);
+    if (lanes != NULL) {
+        lanes[i] = d;
+    } else {
+        counts[d]++;
+        owner[d] = (int32_t)i;
+    }
+}
+
+/* next_uint32, keeping *buffered in step with PCG64's 32-bit buffer. */
+static inline uint32_t lane32(bitgen_t *bg, int *buffered)
+{
+    *buffered ^= 1;
+    return bg->next_uint32(bg->state);
+}
+
+/* Draw a frame's `size` lanes as Generator.integers(0, 2**(32 - shift),
+ * size) draws them: lane i is the i-th next_uint32 >> shift.
+ *
+ * With `paired` (the generator is a PCG64 whose 32-bit buffer flag is
+ * *buffered), lanes come two per next_uint64.  PCG64's next_uint32
+ * returns the low half of a fresh 64-bit word and buffers the high half
+ * (flag and value) for the next call; next_uint64 neither reads nor
+ * writes that buffer.  So a word's low and high halves are two
+ * consecutive lanes, and the buffer's state is all that must be kept:
+ * a lane due from the buffer comes from next_uint32, and so do the last
+ * lane (an odd one, left buffered) or the last two (the second recording
+ * the high half the state holds), exactly as the per-lane draws leave it.
+ */
+static inline void draw_frame(bitgen_t *bg, int64_t size, int shift,
+                              int paired, int *buffered, int32_t *counts,
+                              int32_t *owner, int32_t *lanes)
+{
+    int64_t i = 0;
+    if (paired) {
+        if (*buffered && size > 0) {
+            put_lane(0, lane32(bg, buffered), shift, counts, owner, lanes);
+            i = 1;
+        }
+        for (; i + 2 < size; i += 2) {
+            const uint64_t w = bg->next_uint64(bg->state);
+            put_lane(i, (uint32_t)w, shift, counts, owner, lanes);
+            put_lane(i + 1, (uint32_t)(w >> 32), shift, counts, owner, lanes);
+        }
+    }
+    for (; i < size; i++)
+        put_lane(i, lane32(bg, buffered), shift, counts, owner, lanes);
+}
+
+/* The first-use probe: n_frames frames of sizes[f] lanes of q bits,
+ * drawn one after another as the kernel pairs them (the buffer flag
+ * carried across frames from `buffered`), into lanes. */
+void repro_probe_lanes(bitgen_t *bg, int64_t buffered, int64_t q,
+                       int64_t n_frames, const int64_t *sizes, int32_t *lanes)
+{
+    int flag = (int)buffered;
+    for (int64_t f = 0; f < n_frames; f++) {
+        draw_frame(bg, sizes[f], 32 - (int)q, 1, &flag, NULL, NULL, lanes);
+        lanes += sizes[f];
+    }
+}
+
 /* One inventory round, settled slot by slot.
  *
  * Mirrors the sequential reference walk with the QAdaptive/FixedQ
@@ -119,7 +196,8 @@ typedef struct {
  * dpar: [t_start, deadline, t_empty, t_single, t_collision, t_adjust,
  *        t_query, c, p_loss]
  * ipar: [n, strat (0 = FixedQ, 1 = QAdaptive), q0, with_replacement,
- *        max_slots]
+ *        max_slots, lanes (-1: one next_uint32 per lane; 0 or 1: paired
+ *        draws from a PCG64 whose 32-bit buffer flag is this value)]
  * out_i: [n_empty, n_single, n_collision, n_duplicate, n_adjusts,
  *         n_frames, truncated, n_reads, n_slots, n_lost]
  * out_d: [t_end]
@@ -128,8 +206,9 @@ typedef struct {
  *
  * bg is the engine generator's bitgen_t; the caller holds the bit
  * generator's lock.  A frame lane is next_uint32 >> (32 - q), which is
- * what Generator.integers(0, 2**q) returns; a singleton's loss draw is
- * next_double, which is what Generator.random() returns.
+ * what Generator.integers(0, 2**q) returns (see draw_frame); a
+ * singleton's loss draw is next_double, which is what Generator.random()
+ * returns.
  */
 void repro_run_round(
     const double *dpar,
@@ -156,6 +235,8 @@ void repro_run_round(
     const int strat = (int)ipar[1];
     const int with_replacement = (int)ipar[3];
     const int64_t max_slots = ipar[4];
+    const int paired = ipar[5] >= 0;
+    int buffered = ipar[5] == 1;
     const int has_loss = p_loss > 0.0;
 
     double t = dpar[0];
@@ -183,13 +264,9 @@ void repro_run_round(
         }
 
         if (frame_length > 1) {
-            const int shift = 32 - q;
             for (int64_t i = 0; i < frame_length; i++) counts[i] = 0;
-            for (int64_t i = 0; i < size; i++) {
-                const int32_t d = (int32_t)(bg->next_uint32(bg->state) >> shift);
-                counts[d]++;
-                owner[d] = (int32_t)i;
-            }
+            draw_frame(bg, size, 32 - q, paired, &buffered, counts, owner,
+                       NULL);
         } else {
             /* integers(0, 1, ...) consumes no stream words. */
             counts[0] = (int32_t)size;
@@ -843,6 +920,32 @@ def load_kernel() -> Optional[ctypes.CDLL]:
     ]
     _LOADED = lib
     return _LOADED
+
+
+_PAIRED_LANES: Optional[bool] = None
+
+
+def paired_lanes_ok() -> bool:
+    """Whether the calendar kernel may take two frame lanes from each
+    64-bit word of a PCG64 (``draw_frame`` in the C source).
+
+    Decided at the first round that would pair its draws, never at import
+    or load: :func:`~repro.gen2._kernel_probes.paired_lanes_probe_passes`
+    checks paired lanes and the generator's end state against per-lane
+    ``Generator.integers`` on scratch PCG64s.  False when the shared
+    object is unavailable or on any mismatch; every round then draws one
+    ``next_uint32`` per lane.
+    """
+    global _PAIRED_LANES
+    if _PAIRED_LANES is None:
+        lib = load_kernel()
+        if lib is None:
+            _PAIRED_LANES = False
+        else:
+            from repro.gen2 import _kernel_probes as probes
+
+            _PAIRED_LANES = probes.paired_lanes_probe_passes(lib)
+    return _PAIRED_LANES
 
 
 _GMM: Optional[Callable[..., None]] = None

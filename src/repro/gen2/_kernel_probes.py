@@ -4,9 +4,11 @@ A kernel is used only if it reproduces, bit for bit, what the Python it
 replaces computes, on fixed samples: numpy's float64 loops against scalar
 ufunc calls, the assessor's square against ``x**2``, the scene's settling
 against :func:`~repro.radio.measurement.settle_report` and its bases
-against ``Scene._measurement_bases_for``.  Comparisons go through
-``float.hex``, so the sign of a zero counts.  The loaders import this
-module at their first call: importing the package compiles none of it.
+against ``Scene._measurement_bases_for``, and the calendar kernel's
+paired frame lanes against per-lane ``Generator.integers``.  Comparisons
+go through ``float.hex``, so the sign of a zero counts.  The loaders
+import this module at their first call: importing the package compiles
+none of it.
 """
 
 from __future__ import annotations
@@ -290,5 +292,63 @@ def bases_probe_passes(lib) -> bool:
         probe(scratch.cols_ptr, reads, port_ptr, 1, out.ctypes.data)
         want = scene._measurement_bases_for(tag, antenna, channel_index, t)
         if _hex(out.tolist()) != _hex(want):
+            return False
+    return True
+
+
+def probe_lanes(lib, bit_generator, q: int, sizes) -> List[int]:
+    """Frames of ``sizes`` lanes of ``q`` bits (``q >= 1``) drawn from a
+    PCG64 ``bit_generator`` as the calendar kernel pairs them, from the
+    32-bit buffer flag in its state."""
+    probe = lib.repro_probe_lanes
+    probe.restype = None
+    probe.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [
+        ctypes.c_void_p
+    ] * 2
+    sizes = np.asarray(sizes, dtype=np.int64)
+    lanes = np.empty(int(sizes.sum()), dtype=np.int32)
+    with bit_generator.lock:
+        probe(
+            bit_generator.ctypes.bit_generator,
+            bit_generator.state["has_uint32"], q, len(sizes),
+            sizes.ctypes.data, lanes.ctypes.data,
+        )
+    return lanes.tolist()
+
+
+def paired_lanes_samples() -> List[Tuple[int, bool, List[int]]]:
+    """``(q, entry buffer set, frame sizes)`` runs of the first-use probe
+    of paired lanes: one frame of one, two or three lanes or of an even
+    or odd size of a few hundred, and a run of frames of mixed parity,
+    empty ones included (the buffer flag is carried from frame to
+    frame)."""
+    mixed = [5, 0, 1, 2, 3, 4, 64, 65, 2, 7]
+    return [
+        (q, buffered, sizes)
+        for q in (1, 15)
+        for buffered in (False, True)
+        for sizes in ([1], [2], [3], [300], [301], mixed)
+    ]
+
+
+def paired_lanes_probe_passes(lib) -> bool:
+    """Whether paired lanes (``repro_probe_lanes``) from a PCG64 equal, in
+    every lane, per-lane ``Generator.integers(0, 2**q, size)`` calls on an
+    identical PCG64, and leave its whole ``state`` dict (the 32-bit
+    buffer's flag and value included) as those calls do, on
+    :func:`paired_lanes_samples` with the buffer set or clear on entry."""
+    pair = np.random.Generator(np.random.PCG64(2020))
+    walk = np.random.Generator(np.random.PCG64())
+    for q, buffered, sizes in paired_lanes_samples():
+        if buffered != bool(pair.bit_generator.state["has_uint32"]):
+            pair.integers(0, 2)
+        walk.bit_generator.state = pair.bit_generator.state
+        got = probe_lanes(lib, pair.bit_generator, q, sizes)
+        want = [
+            lane
+            for size in sizes
+            for lane in walk.integers(0, 1 << q, size=size).tolist()
+        ]
+        if got != want or pair.bit_generator.state != walk.bit_generator.state:
             return False
     return True

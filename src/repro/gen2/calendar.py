@@ -26,6 +26,14 @@ pre-fetched, and the generator ends the round where the reference walk
 leaves it: kernel rounds and slot-walk rounds interleave on one stream, on
 any numpy bit generator.  The caller holds the bit generator's lock
 across the call, as numpy's own ``Generator`` methods do.
+
+A round over at least :data:`PAIRED_LANES_MIN_TAGS` participants on a
+PCG64 takes two lanes from each ``next_uint64`` instead: PCG64 builds its
+32-bit outputs from the low and then the high half of one 64-bit word, so
+the lanes and the generator's end state are the same, given the state's
+32-bit buffer flag at entry (read from ``bit_generator.state``, about
+2 µs, which smaller rounds do not win back).  Other bit generators split
+their words differently and keep one ``next_uint32`` per lane.
 """
 
 from __future__ import annotations
@@ -36,7 +44,11 @@ import numpy as np
 
 from repro.gen2 import _ckernel
 
-__all__ = ["CalendarKernel"]
+__all__ = ["CalendarKernel", "PAIRED_LANES_MIN_TAGS"]
+
+#: Fewest participants for which a round on a PCG64 draws its frame lanes
+#: in pairs.
+PAIRED_LANES_MIN_TAGS = 28
 
 
 class CalendarKernel:
@@ -83,7 +95,7 @@ class CalendarKernel:
         if self.fn is None:
             return
         self.dpar = (ctypes.c_double * 9)()
-        self.ipar = (ctypes.c_int64 * 5)()
+        self.ipar = (ctypes.c_int64 * 6)()
         self.out_i = (ctypes.c_int64 * 10)()
         self.out_d = (ctypes.c_double * 2)()
         self.counts = (ctypes.c_int32 * _ckernel.MAX_FRAME)()
@@ -137,3 +149,13 @@ class CalendarKernel:
         if n > self.cap:
             self._grow(n)
         self.ids_np[:n] = participant_ids
+
+    def pairs_lanes(self, bit_generator, n: int) -> bool:
+        """Whether a round over ``n`` participants drawn from
+        ``bit_generator`` takes two frame lanes per 64-bit word (see the
+        module docstring); runs the first-use probe of paired lanes."""
+        return (
+            n >= PAIRED_LANES_MIN_TAGS
+            and type(bit_generator) is np.random.PCG64
+            and _ckernel.paired_lanes_ok()
+        )

@@ -143,14 +143,25 @@ def random_epc_population(
     if n < 0:
         raise ValueError("population size must be non-negative")
     gen = make_rng(rng)
+    n_words = (length + 31) // 32
+    mask = (1 << length) - 1
     seen = set()
     out: List[EPC] = []
+    # What a loop of EPC.random calls draws, a batch at a time: numpy
+    # draws each bounded 32-bit word with one next_uint32, so a
+    # (k, n_words) draw reads the same stream as k calls of n_words.  A
+    # shortfall left by duplicates is drawn the same way.
     while len(out) < n:
-        epc = EPC.random(gen, length)
-        if epc.value in seen:
-            continue
-        seen.add(epc.value)
-        out.append(epc)
+        words = gen.integers(0, 2**32, size=(n - len(out), n_words))
+        for row in words.tolist():
+            value = 0
+            for word in row:
+                value = (value << 32) | word
+            value &= mask
+            if value in seen:
+                continue
+            seen.add(value)
+            out.append(EPC(value, length))
     return out
 
 

@@ -410,7 +410,11 @@ class InventoryEngine:
         # lock is held as numpy's own ``Generator`` methods hold it: ctypes
         # releases the GIL for the call, and the kernel advances the state.
         bit_generator = self.rng.bit_generator
+        pairs = cal.pairs_lanes(bit_generator, n)
         with bit_generator.lock:
+            # Read under the lock (numpy's state getter does not take it),
+            # the 32-bit buffer flag is the one the kernel starts from.
+            ipar[5] = bit_generator.state["has_uint32"] if pairs else -1
             cal.fn(
                 cal.dpar_ptr,
                 cal.ipar_ptr,

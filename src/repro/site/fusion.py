@@ -153,22 +153,51 @@ class TagReport:
         )
 
 
+#: ``10 ** TIME_PRECISION``, exact as a double.
+_SCALE = 10.0**TIME_PRECISION
+
+
+def rounded(values: Sequence[float]) -> List[float]:
+    """``[round(x, TIME_PRECISION) for x in values]``, vectorised.
+
+    ``round`` rounds the exact value of ``x`` to nine decimals, half to
+    even, and returns the double nearest that decimal: the correctly
+    rounded quotient ``N / 1e9`` of the integer ``N``, which numpy's
+    division of two exact doubles gives.  ``N`` is ``rint(x * 1e9)``
+    unless the product's own rounding moved it across a half-way point,
+    so the values within two ulps of one (and those of magnitude 2**50
+    and above, infinities and NaNs) keep Python's ``round``.
+    """
+    x = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * _SCALE
+        n = np.rint(y)
+        unsure = ~(0.5 - np.abs(y - n) > 2.0 * np.spacing(np.abs(y)))
+    out = (n / _SCALE).tolist()
+    for i in np.flatnonzero(unsure).tolist():
+        out[i] = round(values[i], TIME_PRECISION)
+    return out
+
+
 def observation_rows(
-    observations: Iterable[TagObservation], reader_id: int
+    observations: Sequence[TagObservation], reader_id: int
 ) -> List[List[object]]:
     """``TagReport.from_observation(obs, reader_id).to_row()`` for each
     observation, written straight from its fields."""
+    times = rounded([obs.time_s for obs in observations])
+    phases = rounded([obs.phase_rad for obs in observations])
+    rsss = rounded([obs.rss_dbm for obs in observations])
     return [
         [
             format(obs.epc.value, "x"),
             reader_id,
-            round(obs.time_s, TIME_PRECISION),
+            time_s,
             obs.antenna_index,
             obs.channel_index,
-            round(obs.phase_rad, TIME_PRECISION),
-            round(obs.rss_dbm, TIME_PRECISION),
+            phase,
+            rss,
         ]
-        for obs in observations
+        for obs, time_s, phase, rss in zip(observations, times, phases, rsss)
     ]
 
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.faults import FaultPlan, FaultyReader
 from repro.gen2 import _ckernel
 from repro.gen2.aloha import FixedQ, IdealDFSA, QAdaptive
+from repro.gen2.calendar import PAIRED_LANES_MIN_TAGS
 from repro.gen2.epc import EPC
 from repro.gen2.inventory import InventoryEngine, InventoryLog
 from repro.gen2.timing import R420_PROFILE
@@ -84,10 +85,21 @@ def _log_signature(log):
     )
 
 
+def _plain(value):
+    """``value`` with every ndarray made a list, so states compare with
+    ``==``."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
 def _stream_probe(engine):
-    """The generator's next draws: equal only if both engines left the
-    stream at the same position."""
-    return tuple(engine.rng.random(size=4).tolist())
+    """The generator's whole state: equal only if both engines left the
+    stream at the same position, with the same 32-bit buffer (PCG64's
+    ``has_uint32`` and ``uinteger``; no ``random`` draw reads it)."""
+    return _plain(engine.rng.bit_generator.state)
 
 
 def _assert_matches_reference(kind, q, n_tags, seed, with_replacement,
@@ -116,7 +128,7 @@ def _assert_matches_reference(kind, q, n_tags, seed, with_replacement,
 
 _ROUND_SPACE = dict(
     q=st.integers(min_value=0, max_value=7),
-    n_tags=st.sampled_from([0, 1, 3, 17, 60]),
+    n_tags=st.sampled_from([0, 1, 3, 17, 30, 60]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     with_replacement=st.booleans(),  # S0 vs S1 session models
     loss=st.sampled_from([0.0, 0.1, 0.5]),
@@ -229,6 +241,132 @@ def test_kernel_matches_reference_on_other_bit_generators(
         signatures[name] = [_log_signature(log) for log in logs]
         signatures[name].append(_stream_probe(engine))
     assert signatures["calendar"] == signatures["reference"]
+
+
+# ----------------------------------------------------------------------
+# Paired lanes: two frame lanes per PCG64 word above the gate
+# ----------------------------------------------------------------------
+def _paired_rounds(name, kind, n_tags, buffered, with_replacement, loss,
+                   rounds=3):
+    """Rounds on a PCG64 whose 32-bit buffer is set (by one
+    ``integers(0, 2)`` draw) or clear on entry; returns the signatures and
+    the buffer flag each kernel round was handed (``ipar[5]``)."""
+    rng = np.random.default_rng(2017 + n_tags)
+    if buffered:
+        rng.integers(0, 2)
+    factory = (
+        (lambda: QAdaptive(initial_q=4))
+        if kind == "qadaptive"
+        else (lambda: FixedQ(9))
+    )
+    engine = InventoryEngine(
+        R420_PROFILE, factory, rng=rng, with_replacement=with_replacement,
+        read_loss_probability=loss, engine=name,
+    )
+    sig, flags = [], []
+    for _ in range(rounds):
+        entry = rng.bit_generator.state["has_uint32"]
+        sig.append(_log_signature(engine.run_round(range(n_tags))))
+        if name == "calendar":
+            flags.append((entry, engine._cal.ipar[5]))
+    sig.append(_stream_probe(engine))
+    return sig, flags
+
+
+@pytest.mark.parametrize("kind", ["qadaptive", "fixedq"])
+@pytest.mark.parametrize("n_tags", [64, 65, 301])
+@pytest.mark.parametrize("buffered", [False, True], ids=["clear", "set"])
+@pytest.mark.parametrize("with_replacement", [True, False], ids=["S0", "S1"])
+@pytest.mark.parametrize("loss", [0.0, 0.2])
+def test_paired_lanes_match_reference(
+    monkeypatch, kind, n_tags, buffered, with_replacement, loss
+):
+    """Above the gate a PCG64 round takes two lanes per 64-bit word; its
+    reads, counters and the generator's whole state (the 32-bit buffer's
+    flag and value included) equal the per-lane reference walk's, with
+    the buffer set or clear on entry."""
+    if _ckernel.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
+    assert n_tags >= PAIRED_LANES_MIN_TAGS
+    reference, _ = _paired_rounds(
+        "reference", kind, n_tags, buffered, with_replacement, loss
+    )
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("untraced round left the kernel")
+
+    monkeypatch.setattr(InventoryEngine, "_run_round_reference", no_fallback)
+    calendar, flags = _paired_rounds(
+        "calendar", kind, n_tags, buffered, with_replacement, loss
+    )
+    assert calendar == reference
+    # Every round paired its lanes, from the flag it was entered with.
+    assert [entry for entry, _ in flags] == [got for _, got in flags]
+    assert flags[0] == (int(buffered), int(buffered))
+
+
+def test_lanes_are_paired_only_above_the_gate_on_pcg64(monkeypatch):
+    """Below the gate, on other bit generators and when the probe fails,
+    rounds draw one ``next_uint32`` per lane (``ipar[5] == -1``) and still
+    match the reference walk."""
+    if _ckernel.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
+
+    def mode(rng, n_tags):
+        engine = InventoryEngine(
+            R420_PROFILE, lambda: QAdaptive(initial_q=4), rng=rng
+        )
+        engine.run_round(range(n_tags))
+        return engine._cal.ipar[5]
+
+    gate = PAIRED_LANES_MIN_TAGS
+    assert mode(np.random.default_rng(1), gate - 1) == -1
+    assert mode(np.random.default_rng(1), gate) == 0
+    assert mode(np.random.Generator(np.random.SFC64(1)), 300) == -1
+    monkeypatch.setattr(_ckernel, "_PAIRED_LANES", False)
+    assert mode(np.random.default_rng(1), 300) == -1
+    signatures = {}
+    for name in ENGINES:
+        engine, logs = _run_rounds(
+            name, "qadaptive", 4, 300, 3, True, 0.2, None, rounds=2
+        )
+        signatures[name] = [_log_signature(log) for log in logs]
+        signatures[name].append(_stream_probe(engine))
+    assert signatures["calendar"] == signatures["reference"]
+
+
+def test_paired_lanes_probe_runs_at_first_paired_round(monkeypatch):
+    """The probe of paired lanes runs once, at the first round that would
+    pair its draws: not at load, not for a round below the gate."""
+    if _ckernel.load_kernel() is None:
+        pytest.skip("C kernel unavailable")
+    from repro.gen2 import _kernel_probes
+
+    calls = []
+    real = _kernel_probes.paired_lanes_probe_passes
+
+    def counting(lib):
+        calls.append(lib)
+        return real(lib)
+
+    monkeypatch.setattr(_ckernel, "_PAIRED_LANES", None)
+    monkeypatch.setattr(_kernel_probes, "paired_lanes_probe_passes", counting)
+    engine = InventoryEngine(R420_PROFILE, lambda: QAdaptive(initial_q=4))
+    engine.run_round(range(PAIRED_LANES_MIN_TAGS - 1))
+    assert calls == []
+    engine.run_round(range(PAIRED_LANES_MIN_TAGS))
+    engine.run_round(range(PAIRED_LANES_MIN_TAGS))
+    assert len(calls) == 1 and _ckernel._PAIRED_LANES is True
+
+
+def test_paired_lanes_probe_passes():
+    """The probe passes on this numpy: the fast path is on."""
+    lib = _ckernel.load_kernel()
+    if lib is None:
+        pytest.skip("C kernel unavailable")
+    from repro.gen2 import _kernel_probes
+
+    assert _kernel_probes.paired_lanes_probe_passes(lib)
 
 
 def test_reassigned_rng_is_drawn_from_next_round():

@@ -1,5 +1,6 @@
 """Tests for EPC encoding and memory banks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,6 +98,42 @@ class TestPopulations:
     def test_negative_size_raises(self):
         with pytest.raises(ValueError):
             random_epc_population(-1)
+
+    @staticmethod
+    def _per_epc_population(n, gen, length):
+        """One ``EPC.random`` per EPC, skipping duplicates: the batched
+        draw's oracle."""
+        seen, out = set(), []
+        while len(out) < n:
+            epc = EPC.random(gen, length)
+            if epc.value not in seen:
+                seen.add(epc.value)
+                out.append(epc)
+        return out
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.SFC64,
+    ], ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("n,length", [
+        (0, 96), (1, 96), (7, 96), (500, 96), (40, 64), (40, 33),
+        (200, 8),  # 256 codes: duplicates leave shortfalls to redraw
+        (32, 5),  # every code, in first-seen order
+    ])
+    def test_batched_population_matches_per_epc_draws(
+        self, bit_generator, n, length
+    ):
+        """Same EPCs in the same order, and the generator left in the
+        same state (32-bit buffer included), as one draw per EPC."""
+        batched = np.random.Generator(bit_generator(11))
+        per_epc = np.random.Generator(bit_generator(11))
+        batched.integers(0, 2)  # enter with PCG64's 32-bit buffer set
+        per_epc.integers(0, 2)
+        got = random_epc_population(n, rng=batched, length=length)
+        want = self._per_epc_population(n, per_epc, length)
+        assert got == want
+        assert repr(batched.bit_generator.state) == repr(
+            per_epc.bit_generator.state
+        )
 
     def test_sequential(self):
         epcs = sequential_epc_population(3, start=5)

@@ -11,7 +11,7 @@ from repro.gen2.epc import EPC
 from repro.radio.measurement import TagObservation
 from repro.site import site as site_module
 from repro.site.channels import ChannelCoordinator
-from repro.site.fusion import TagReport, observation_rows
+from repro.site.fusion import TIME_PRECISION, TagReport, observation_rows, rounded
 from repro.site.site import (
     SiteConfig,
     build_reader,
@@ -89,6 +89,49 @@ def test_report_rows_equal_tag_report_rows():
     assert repr(observation_rows(observations, 2)) == repr(
         _tag_report_rows(observations, 2)
     )
+
+
+def _rounding_samples():
+    """Seeded values at the scales of times, phases and RSS, of both signs
+    and of random magnitudes; exact half-way points (``m / 1024`` for odd
+    ``m`` is ``x.xxxxxxxxx5`` exactly) and their neighbours a few ulps
+    away; zeros of both signs, values rounding to a signed zero, huge
+    values, infinities and NaN."""
+    rng = np.random.default_rng(2026)
+    seeded = np.concatenate([
+        rng.uniform(0.0, 100.0, 4000),
+        rng.uniform(-7.0, 7.0, 4000),
+        rng.uniform(-90.0, -20.0, 4000),
+        rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-12, 17, 4000),
+    ]).tolist()
+    ties = [
+        m / 1024.0
+        for m in list(range(-4095, 4096, 2)) + [2**40 + 1, 3**30, -(5**20)]
+    ]
+    near = [
+        float(np.nextafter(t, direction * np.inf))
+        for t in ties[::16]
+        for direction in (-1, 1)
+    ]
+    near += [
+        t + k * float(np.spacing(t))
+        for t in (1.0000000005, 2.5e-9, 0.0000000005, 123.4567890125)
+        for k in range(-4, 5)
+    ]
+    edges = [0.0, -0.0, -1e-12, 1e-12, -4e-10, 5e-10, 4.9999999e-10,
+             -5e-10, 2.0**52, -(2.0**51) - 0.5, 1e300, -1e300,
+             float("inf"), -float("inf"), float("nan"), 5e-324]
+    return seeded + ties + near + edges
+
+
+def test_rounded_equals_python_round():
+    """The vectorised rounding is ``round(x, 9)`` on every sample, to the
+    sign of each zero (compared through ``repr``; NaN included)."""
+    values = _rounding_samples()
+    assert [repr(v) for v in rounded(values)] == [
+        repr(round(v, TIME_PRECISION)) for v in values
+    ]
+    assert rounded([]) == []
 
 
 def _site_tags_oracle(config, indices):
